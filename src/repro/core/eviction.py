@@ -96,42 +96,37 @@ def history_benefit(entry: RecycleEntry, now: float) -> float:
 # ---------------------------------------------------------------------------
 # Demote-vs-destroy (two-tier pool)
 # ---------------------------------------------------------------------------
-#: Assumed fixed cost of re-opening a spilled entry (file open + header
-#: parse; ``np.load(mmap_mode="r")`` maps the data without reading it).
-SPILL_OPEN_SECONDS = 3e-5
-#: Assumed fault-in bandwidth for the mapped bytes.  Promotion is lazy —
-#: pages fault in during downstream operator scans, usually straight from
-#: the page cache — so this is closer to memory than to disk bandwidth.
-SPILL_READ_BYTES_PER_SEC = 1e10
-
-
-def reload_cost(nbytes: int) -> float:
-    """Estimated seconds to bring a spilled entry of *nbytes* back."""
-    return SPILL_OPEN_SECONDS + nbytes / SPILL_READ_BYTES_PER_SEC
-
-
-def should_demote(entry: RecycleEntry) -> bool:
+def should_demote(entry: RecycleEntry, round_trip_seconds: float) -> bool:
     """Demote-vs-destroy for an eviction victim with a spill tier attached.
 
-    A future reference to a destroyed victim pays ``Cost(I)`` again; to a
-    demoted one it pays the reload.  Demotion therefore wins whenever the
-    recomputation is dearer than the reload — and the paper's benefit
-    ``B(I) = Cost(I) * Weight(I)`` (equations 1-2) amplifies the case for
-    globally-reused intermediates, whose weight ``k - 1`` can exceed 1.
-    (The weight's *discount* side is deliberately not applied here: it
-    models reuse probability, which governs eviction ordering and the
-    disk-quota reclaim order, not whether disk beats recomputation.)
+    Demoting pays a write now and a reload at the next reference; what
+    it buys is the paper's benefit ``B(I) = Cost(I) * Weight(I)``
+    (equations 1-2): the recomputation saved, weighted by how often the
+    entry has proven to be wanted — ``k - 1`` once it was globally
+    reused, a token 0.1 before.  So a victim goes to disk iff its benefit
+    is at least *round_trip_seconds*, which the caller reads from the
+    store's own measurements
+    (:meth:`repro.storage.spill.SpillStore.round_trip_cost`); a cheap or
+    never-reused victim is destroyed, as in the single-tier pool.
 
-    Zero-byte victims (views) hold no memory worth reclaiming, but they
-    sit in the middle of execution threads: destroying one whose
-    dependents are already on disk would strand — and therefore drop —
-    that whole spilled thread.  Such a victim is demoted (its file holds
-    the view's materialised columns); a childless view is destroyed,
-    since recomputing it over its promoted operand is free.
+    Three structural cases come first.  A stable-token producer
+    (persistent bind, join index) is never demoted: the catalogue hands
+    the same BAT back for nothing and its dependents stay matchable
+    without it.  A victim whose dependents are already on disk follows
+    them, whatever it costs: destroying it would strand — and therefore
+    drop — images already paid for.  That covers the zero-byte views in
+    the middle of execution threads (the image holds the view's
+    materialised columns); a childless view holds no memory worth
+    reclaiming and is destroyed, since recomputing it over its promoted
+    operand is free.
     """
+    if entry.token_is_stable:
+        return False
+    if entry.spilled_dependents > 0:
+        return True
     if entry.nbytes <= 0:
-        return entry.spilled_dependents > 0
-    return max(entry.cost, benefit(entry)) >= reload_cost(entry.nbytes)
+        return False
+    return benefit(entry) >= round_trip_seconds
 
 
 class _CostBasedEviction(EvictionPolicy):

@@ -12,13 +12,16 @@ whose result), which the eviction policies need: only *leaf* entries — no
 dependents in the pool — may be evicted (§4.3).
 
 The pool is **two-tiered**: every entry is either ``RESIDENT`` (its BAT
-in memory, counted in ``total_bytes``) or ``SPILLED`` (its BAT serialised
-in the attached :class:`~repro.storage.spill.SpillStore`, a
+in memory, counted in ``total_bytes``) or ``SPILLED`` (only its image in
+the attached :class:`~repro.storage.spill.SpillStore`, a
 :class:`~repro.storage.spill.SpilledStub` in its place, counted in
 ``spilled_bytes``).  Demotion and promotion move an entry between tiers
 without touching the signature index, the dependency graph or the
 subsumption buckets — a spilled entry still matches, still invalidates on
-updates, and still anchors its dependents.
+updates, and still anchors its dependents.  An image is written once and
+lives as long as its entry: promotion keeps it (pooled BATs are
+immutable, so re-demoting is a stub swap), and it goes when the entry
+leaves the pool or the disk quota needs the room (``drop_image``).
 
 Sharding
 --------
@@ -34,10 +37,9 @@ one global mutex.  Every shard plays two roles:
   constant-only signatures), which colocates an entry with the
   subsumption bucket it lives in — the §5 candidate search is a
   single-shard operation.
-* **Token role** — the token index (``by_token``) and the consumer books
-  (``consumers`` / ``spilled_consumers``) for result tokens congruent to
-  this shard's index, plus the leaf/demotable membership of the entries
-  producing those tokens.
+* **Token role** — the token index (``by_token``) and the consumer index
+  (``consumers``) for result tokens congruent to this shard's index, plus
+  the leaf/demotable membership of the entries producing those tokens.
 
 Both homes are *pure functions* of immutable entry fields (signature,
 result token, argument tokens), so the full lock set of any mutation —
@@ -101,9 +103,13 @@ def make_signature(opname: str, args: Iterable[Any]) -> Signature:
     return (opname,) + tuple(arg_identity(a) for a in args)
 
 
-@dataclass
+@dataclass(eq=False)
 class RecycleEntry:
-    """One pooled intermediate with its execution and reuse statistics."""
+    """One pooled intermediate with its execution and reuse statistics.
+
+    Entries compare and hash by identity, so the pool can keep them in
+    sets (the consumer index).
+    """
 
     sig: Signature
     opname: str
@@ -126,15 +132,14 @@ class RecycleEntry:
     dependents: int = 0              # pool entries consuming our result
     spilled_dependents: int = 0      # ... of which currently on disk
     state: str = RESIDENT            # RESIDENT (memory) or SPILLED (disk)
-    seq: int = field(default=0, compare=False)  # pool-wide admission order
+    seq: int = 0                     # pool-wide admission order
     # Shard-routing caches, set by the pool at admission time — pure
     # functions of the identity fields, recomputed when a re-keyed entry
     # is re-admitted (§6.3 refresh).  ``check_invariants`` verifies them.
-    home_idx: int = field(default=0, compare=False, repr=False)
-    leaf_idx: int = field(default=0, compare=False, repr=False)
-    rtoken: Optional[int] = field(default=None, compare=False, repr=False)
-    first_tok: Optional[int] = field(default=None, compare=False,
-                                     repr=False)
+    home_idx: int = field(default=0, repr=False)
+    leaf_idx: int = field(default=0, repr=False)
+    rtoken: Optional[int] = field(default=None, repr=False)
+    first_tok: Optional[int] = field(default=None, repr=False)
 
     @property
     def result_token(self) -> Optional[int]:
@@ -169,14 +174,25 @@ class RecycleEntry:
     def is_leaf(self) -> bool:
         return self.dependents == 0
 
+    @property
+    def token_is_stable(self) -> bool:
+        """Does this entry's result token survive eviction?
+
+        Persistent binds and join indices come from the catalogue's bind
+        caches: re-executing them returns the *same* BAT (same token)
+        until an update bumps the column version, so their dependents
+        remain matchable after the producer entry is destroyed — the
+        ``consumers`` contract of :class:`_Shard`.
+        """
+        return getattr(self.value, "persistent_name", None) is not None
+
 
 class _Shard:
     """One pool shard: a lock plus the books homed here (both roles)."""
 
     __slots__ = (
         "lock", "by_sig", "by_op_arg", "total_bytes", "spilled_bytes",
-        "by_token", "consumers", "spilled_consumers",
-        "leaf_sigs", "demotable_sigs",
+        "by_token", "consumers", "leaf_sigs", "demotable_sigs",
     )
 
     def __init__(self):
@@ -188,13 +204,13 @@ class _Shard:
         self.spilled_bytes = 0
         # --- token role (token % n_shards == this shard) ---
         self.by_token: Dict[int, RecycleEntry] = {}
-        # arg-token -> number of pool entries consuming it.  Kept even for
+        # arg-token -> the pool entries consuming it (a producer's
+        # ``dependents`` is the size of its token's set).  Kept even for
         # tokens whose producer is not (or no longer) pooled: a persistent
         # bind result has a stable token, so its entry can be evicted and
         # re-admitted *after* consumers of that token — the re-admitted
-        # entry must start with the surviving consumer count, not zero.
-        self.consumers: Dict[int, int] = {}
-        self.spilled_consumers: Dict[int, int] = {}
+        # entry must start with the surviving consumers, not none.
+        self.consumers: Dict[int, Set[RecycleEntry]] = {}
         # Leaf/demotable membership of entries whose *result token* is
         # homed here (signature home for tokenless entries) — guarded by
         # this shard's lock together with those entries' dependent counts.
@@ -243,6 +259,11 @@ class RecyclePool:
         #: configured; None keeps the classic single-tier behaviour.
         #: The store is shared by all shards (it has its own lock).
         self.spill: Optional[SpillStore] = None
+        #: token -> resident entry whose spill image is still on disk
+        #: (promoted, not yet re-demoted): the images the disk quota may
+        #: reclaim for free.  Written under the entry's shard locks, read
+        #: under all of them.
+        self.resident_images: Dict[int, RecycleEntry] = {}
 
     # ------------------------------------------------------------------
     # Shard homes (pure functions of immutable identity) and lock scopes
@@ -401,6 +422,10 @@ class RecyclePool:
         entry.leaf_idx = home_idx if token is None else token % n
         entry.rtoken = token
         entry.first_tok = first
+        operands = entry.arg_tokens
+        if len(operands) > 1 and len(set(operands)) != len(operands):
+            # One dependency per distinct operand, however often passed.
+            entry.arg_tokens = tuple(dict.fromkeys(operands))
 
     def _add_routed(self, entry: RecycleEntry, if_absent: bool) -> bool:
         n = self.n_shards
@@ -422,15 +447,23 @@ class RecyclePool:
             # (possible for stable persistent-bind tokens) count from
             # the start — otherwise their later removal drives us
             # negative.
-            entry.dependents = tshard.consumers.get(token, 0)
-            entry.spilled_dependents = \
-                tshard.spilled_consumers.get(token, 0)
+            waiting = tshard.consumers.get(token)
+            if waiting:
+                entry.dependents = len(waiting)
+                entry.spilled_dependents = sum(
+                    c.is_spilled for c in waiting)
+            else:
+                entry.dependents = entry.spilled_dependents = 0
         if first is not None:
             home.by_op_arg.setdefault(
                 (entry.opname, first), []).append(entry)
         for t in entry.arg_tokens:
             ts = self._shards[t % n]
-            ts.consumers[t] = ts.consumers.get(t, 0) + 1
+            consumers = ts.consumers.get(t)
+            if consumers is None:
+                ts.consumers[t] = {entry}
+            else:
+                consumers.add(entry)
             parent = ts.by_token.get(t)
             if parent is not None:
                 parent.dependents += 1
@@ -523,17 +556,10 @@ class RecyclePool:
         spilled = entry.is_spilled
         for t in entry.arg_tokens:
             ts = self._shards[self._token_home(t)]
-            remaining = ts.consumers.get(t, 0) - 1
-            if remaining > 0:
-                ts.consumers[t] = remaining
-            else:
-                ts.consumers.pop(t, None)
-            if spilled:
-                s_remaining = ts.spilled_consumers.get(t, 0) - 1
-                if s_remaining > 0:
-                    ts.spilled_consumers[t] = s_remaining
-                else:
-                    ts.spilled_consumers.pop(t, None)
+            consumers = ts.consumers[t]
+            consumers.discard(entry)
+            if not consumers:
+                del ts.consumers[t]
             if skip_parent_tokens and t in skip_parent_tokens:
                 continue
             parent = ts.by_token.get(t)
@@ -544,15 +570,15 @@ class RecyclePool:
                 if parent.dependents == 0:
                     ts.leaf_sigs[parent.sig] = parent
                 self._update_demotable(parent)
-        if entry.is_spilled:
+        if spilled:
             home.spilled_bytes -= entry.nbytes
-            if self.spill is not None and token is not None:
-                # Removal from the pool is also removal from disk — this
-                # is what makes invalidation of a spilled entry delete
-                # its files.
-                self.spill.delete(token)
         else:
             home.total_bytes -= entry.nbytes
+        if self.spill is not None and token is not None:
+            # Leaving the pool is also leaving the disk, whichever tier
+            # the entry is in: an image lives exactly as long as its
+            # entry (this is what makes invalidation delete files).
+            self.drop_image(entry)
 
     # ------------------------------------------------------------------
     # Tier moves (the recycler handles the actual disk I/O)
@@ -560,29 +586,30 @@ class RecyclePool:
     def demote(self, entry: RecycleEntry) -> None:
         """Move *entry* to the disk tier after its BAT has been spilled.
 
-        The caller (the recycler's eviction path) has already written the
-        BAT to the spill store; here the in-memory value is swapped for a
+        The entry's image must be in the spill store — just written by
+        the caller (the recycler's eviction path), or kept from an earlier
+        demotion; here the in-memory value is swapped for the image's
         :class:`SpilledStub` and the bytes move between the tier counters.
         The signature/token/subsumption indexes are keyed by data that
-        survives demotion; only the tier-dependent books (consumer split,
-        parents' demotability) move.
+        survives demotion; only the tier-dependent books (the parents'
+        spilled-dependent counts and demotability) move.
         """
         with self._entry_scope(entry):
             home = self._shards[self._sig_home(entry.sig)]
             if entry.sig not in home.by_sig or entry.is_spilled:
                 raise RecyclerError(f"cannot demote {entry.opname}")
-            value = entry.value
-            if not isinstance(value, BAT):
+            stub = None if self.spill is None \
+                else self.spill.image(entry.rtoken)
+            if stub is None:
                 raise RecyclerError(
-                    f"demoting non-BAT entry {entry.opname}"
+                    f"demoting {entry.opname} without a spill image"
                 )
-            entry.value = SpilledStub.of(value)
+            entry.value = stub
             entry.state = SPILLED
+            self.resident_images.pop(entry.rtoken, None)
             self._leaf_shard(entry).demotable_sigs.pop(entry.sig, None)
             for t in entry.arg_tokens:
                 ts = self._shards[self._token_home(t)]
-                ts.spilled_consumers[t] = \
-                    ts.spilled_consumers.get(t, 0) + 1
                 parent = ts.by_token.get(t)
                 if parent is not None:
                     parent.spilled_dependents += 1
@@ -593,11 +620,12 @@ class RecyclePool:
     def promote(self, entry: RecycleEntry, value: BAT) -> None:
         """Bring a spilled *entry* back to memory with the reloaded BAT.
 
-        *value* must carry the original token
-        (:meth:`~repro.storage.bat.BAT.from_spill` guarantees it), so the
-        token index keeps pointing at the same lineage.  The spill files
-        are deleted — on POSIX the promoted BAT's memory-mapped columns
-        survive the unlink, and a later re-demotion rewrites them.
+        *value* must carry the original token (``SpillStore.load``
+        guarantees it), so the token index keeps pointing at the same
+        lineage.  The image stays in the store: the BAT is immutable, so
+        a later re-demotion is a stub swap with no I/O.  It is dropped
+        when the entry leaves the pool, or by :meth:`drop_image` when the
+        disk quota needs the room.
         """
         with self._entry_scope(entry):
             home = self._shards[self._sig_home(entry.sig)]
@@ -612,13 +640,9 @@ class RecyclePool:
             entry.value = value
             entry.state = RESIDENT
             entry.promotions += 1
+            self.resident_images[token] = entry
             for t in entry.arg_tokens:
                 ts = self._shards[self._token_home(t)]
-                s_remaining = ts.spilled_consumers.get(t, 0) - 1
-                if s_remaining > 0:
-                    ts.spilled_consumers[t] = s_remaining
-                else:
-                    ts.spilled_consumers.pop(t, None)
                 parent = ts.by_token.get(t)
                 if parent is not None:
                     parent.spilled_dependents -= 1
@@ -626,8 +650,38 @@ class RecyclePool:
             self._update_demotable(entry)
             home.spilled_bytes -= entry.nbytes
             home.total_bytes += entry.nbytes
-            if self.spill is not None:
-                self.spill.delete(token)
+
+    def drop_image(self, entry: RecycleEntry) -> None:
+        """Delete *entry*'s spill image, if it has one.  Free for a
+        resident entry (it merely loses its zero-I/O re-demotion); for a
+        spilled one the caller is removing the entry."""
+        self.resident_images.pop(entry.rtoken, None)
+        self.spill.delete(entry.rtoken)
+
+    @property
+    def spilled_count(self) -> int:
+        """Number of spilled entries: every image belongs to a pooled
+        entry, and the resident ones are indexed."""
+        if self.spill is None:
+            return 0
+        return len(self.spill) - len(self.resident_images)
+
+    def dependent_thread(self, entry: RecycleEntry) -> List[RecycleEntry]:
+        """The transitive pool dependents of *entry*, found by walking the
+        consumer index — cost proportional to the thread, not the pool.
+        Caller holds all shard locks."""
+        thread: Dict[RecycleEntry, None] = {}
+        tokens = [entry.rtoken]
+        while tokens:
+            token = tokens.pop()
+            if token is None:
+                continue
+            for c in self._shards[self._token_home(token)] \
+                    .consumers.get(token, ()):
+                if c not in thread and c is not entry:
+                    thread[c] = None
+                    tokens.append(c.rtoken)
+        return sorted(thread, key=_BY_SEQ)
 
     def spilled_entries(self) -> List[RecycleEntry]:
         with self.all_locked():
@@ -735,242 +789,13 @@ class RecyclePool:
         return out
 
     def check_invariants(self) -> None:
-        """Recompute all derived pool state and compare with the books.
+        """Recompute all derived pool state and compare with the books
+        (:func:`repro.core.invariants.check_pool`, which lists what is
+        checked).  Takes all shard locks; for tests and debugging."""
+        from repro.core.invariants import check_pool
 
-        Raises :class:`RecyclerError` naming every discrepancy found:
-        per-tier byte accounting (per shard), the token index, the
-        subsumption buckets, the dependency counts, the incremental leaf
-        set, the shard placement of every record, and — with a spill
-        store attached — the disk files backing every spilled entry.
-        Takes all shard locks; meant for tests and debugging — it is
-        O(pool size) plus one directory scan.
-        """
         with self.all_locked():
-            self._check_invariants_locked()
-
-    def _check_invariants_locked(self) -> None:
-        problems: List[str] = []
-        entries = [e for s in self._shards for e in s.by_sig.values()]
-
-        # --- routing caches (set at _add) match a fresh computation ---
-        for e in entries:
-            if e.rtoken != e.result_token:
-                problems.append(
-                    f"stale rtoken cache on {e.opname}: {e.rtoken} "
-                    f"vs {e.result_token}"
-                )
-            if e.first_tok != self._first_bat_token(e.sig):
-                problems.append(f"stale first_tok cache on {e.opname}")
-            if e.home_idx != self._sig_home(e.sig):
-                problems.append(f"stale home_idx cache on {e.opname}")
-            true_leaf = (e.rtoken % self.n_shards
-                         if e.rtoken is not None else e.home_idx)
-            if e.leaf_idx != true_leaf:
-                problems.append(f"stale leaf_idx cache on {e.opname}")
-
-        # --- shard placement and per-shard byte books ---
-        for i, s in enumerate(self._shards):
-            for sig in s.by_sig:
-                if self._sig_home(sig) != i:
-                    problems.append(
-                        f"signature homed in shard {self._sig_home(sig)} "
-                        f"found in shard {i}"
-                    )
-            for token in s.by_token:
-                if self._token_home(token) != i:
-                    problems.append(
-                        f"token {token} found in shard {i}, "
-                        f"home {self._token_home(token)}"
-                    )
-            for key in s.by_op_arg:
-                if self._token_home(key[1]) != i:
-                    problems.append(
-                        f"bucket {key} found in shard {i}, "
-                        f"home {self._token_home(key[1])}"
-                    )
-            for t, n in s.consumers.items():
-                if self._token_home(t) != i:
-                    problems.append(f"consumer token {t} in shard {i}")
-            for sig in set(s.leaf_sigs) | set(s.demotable_sigs):
-                entry = self._shards[self._sig_home(sig)].by_sig.get(sig)
-                if entry is None:
-                    problems.append(f"leaf/demotable sig not pooled: {sig[0]}")
-                elif self._leaf_shard(entry) is not s:
-                    problems.append(
-                        f"leaf membership of {sig[0]} homed in wrong shard"
-                    )
-            true_bytes = sum(
-                e.nbytes for e in s.by_sig.values() if not e.is_spilled
-            )
-            if true_bytes != s.total_bytes:
-                problems.append(
-                    f"shard {i} total_bytes drift: recorded "
-                    f"{s.total_bytes}, recomputed {true_bytes}"
-                )
-            true_spilled = sum(
-                e.nbytes for e in s.by_sig.values() if e.is_spilled
-            )
-            if true_spilled != s.spilled_bytes:
-                problems.append(
-                    f"shard {i} spilled_bytes drift: recorded "
-                    f"{s.spilled_bytes}, recomputed {true_spilled}"
-                )
-
-        for e in entries:
-            if e.is_spilled and not isinstance(e.value, SpilledStub):
-                problems.append(
-                    f"spilled entry {e.opname} holds "
-                    f"{type(e.value).__name__}, expected SpilledStub"
-                )
-            elif not e.is_spilled and isinstance(e.value, SpilledStub):
-                problems.append(
-                    f"resident entry {e.opname} still holds a SpilledStub"
-                )
-        spilled_tokens = {
-            e.result_token for e in entries
-            if e.is_spilled and e.result_token is not None
-        }
-        if self.spill is not None:
-            for token in sorted(spilled_tokens):
-                if not self.spill.has(token):
-                    problems.append(
-                        f"spilled token {token} missing from the store"
-                    )
-            for token in self.spill.tokens():
-                if token not in spilled_tokens:
-                    problems.append(
-                        f"store holds token {token} with no spilled entry"
-                    )
-            problems.extend(self.spill.check())
-        elif spilled_tokens:
-            problems.append(
-                f"{len(spilled_tokens)} spilled entries but no spill store"
-            )
-
-        recorded_tokens = {
-            t: e for s in self._shards for t, e in s.by_token.items()
-        }
-        true_tokens = {
-            e.result_token: e for e in entries if e.result_token is not None
-        }
-        if set(true_tokens) != set(recorded_tokens):
-            problems.append(
-                f"token index drift: recorded {sorted(recorded_tokens)}, "
-                f"recomputed {sorted(true_tokens)}"
-            )
-        else:
-            for t, e in true_tokens.items():
-                if recorded_tokens[t] is not e:
-                    problems.append(f"token {t} maps to a stale entry")
-
-        true_deps: Dict[Signature, int] = {e.sig: 0 for e in entries}
-        for e in entries:
-            for t in e.arg_tokens:
-                parent = true_tokens.get(t)
-                if parent is not None:
-                    true_deps[parent.sig] += 1
-        for e in entries:
-            if e.dependents != true_deps[e.sig]:
-                problems.append(
-                    f"dependents drift on {e.opname}: recorded "
-                    f"{e.dependents}, recomputed {true_deps[e.sig]}"
-                )
-
-        true_consumers: Dict[int, int] = {}
-        for e in entries:
-            for t in e.arg_tokens:
-                true_consumers[t] = true_consumers.get(t, 0) + 1
-        recorded_consumers = {
-            t: n for s in self._shards for t, n in s.consumers.items()
-        }
-        if true_consumers != recorded_consumers:
-            problems.append(
-                f"consumer index drift: {len(recorded_consumers)} recorded "
-                f"tokens vs {len(true_consumers)} recomputed"
-            )
-
-        recorded_leaves = {
-            sig for s in self._shards for sig in s.leaf_sigs
-        }
-        true_leaves = {sig for sig, n in true_deps.items() if n == 0}
-        if true_leaves != recorded_leaves:
-            problems.append(
-                f"leaf set drift: {len(recorded_leaves)} recorded vs "
-                f"{len(true_leaves)} recomputed"
-            )
-
-        true_spilled_deps: Dict[Signature, int] = {e.sig: 0 for e in entries}
-        for e in entries:
-            if not e.is_spilled:
-                continue
-            for t in e.arg_tokens:
-                parent = true_tokens.get(t)
-                if parent is not None:
-                    true_spilled_deps[parent.sig] += 1
-        for e in entries:
-            if e.spilled_dependents != true_spilled_deps[e.sig]:
-                problems.append(
-                    f"spilled-dependents drift on {e.opname}: recorded "
-                    f"{e.spilled_dependents}, recomputed "
-                    f"{true_spilled_deps[e.sig]}"
-                )
-
-        true_spilled_consumers: Dict[int, int] = {}
-        for e in entries:
-            if not e.is_spilled:
-                continue
-            for t in e.arg_tokens:
-                true_spilled_consumers[t] = \
-                    true_spilled_consumers.get(t, 0) + 1
-        recorded_spilled_consumers = {
-            t: n for s in self._shards for t, n in s.spilled_consumers.items()
-        }
-        if true_spilled_consumers != recorded_spilled_consumers:
-            problems.append(
-                f"spilled-consumer index drift: "
-                f"{len(recorded_spilled_consumers)} recorded tokens vs "
-                f"{len(true_spilled_consumers)} recomputed"
-            )
-
-        recorded_demotable = {
-            sig for s in self._shards for sig in s.demotable_sigs
-        }
-        true_demotable = {
-            e.sig for e in entries
-            if not e.is_spilled
-            and true_deps[e.sig] == true_spilled_deps[e.sig]
-        }
-        if true_demotable != recorded_demotable:
-            problems.append(
-                f"demotable set drift: {len(recorded_demotable)} "
-                f"recorded vs {len(true_demotable)} recomputed"
-            )
-
-        true_buckets: Dict[Tuple[str, int], List[RecycleEntry]] = {}
-        for e in entries:
-            first = self._first_bat_token(e.sig)
-            if first is not None:
-                true_buckets.setdefault((e.opname, first), []).append(e)
-        recorded_buckets = {
-            k: v for s in self._shards for k, v in s.by_op_arg.items()
-        }
-        if set(true_buckets) != set(recorded_buckets):
-            problems.append(
-                "subsumption bucket keys drift: "
-                f"{sorted(k[0] for k in recorded_buckets)} recorded vs "
-                f"{sorted(k[0] for k in true_buckets)} recomputed"
-            )
-        else:
-            for key, bucket in true_buckets.items():
-                recorded = recorded_buckets[key]
-                if len(recorded) != len(bucket) or \
-                        any(e not in recorded for e in bucket):
-                    problems.append(f"bucket {key} contents drift")
-
-        if problems:
-            raise RecyclerError(
-                "pool invariants violated:\n  " + "\n  ".join(problems)
-            )
+            check_pool(self)
 
     def clear(self) -> List[RecycleEntry]:
         """Empty the pool — both tiers — returning the removed entries."""
@@ -984,9 +809,9 @@ class RecyclePool:
                 s.leaf_sigs.clear()
                 s.demotable_sigs.clear()
                 s.consumers.clear()
-                s.spilled_consumers.clear()
                 s.total_bytes = 0
                 s.spilled_bytes = 0
+            self.resident_images.clear()
             if self.spill is not None:
                 self.spill.clear()
             for e in removed:

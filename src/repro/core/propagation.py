@@ -16,8 +16,6 @@ the execution thread" strategy.
 
 from __future__ import annotations
 
-from typing import Set
-
 import numpy as np
 
 from repro.core.pool import RecycleEntry
@@ -123,24 +121,8 @@ def propagate_append(recycler, catalog, delta: TableDelta) -> int:
 
 def _drop_dependents(recycler, entry: RecycleEntry) -> None:
     """Remove the transitive pool dependents of *entry* (stale values)."""
-    pool = recycler.pool
-    token = entry.result_token
-    if token is None or entry.dependents == 0:
-        return
-    doomed: Set = set()
-    frontier = {token}
-    while frontier:
-        nxt = set()
-        for e in pool.entries():
-            if e.sig in doomed or e is entry:
-                continue
-            if any(t in frontier for t in e.arg_tokens):
-                doomed.add(e.sig)
-                if e.result_token is not None:
-                    nxt.add(e.result_token)
-        frontier = nxt
-    victims = [e for e in pool.entries() if e.sig in doomed]
-    pool.remove_set(victims)
+    victims = recycler.pool.dependent_thread(entry)
+    recycler.pool.remove_set(victims)
     for victim in victims:
         recycler.admission.on_evict(victim)
 

@@ -15,12 +15,13 @@ column-wise invalidation, with optional delta propagation for eligible
 select intermediates (the §6.3 design, see :mod:`repro.core.propagation`).
 
 Two-tier pool: with ``spill_dir`` configured, eviction under *memory*
-pressure may **demote** a victim to a disk-backed
-:class:`~repro.storage.spill.SpillStore` instead of destroying it (the
-:func:`~repro.core.eviction.should_demote` cost/benefit rule); a later
-match **promotes** the entry back — a cheaper hit than recomputation.
-Entry-count pressure still destroys, since a spilled entry occupies a
-cache line all the same.
+pressure **demotes** a victim to a disk-backed
+:class:`~repro.storage.spill.SpillStore` instead of destroying it when
+its benefit exceeds the disk round trip as the store measures it
+(:func:`~repro.core.eviction.should_demote`), or when it still has its
+image from an earlier demotion; a later match **promotes** the entry
+back — a cheaper hit than recomputation.  Entry-count pressure still
+destroys, since a spilled entry occupies a cache line all the same.
 
 Concurrency contract (multi-session mode, :mod:`repro.server`): pool
 state is guarded by the :class:`~repro.core.pool.RecyclePool`'s *shard*
@@ -51,12 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.admission import AdmissionPolicy, KeepAllAdmission
-from repro.core.eviction import (
-    EvictionPolicy,
-    LruEviction,
-    reload_cost,
-    should_demote,
-)
+from repro.core.eviction import EvictionPolicy, LruEviction, should_demote
 from repro.core.pool import (
     RecycleEntry,
     RecyclePool,
@@ -75,7 +71,13 @@ from repro.core.subsumption import (
 from repro.errors import SpillError
 from repro.mal.program import Instr, MalProgram
 from repro.storage.bat import BAT
-from repro.storage.spill import SpillStore
+from repro.storage.spill import SpilledStub, SpillStore
+
+
+#: A byte-pressure sweep frees this fraction (1/N) of ``max_bytes`` beyond
+#: what it was asked for: listing, ordering and protecting the candidates
+#: costs the same for one victim as for twenty.
+SWEEP_HEADROOM = 64
 
 
 @dataclass
@@ -87,8 +89,8 @@ class RecyclerConfig:
     the combined-subsumption cost model (§5.2).
 
     ``spill_dir`` enables the two-tier pool: eviction victims whose
-    recomputation is dearer than a reload are demoted to ``.npy`` files
-    in this directory instead of destroyed, bounded by
+    benefit exceeds the measured cost of a disk round trip are demoted to
+    image files in this directory instead of destroyed, bounded by
     ``spill_limit_bytes`` (None = unlimited disk tier).
 
     ``pool_shards`` is the recycle-pool shard count (concurrency knob:
@@ -123,9 +125,11 @@ class RecyclerTotals:
     propagated: int = 0
     #: Disk-tier counters (two-tier pool; all zero without ``spill_dir``).
     demotions: int = 0           # victims moved to disk instead of destroyed
+    spill_writes: int = 0        # ... of which wrote their image
+    clean_demotions: int = 0     # ... of which still had it: no I/O
     promotions: int = 0          # spilled entries brought back to memory
     promoted_hits: int = 0       # hits that needed at least one promotion
-    spill_evictions: int = 0     # spilled entries destroyed (quota reclaim)
+    spill_evictions: int = 0     # evictions of entries that were on disk
     spill_errors: int = 0        # corrupt/unreadable spill entries dropped
     saved_time: float = 0.0
     subsumption_algo_time: float = 0.0
@@ -209,6 +213,7 @@ class Recycler:
         if self.config.spill_dir is not None:
             self.spill = SpillStore(self.config.spill_dir,
                                     self.config.spill_limit_bytes)
+            self.spill.clock = clock
             self.pool.spill = self.spill
         self.totals = RecyclerTotals()
         self._invocation_ids = itertools.count(1)
@@ -326,10 +331,11 @@ class Recycler:
                      value: Any, promoted: bool) -> _Reuse:
         """Book an exact hit (resident or just-promoted) and serve it."""
         # A promoted hit is cheaper than recomputation but not free:
-        # credit the recorded cost minus the estimated reload cost.
+        # credit the recorded cost minus the measured reload cost.
         saved = entry.cost
         if promoted:
-            saved = max(entry.cost - reload_cost(entry.nbytes), 0.0)
+            reload = self.spill.load_cost.estimate(entry.nbytes)
+            saved = max(entry.cost - reload, 0.0)
             inv.stats.hits_promoted += 1
         with self.pool.sig_locked(entry.sig):
             local = self._record_reuse(inv, entry, saved=saved)
@@ -507,23 +513,23 @@ class Recycler:
                                                  incoming_entries=0)
                 return value
         if spill_failed:
-            self._drop_corrupt_spilled(entry)
+            self._drop_corrupt_spilled(inv, entry)
         return None
 
-    def _drop_corrupt_spilled(self, entry: RecycleEntry) -> None:
+    def _drop_corrupt_spilled(self, inv: Invocation,
+                              entry: RecycleEntry) -> None:
         """Drop a spilled entry whose disk image failed to load.
 
         Same cascade rule as eviction's destroy path: a dropped producer
         strands its spilled dependent thread, unless its token is stable
-        across re-admission.  Stop-the-world (the cascade walks the whole
-        pool).
+        across re-admission.  Stop-the-world (the cascade crosses shards).
         """
         with self.pool.all_locked():
             if self.pool.lookup(entry.sig) is not entry \
                     or not entry.is_spilled:
                 return  # resolved concurrently
-            if entry.dependents and not self._token_is_stable(entry):
-                self._drop_dependent_thread(entry)
+            if entry.dependents and not entry.token_is_stable:
+                self._drop_dependent_thread(inv, entry)
             self.pool.remove_set([entry])
             with self._stats_lock:
                 self.admission.on_evict(entry)
@@ -543,99 +549,96 @@ class Recycler:
             promoted.set()
         return value
 
-    def _reclaim_spill_room(self, nbytes: int,
-                            protected: Set[Signature]) -> bool:
-        """Free disk-tier quota for *nbytes* by dropping spilled leaves.
-
-        Least-recently-used spilled leaves go first (they already lost
-        the memory-tier contest once).  Returns whether the store now has
-        room.  Caller holds all shard locks (eviction path).
-        """
-        spill = self.spill
-        if spill.room_for(nbytes):
-            return True
-        reclaimable = sorted(
-            (e for e in self.pool.spilled_leaves()
-             if e.sig not in protected),
-            key=lambda e: e.last_used,
-        )
-        for victim in reclaimable:
-            if spill.room_for(nbytes):
-                break
-            self.pool.remove(victim)
-            with self._stats_lock:
-                self.admission.on_evict(victim)
-                self.totals.spill_evictions += 1
-                self.totals.evictions += 1
-        return spill.room_for(nbytes)
-
-    @staticmethod
-    def _token_is_stable(entry: RecycleEntry) -> bool:
-        """Does this entry's result token survive eviction?
-
-        Persistent binds and join indices come from the catalogue's bind
-        caches: re-executing them returns the *same* BAT (same token)
-        until an update bumps the column version, so their dependents
-        remain matchable after the producer entry is destroyed — the
-        ``consumers`` contract in :mod:`repro.core.pool`.
-        """
-        return getattr(entry.value, "persistent_name", None) is not None
-
-    def _drop_dependent_thread(self, victim: RecycleEntry) -> None:
-        """Drop the transitive pool dependents of a doomed *victim*.
-
-        Used when eviction destroys a demotable entry that still has
-        spilled dependents: their signatures reference the victim's
-        result token, which can never be minted again, so they could
-        never match — dead weight on disk.  Not applied to
-        stable-token producers (see :meth:`_token_is_stable`).
-        Caller holds all shard locks.
-        """
-        token = victim.result_token
-        if token is None or victim.dependents == 0:
-            return
-        doomed: Set[Signature] = set()
-        frontier = {token}
-        while frontier:
-            nxt = set()
-            for e in self.pool.entries():
-                if e is victim or e.sig in doomed:
-                    continue
-                if any(t in frontier for t in e.arg_tokens):
-                    doomed.add(e.sig)
-                    if e.result_token is not None:
-                        nxt.add(e.result_token)
-            frontier = nxt
-        victims = [e for e in self.pool.entries() if e.sig in doomed]
-        self.pool.remove_set(victims)
+    def _count_evicted(self, inv: Invocation,
+                       victims: Sequence[RecycleEntry]) -> None:
+        """Book destroyed entries — in the totals, the admission policy
+        and the evicting invocation's own statistics."""
         with self._stats_lock:
             for v in victims:
                 self.admission.on_evict(v)
                 self.totals.evictions += 1
                 if v.is_spilled:
                     self.totals.spill_evictions += 1
+        inv.stats.evicted_entries += len(victims)
+
+    def _reclaim_spill_room(self, inv: Invocation, nbytes: int,
+                            protected: Set[Signature]) -> bool:
+        """Free disk-tier quota for an image of *nbytes*.
+
+        Images of *resident* entries go first: dropping one loses no
+        data, only that entry's zero-I/O re-demotion.  Then spilled
+        leaves are destroyed, least recently used first (they already
+        lost the memory-tier contest once).  Returns whether the store
+        now has room.  Caller holds all shard locks (eviction path).
+        """
+        spill = self.spill
+        if spill.room_for(nbytes):
+            return True
+        for entry in list(self.pool.resident_images.values()):
+            self.pool.drop_image(entry)
+            if spill.room_for(nbytes):
+                return True
+        reclaimable = sorted(
+            (e for e in self.pool.spilled_leaves()
+             if e.sig not in protected),
+            key=lambda e: e.last_used,
+        )
+        for victim in reclaimable:
+            self.pool.remove(victim)
+            self._count_evicted(inv, [victim])
+            if spill.room_for(nbytes):
+                return True
+        return False
+
+    def _drop_dependent_thread(self, inv: Invocation,
+                               victim: RecycleEntry) -> None:
+        """Drop the transitive pool dependents of a doomed *victim*.
+
+        Used when eviction destroys a demotable entry that still has
+        spilled dependents: their signatures reference the victim's
+        result token, which can never be minted again, so they could
+        never match — dead weight on disk.  Not applied to
+        stable-token producers (``RecycleEntry.token_is_stable``).
+        Caller holds all shard locks.
+        """
+        thread = self.pool.dependent_thread(victim)
+        self._count_evicted(inv, thread)
+        self.pool.remove_set(thread)
 
     def _demote_entry(self, inv: Invocation, victim: RecycleEntry,
                       protected: Set[Signature]) -> bool:
         """Try to demote an eviction victim; False means destroy it.
-        Caller holds all shard locks."""
+
+        A victim that still has its image from an earlier demotion goes
+        back for free (a stub swap); any other must pass
+        :func:`~repro.core.eviction.should_demote` at the round-trip cost
+        the store has measured.  Caller holds all shard locks."""
         value = victim.value
-        if not isinstance(value, BAT) or not value.spillable:
+        spill = self.spill
+        if not isinstance(value, BAT):
             return False
-        # Reclaim against the real file size, not owned_nbytes — a
-        # zero-cost view owns nothing yet writes its shared columns out
-        # in full.
-        if not self._reclaim_spill_room(
-                SpillStore.projected_bytes(value), protected):
-            return False
-        try:
-            self.spill.write(value)
-        except SpillError:
-            # Quota race or I/O failure: fall back to destruction.
-            return False
+        clean = spill.has(value.token)
+        if not clean:
+            if not value.spillable or not should_demote(
+                    victim, spill.round_trip_cost(victim.nbytes)):
+                return False
+            # A view owns no bytes yet writes its shared columns in
+            # full: reclaim against the real image size.
+            if not self._reclaim_spill_room(
+                    inv, SpilledStub.of(value).size, protected):
+                return False
+            try:
+                spill.write(value)
+            except SpillError:
+                # Quota race or I/O failure: fall back to destruction.
+                return False
         self.pool.demote(victim)
         with self._stats_lock:
             self.totals.demotions += 1
+            if clean:
+                self.totals.clean_demotions += 1
+            else:
+                self.totals.spill_writes += 1
         inv.stats.demoted_entries += 1
         return True
 
@@ -655,9 +658,28 @@ class Recycler:
         round that frees no memory (every victim a zero-byte view over
         spilled children) flips to entry-count eviction, destroying
         leaves outright; a round that neither frees bytes nor removes
-        entries terminates the sweep.
+        entries terminates the sweep.  A sweep that has to free bytes
+        frees ``1/SWEEP_HEADROOM`` of the limit on top, so the admissions
+        that follow fit without another one.
         """
         cfg = self.config
+
+        def need_bytes(cur_bytes: int) -> int:
+            if cfg.max_bytes is None:
+                return 0
+            over = cur_bytes + incoming_bytes - cfg.max_bytes
+            return over + cfg.max_bytes // SWEEP_HEADROOM if over > 0 else 0
+
+        def need_entries(cur_len: int) -> int:
+            if cfg.max_entries is None:
+                return 0
+            return max(0, cur_len + incoming_entries - cfg.max_entries)
+
+        # Pool totals are aggregates over all shards; maintain them across
+        # rounds with one recomputation per round instead of per probe.
+        pool_bytes, pool_len = self.pool.usage()
+        if need_bytes(pool_bytes) <= 0 and need_entries(pool_len) <= 0:
+            return
         # Protect every in-flight invocation's touched entries, not just
         # ours — another session may be mid-plan over a pooled value.
         protected: Set[Signature] = inv.touched_snapshot()
@@ -666,22 +688,8 @@ class Recycler:
         for other in active:
             if other is not inv:
                 protected |= other.touched_snapshot()
-
-        def need_bytes(cur_bytes: int) -> int:
-            if cfg.max_bytes is None:
-                return 0
-            return max(0, cur_bytes + incoming_bytes - cfg.max_bytes)
-
-        def need_entries(cur_len: int) -> int:
-            if cfg.max_entries is None:
-                return 0
-            return max(0, cur_len + incoming_entries - cfg.max_entries)
-
         dropped_protection = False
         stalled = False
-        # Pool totals are aggregates over all shards; maintain them across
-        # rounds with one recomputation per round instead of per probe.
-        pool_bytes, pool_len = self.pool.usage()
         while True:
             nb, ne = need_bytes(pool_bytes), need_entries(pool_len)
             if nb <= 0 and ne <= 0:
@@ -722,14 +730,13 @@ class Recycler:
                     continue  # removed by an earlier victim's cascade
                 if (byte_mode and not stalled and self.spill is not None
                         and not victim.is_spilled
-                        and should_demote(victim)
                         and self._demote_entry(inv, victim, protected)):
                     continue
-                if victim.dependents and not self._token_is_stable(victim):
+                if victim.dependents and not victim.token_is_stable:
                     # A destroyed producer's token dies with it, so its
                     # (spilled) dependent thread is unmatchable garbage —
                     # drop it rather than strand it on disk.
-                    self._drop_dependent_thread(victim)
+                    self._drop_dependent_thread(inv, victim)
                 if victim.dependents:
                     # Stable-token producer (persistent bind/index):
                     # dependents stay matchable across re-admission, so
@@ -737,10 +744,7 @@ class Recycler:
                     self.pool.remove_set([victim])
                 else:
                     self.pool._remove_locked(victim)
-                with self._stats_lock:
-                    self.admission.on_evict(victim)
-                    self.totals.evictions += 1
-                inv.stats.evicted_entries += 1
+                self._count_evicted(inv, [victim])
             bytes_now, len_now = self.pool.usage()
             freed = pool_bytes - bytes_now
             removed = pool_len - len_now
@@ -1072,4 +1076,4 @@ class Recycler:
 
     @property
     def spilled_entry_count(self) -> int:
-        return len(self.pool.spilled_entries())
+        return self.pool.spilled_count

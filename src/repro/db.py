@@ -310,9 +310,10 @@ class Database:
         subsumption/combined_subsumption: enable §5 features.
         propagate_selects: enable the §6.3 delta-propagation extension.
         spill_dir: directory for the disk tier of the recycle pool;
-            eviction victims worth keeping are demoted there instead of
-            destroyed, and promoted back on a later match.  ``None``
-            (the default) keeps the classic single-tier pool.
+            eviction victims whose benefit exceeds the measured cost of
+            a disk round trip are demoted there instead of destroyed,
+            and promoted back on a later match.  ``None`` (the default)
+            keeps the classic single-tier pool.
         spill_limit_bytes: byte quota of the spill directory (None =
             unlimited disk tier).
         pool_shards: number of recycle-pool lock shards (1 = the old

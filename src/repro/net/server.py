@@ -550,6 +550,10 @@ class ReproServer:
                 "subsumed_hits": totals.subsumed_hits,
                 "admissions": totals.admissions,
                 "evictions": totals.evictions,
+                "demotions": totals.demotions,
+                "spill_writes": totals.spill_writes,
+                "clean_demotions": totals.clean_demotions,
+                "promotions": totals.promotions,
                 "saved_time": totals.saved_time,
             }
         return payload

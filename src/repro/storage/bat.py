@@ -329,11 +329,11 @@ class BAT:
         )
 
     # ------------------------------------------------------------------
-    # Spill (de)serialization (two-tier recycle pool)
+    # Two-tier recycle pool
     # ------------------------------------------------------------------
     @property
     def spillable(self) -> bool:
-        """True when both columns can be written as plain ``.npy`` files.
+        """True when both columns can be written as raw bytes.
 
         Object-dtype columns would need pickling and cannot be
         memory-mapped back, so they are excluded from the spill tier.
@@ -342,67 +342,6 @@ class BAT:
             if isinstance(col, np.ndarray) and col.dtype.hasobject:
                 return False
         return True
-
-    def spill_meta(self) -> dict:
-        """JSON-serialisable lineage + shape metadata for a spill file.
-
-        Everything a :meth:`from_spill` reconstruction needs *except* the
-        column data itself: the identity ``token`` (so a promoted BAT keeps
-        matching pooled signatures), ``sources`` (update invalidation must
-        keep working while spilled), and the subset lineage (semijoin
-        subsumption, §5.1).  Dense columns are encoded as ``(start, count)``
-        and need no array file at all.
-        """
-        def col_meta(col: Column):
-            if isinstance(col, Dense):
-                return {"dense": [col.start, col.count]}
-            return {"dtype": col.dtype.str}
-
-        return {
-            "token": self.token,
-            "sources": sorted([t, c, v] for (t, c, v) in self.sources),
-            "subset_of": self.subset_of,
-            "subset_chain": list(self.subset_chain),
-            "owned_nbytes": self.owned_nbytes,
-            "tail_sorted": self.tail_sorted,
-            "persistent_name": self.persistent_name,
-            "count": len(self),
-            "head": col_meta(self.head),
-            "tail": col_meta(self.tail),
-        }
-
-    @classmethod
-    def from_spill(cls, meta: dict, head: Optional[Column],
-                   tail: Optional[Column]) -> "BAT":
-        """Rebuild a BAT from :meth:`spill_meta` plus reloaded columns.
-
-        *head*/*tail* are ``None`` for dense columns (reconstructed from
-        metadata).  The original identity token is restored, so the
-        promoted BAT is indistinguishable from the demoted one for
-        signature matching and lineage checks.
-        """
-        def restore(col_meta: dict, arr: Optional[Column]) -> Column:
-            if "dense" in col_meta:
-                start, count = col_meta["dense"]
-                return Dense(start, count)
-            if arr is None:
-                raise StorageError("spill metadata expects a column array")
-            return arr
-
-        bat = cls(
-            restore(meta["head"], head),
-            restore(meta["tail"], tail),
-            owned_nbytes=int(meta["owned_nbytes"]),
-            sources=frozenset(
-                (t, c, v) for (t, c, v) in meta["sources"]
-            ),
-            subset_of=meta["subset_of"],
-            subset_chain=tuple(meta["subset_chain"]),
-            tail_sorted=bool(meta["tail_sorted"]),
-            persistent_name=meta["persistent_name"],
-        )
-        bat.token = int(meta["token"])
-        return bat
 
     # ------------------------------------------------------------------
     def require_numeric_tail(self, op: str) -> np.ndarray:

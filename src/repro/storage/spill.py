@@ -1,97 +1,83 @@
 """The disk tier of the two-tier recycle pool.
 
-A :class:`SpillStore` keeps *demoted* recycle-pool intermediates on disk:
-instead of destroying an eviction victim whose recomputation is dearer
-than a reload, the recycler serialises its BAT here and keeps a
-lightweight :class:`SpilledStub` in the pool.  A later match *promotes*
-the entry — the BAT is reloaded zero-copy via ``np.load(mmap_mode="r")``
-and the hit costs one file open instead of a recomputation.
+A :class:`SpillStore` keeps the *image* of a demoted recycle-pool
+intermediate: instead of destroying an eviction victim whose benefit
+exceeds a disk round trip, the recycler writes its column bytes here and
+puts the image's :class:`SpilledStub` in the pool.  A later match
+*promotes* the entry: one ``mmap`` instead of a recomputation.
 
-Layout: one spilled BAT is up to three files named by its lineage token —
+Layout: one image is one file, ``bat-<token>``, the raw bytes of the
+BAT's materialised columns back to back.  Dtypes, offsets, dense (void)
+columns and lineage stay in memory, on the stub.  The run directory
+``<spill_dir>/run-<pid>-<seq>`` is private to this store and reaped by
+the next start, so nothing ever reads a file this run did not finish
+writing: no commit marker, temp name or rename.  Pooled BATs are
+immutable, so an image is written once and stays valid while its entry
+is pooled, across any number of promotions.  A failed write (the
+partial file is removed) and a file gone or short at load time both
+raise :class:`~repro.errors.SpillError`, which the recycler answers by
+destroying the entry and recomputing.
 
-* ``bat-<token>.meta.json`` — lineage + shape metadata
-  (:meth:`repro.storage.bat.BAT.spill_meta`).  Written *last*, so its
-  presence is the commit marker of an atomic write.
-* ``bat-<token>.head.npy`` / ``bat-<token>.tail.npy`` — the column
-  arrays.  Dense (void) columns are encoded in the metadata and have no
-  array file.
+The store measures itself: every write and load is timed through
+:attr:`SpillStore.clock` (the recycler installs its injectable clock)
+into an :class:`IoCost`, and :meth:`SpillStore.round_trip_cost` is what
+:func:`repro.core.eviction.should_demote` weighs an entry's benefit
+against.  Unmeasured I/O costs nothing, so the first victim is demoted
+and pays for the first sample.
 
-Every store owns a private run directory
-``<spill_dir>/run-<pid>-<seq>``, so several databases — or several
-processes — may share one configured ``spill_dir`` without clobbering
-each other's files (lineage tokens restart per process, so a shared flat
-directory could silently serve one store's data for another's token).
-
-Every mutation is atomic (write-to-temp + ``os.replace``) and the store
-is corruption-tolerant: a failed or torn write never leaves a loadable
-half-entry, :meth:`load` turns any unreadable state into a
-:class:`~repro.errors.SpillError` (the recycler then drops the stub and
-recomputes), and construction reaps run directories whose owning process
-is gone — stale payloads are never served and crashed runs do not leak
-disk.
-
-Thread safety: the store carries its own internal lock around the byte
-books (``_files`` / ``total_bytes``) and every mutation.  Demotions run
-under the pool's stop-the-world sweep, but promotions are shard-local —
-two sessions promoting entries from *different* shards may reach the
-store concurrently, so it no longer relies on an external lock (see the
-lock inventory in ``docs/ARCHITECTURE.md``).  File I/O for a ``load``
-happens outside the internal lock: per-token exclusivity is provided by
-the caller (an entry promotes under its shard lock), and a torn race
-surfaces as a :class:`~repro.errors.SpillError`, which the recycler
-already treats as a recompute.
+Thread safety: the store locks its own books and mutations (promotions
+are shard-local, so two sessions may reach it at once).  A load maps its
+file outside the lock; the caller holds the entry's shard lock.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import re
 import shutil
 import threading
-from typing import Dict, List, Optional
+import time
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import SpillError, SpillQuotaError
-from repro.storage.bat import BAT
-
-#: ``np.save`` header + filesystem slack assumed per array file when
-#: checking the quota before any bytes are written.
-_FILE_OVERHEAD = 128
+from repro.storage.bat import BAT, Dense
 
 
 class SpilledStub:
-    """The in-pool placeholder for a demoted BAT.
-
-    Carries exactly the metadata the pool still needs while the data
-    lives on disk: the identity ``token`` (signature matching and the
-    dependency graph), ``sources`` (update invalidation, §6.4) and the
-    subset lineage (semijoin subsumption, §5.1).  It deliberately is
-    *not* a :class:`~repro.storage.bat.BAT` — code that needs the values
-    (delta propagation, operator execution) must promote first, and the
-    ``isinstance`` checks those paths already perform make them skip
-    stubs safely.
+    """The in-pool placeholder for a demoted BAT, and the in-memory half
+    of its image: the metadata the pool needs while the data is on disk —
+    ``token`` (signature matching, dependency graph), ``sources`` (update
+    invalidation, §6.4), the subset lineage (semijoin subsumption, §5.1)
+    — plus what :meth:`SpillStore.load` rebuilds the BAT from: the
+    image's ``size`` and each column's place in it (the :class:`Dense`
+    object itself, or ``(dtype, offset, count)``).  Deliberately *not* a
+    :class:`~repro.storage.bat.BAT`: code that needs the values must
+    promote first, and its ``isinstance`` checks skip stubs safely.
     """
 
     __slots__ = ("token", "sources", "subset_of", "subset_chain", "count",
-                 "persistent_name")
-
-    def __init__(self, token: int, sources: frozenset,
-                 subset_of: Optional[int], subset_chain: tuple,
-                 count: int, persistent_name: Optional[str] = None):
-        self.token = token
-        self.sources = sources
-        self.subset_of = subset_of
-        self.subset_chain = subset_chain
-        self.count = count
-        self.persistent_name = persistent_name
+                 "persistent_name", "owned_nbytes", "tail_sorted",
+                 "columns", "size")
 
     @classmethod
     def of(cls, bat: BAT) -> "SpilledStub":
-        return cls(bat.token, bat.sources, bat.subset_of, bat.subset_chain,
-                   len(bat), bat.persistent_name)
+        self = cls()
+        self.token, self.sources = bat.token, bat.sources
+        self.subset_of, self.subset_chain = bat.subset_of, bat.subset_chain
+        self.count, self.persistent_name = len(bat), bat.persistent_name
+        self.owned_nbytes, self.tail_sorted = bat.owned_nbytes, bat.tail_sorted
+        self.columns, self.size = [], 0
+        for col in (bat.head, bat.tail):
+            if isinstance(col, np.ndarray):
+                self.size += -self.size % 16  # mapped columns stay aligned
+                self.columns.append((col.dtype, self.size, len(col)))
+                self.size += int(col.nbytes)
+            else:
+                self.columns.append(col)
+        return self
 
     def row_subset_of(self, token: int) -> bool:
         """Same lineage-only subset test as :meth:`BAT.row_subset_of`."""
@@ -104,62 +90,61 @@ class SpilledStub:
         return f"SpilledStub(token={self.token}, n={self.count})"
 
 
+class IoCost:
+    """Running means of one I/O direction as the store measured it: per
+    call (open, close, map) and per byte moved; zero until measured."""
+
+    def __init__(self):
+        self.calls = self.nbytes = 0
+        self.call_seconds = self.byte_seconds = 0.0
+
+    def record(self, call_seconds, byte_seconds=0.0, nbytes=0) -> None:
+        self.calls += 1
+        self.call_seconds += call_seconds
+        self.byte_seconds += byte_seconds
+        self.nbytes += nbytes
+
+    def estimate(self, nbytes: int) -> float:
+        if not self.calls:
+            return 0.0
+        return (self.call_seconds / self.calls
+                + nbytes * self.byte_seconds / max(self.nbytes, 1))
+
+
+#: Victims one write-cost estimate may price before it counts as stale.
+RESAMPLE_AFTER = 256
 _RUN_DIR_RE = re.compile(r"^run-(\d+)-\d+$")
 
 
 class SpillStore:
-    """Token-keyed on-disk store of serialised BATs with a byte quota."""
+    """Token-keyed on-disk store of BAT images with a byte quota."""
 
     #: Distinguishes stores of one process sharing a base directory.
     _run_seq = itertools.count(1)
 
-    def __init__(self, directory: str,
-                 limit_bytes: Optional[int] = None):
+    def __init__(self, directory: str, limit_bytes: Optional[int] = None):
         self.base_directory = directory
         self.limit_bytes = limit_bytes
-        #: token -> total on-disk bytes of that entry's files.
-        self._files: Dict[int, int] = {}
+        self._images: Dict[int, SpilledStub] = {}
         self.total_bytes = 0
-        #: Guards the books and all mutations (see module docstring).
+        self.clock: Callable[[], float] = time.perf_counter
+        self.write_cost = IoCost()
+        self.load_cost = IoCost()
+        self._priced = 0  # estimates handed out since the last write
         self._lock = threading.RLock()
         os.makedirs(directory, exist_ok=True)
         self.recovered = self._recover()
-        #: This store's private run directory (see the module docstring).
-        self.directory = os.path.join(
-            directory, f"run-{os.getpid()}-{next(self._run_seq)}"
-        )
+        run = f"run-{os.getpid()}-{next(self._run_seq)}"
+        self.directory = os.path.join(directory, run)
         os.makedirs(self.directory, exist_ok=True)
 
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
-    def _meta_path(self, token: int) -> str:
-        return os.path.join(self.directory, f"bat-{token}.meta.json")
+    def _path(self, token: int) -> str:
+        return os.path.join(self.directory, f"bat-{token}")
 
-    def _col_path(self, token: int, part: str) -> str:
-        return os.path.join(self.directory, f"bat-{token}.{part}.npy")
-
-    def _entry_paths(self, token: int) -> List[str]:
-        return [
-            self._col_path(token, "head"),
-            self._col_path(token, "tail"),
-            self._meta_path(token),
-        ]
-
-    # ------------------------------------------------------------------
-    # Recovery
-    # ------------------------------------------------------------------
     def _recover(self) -> int:
-        """Reap leftovers in the base directory, returning the count.
-
-        Run directories whose owning process is gone are crash leftovers
-        — the pool they served died with the process, so their contents
-        are unreachable by construction and only leak disk.  Live runs
-        (this process's other stores, or another process sharing the
-        base directory) are left strictly alone.  Loose ``bat-*``/
-        ``.tmp`` files in the base directory (never written by this
-        layout) are torn garbage and removed too.
-        """
+        """Reap leftovers in the base directory, returning the count: run
+        directories whose owning process is gone (live runs are left
+        strictly alone) and loose ``bat-*`` files, never written there."""
         removed = 0
         for name in os.listdir(self.base_directory):
             path = os.path.join(self.base_directory, name)
@@ -168,241 +153,156 @@ class SpillStore:
                 if not self._pid_alive(int(m.group(1))):
                     shutil.rmtree(path, ignore_errors=True)
                     removed += 1
-                continue
-            if name.startswith("bat-") or name.endswith(".tmp"):
-                try:
-                    os.remove(path)
-                    removed += 1
-                except OSError:
-                    pass
+            elif name.startswith("bat-"):
+                removed += self._unlink(path)
         return removed
 
     @staticmethod
     def _pid_alive(pid: int) -> bool:
-        if pid == os.getpid():
-            return True
         try:
             os.kill(pid, 0)
         except ProcessLookupError:
             return False
         except (PermissionError, OverflowError):
-            return True  # exists (another user's), or unknowable: keep
+            pass  # exists (another user's), or unknowable: keep
         return True
 
-    # ------------------------------------------------------------------
-    # Introspection
+    @staticmethod
+    def _unlink(path: str) -> int:
+        try:
+            os.remove(path)
+        except OSError:
+            return 0
+        return 1
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._files)
+        return len(self._images)
 
     def has(self, token: int) -> bool:
-        with self._lock:
-            return token in self._files
+        return token in self._images
 
-    def tokens(self) -> List[int]:
-        with self._lock:
-            return list(self._files)
-
-    def bytes_for(self, token: int) -> int:
-        with self._lock:
-            return self._files.get(token, 0)
+    def image(self, token: int) -> Optional[SpilledStub]:
+        return self._images.get(token)
 
     def room_for(self, nbytes: int) -> bool:
-        """Would an entry of roughly *nbytes* fit under the quota?"""
-        if self.limit_bytes is None:
-            return True
-        with self._lock:
-            return self.total_bytes + nbytes + 3 * _FILE_OVERHEAD \
-                <= self.limit_bytes
+        """Would an image of *nbytes* fit under the quota?"""
+        return (self.limit_bytes is None
+                or self.total_bytes + nbytes <= self.limit_bytes)
 
-    @staticmethod
-    def projected_bytes(bat: BAT) -> int:
-        """Estimated on-disk size of spilling *bat*.
+    def round_trip_cost(self, nbytes: int) -> float:
+        """Measured seconds to write an image of *nbytes* and map it
+        back.  An estimate that has priced ``RESAMPLE_AFTER`` victims
+        since the last write is stale and, like none, prices the next at
+        nothing: a pessimistic mean must not starve itself of samples."""
+        self._priced += 1
+        if self._priced > RESAMPLE_AFTER:
+            return 0.0
+        return (self.write_cost.estimate(nbytes)
+                + self.load_cost.estimate(nbytes))
 
-        Counts the *materialised* column bytes, not ``owned_nbytes``: a
-        zero-cost view owns nothing in the pool's accounting but its
-        shared column arrays are written out in full.
-        """
-        size = _FILE_OVERHEAD  # metadata file
-        for col in (bat.head, bat.tail):
-            if isinstance(col, np.ndarray):
-                size += int(col.nbytes) + _FILE_OVERHEAD
-        return size
-
-    # ------------------------------------------------------------------
-    # Mutations (internally locked; see the module docstring)
     # ------------------------------------------------------------------
     def write(self, bat: BAT) -> int:
-        """Serialise *bat*, returning the on-disk byte total.
-
-        Atomic per file (temp + ``os.replace``), with the metadata file
-        written last as the commit marker.  Raises
-        :class:`~repro.errors.SpillQuotaError` before writing anything
-        when the projected size cannot fit, and plain
-        :class:`~repro.errors.SpillError` for unspillable BATs or I/O
-        failures (partial files are cleaned up).
-        """
+        """Write *bat*'s image, returning its size in bytes.  Raises
+        ``SpillQuotaError`` before writing anything when it cannot fit,
+        plain ``SpillError`` for an unspillable BAT or an I/O failure."""
         if not bat.spillable:
-            raise SpillError(
-                f"BAT token {bat.token} holds object-dtype columns"
-            )
-        meta = bat.spill_meta()
-        meta_blob = json.dumps(meta).encode()
-        arrays = {}
-        projected = len(meta_blob) + _FILE_OVERHEAD
-        for part in ("head", "tail"):
-            col = getattr(bat, part)
-            if isinstance(col, np.ndarray):
-                arrays[part] = col
-                projected += int(col.nbytes) + _FILE_OVERHEAD
+            raise SpillError(f"BAT token {bat.token} holds object columns")
+        image, clock = SpilledStub.of(bat), self.clock
         with self._lock:
-            budget = projected - self.bytes_for(bat.token)  # replace
-            if self.limit_bytes is not None \
-                    and self.total_bytes + budget > self.limit_bytes:
+            self.delete(image.token)  # a rewrite replaces the old image
+            if not self.room_for(image.size):
                 raise SpillQuotaError(
-                    f"spilling {projected} bytes would exceed the "
+                    f"spilling {image.size} bytes would exceed the "
                     f"{self.limit_bytes}-byte quota"
                 )
-            self.delete(bat.token)  # re-demotion replaces the old files
-            written = 0
+            path = self._path(image.token)
+            started = clock()
             try:
-                for part, arr in arrays.items():
-                    path = self._col_path(bat.token, part)
-                    tmp = path + ".tmp"
-                    with open(tmp, "wb") as f:
-                        np.save(f, arr)
-                    os.replace(tmp, path)
-                    written += os.path.getsize(path)
-                meta_path = self._meta_path(bat.token)
-                tmp = meta_path + ".tmp"
-                with open(tmp, "wb") as f:
-                    f.write(meta_blob)
-                os.replace(tmp, meta_path)
-                written += os.path.getsize(meta_path)
+                with open(path, "wb") as f:
+                    opened = clock()
+                    for col, place in zip((bat.head, bat.tail), image.columns):
+                        if isinstance(col, np.ndarray):
+                            f.write(bytes(place[1] - f.tell()))
+                            f.write(np.ascontiguousarray(col).view(np.uint8))
+                    moving = clock() - opened
             except OSError as exc:
-                self._remove_files(bat.token)
+                self._unlink(path)
                 raise SpillError(
-                    f"writing spill entry for token {bat.token}: {exc}"
+                    f"writing spill image for token {image.token}: {exc}"
                 ) from exc
-            self._files[bat.token] = written
-            self.total_bytes += written
-            return written
+            self.write_cost.record(clock() - started - moving, moving,
+                                   image.size)
+            self._priced = 0
+            self._images[image.token] = image
+            self.total_bytes += image.size
+            return image.size
 
     def load(self, token: int) -> BAT:
-        """Reload a spilled BAT, memory-mapping its column arrays.
-
-        The returned BAT carries the original token and lineage
-        (:meth:`BAT.from_spill`), so it drops back into the pool exactly
-        where the demoted one was.  Any missing/corrupt state raises
-        :class:`~repro.errors.SpillError`.
-        """
-        with self._lock:
-            if token not in self._files:
-                raise SpillError(f"token {token} is not in the spill store")
+        """Map a spilled BAT back with its original token and lineage, so
+        it drops into the pool exactly where the demoted one was.  A file
+        missing or not the size that was written raises ``SpillError``."""
+        image = self._images.get(token)
+        if image is None:
+            raise SpillError(f"token {token} is not in the spill store")
+        started = self.clock()
         try:
-            with open(self._meta_path(token), "rb") as f:
-                meta = json.loads(f.read().decode())
-            cols = {}
-            for part in ("head", "tail"):
-                if "dense" in meta[part]:
-                    cols[part] = None
-                    continue
-                arr = np.load(self._col_path(token, part), mmap_mode="r",
-                              allow_pickle=False)
-                if len(arr) != meta["count"]:
-                    raise SpillError(
-                        f"token {token}: {part} column has {len(arr)} "
-                        f"values, metadata says {meta['count']}"
-                    )
-                cols[part] = arr
-            bat = BAT.from_spill(meta, cols["head"], cols["tail"])
-        except SpillError:
-            raise
-        except Exception as exc:  # torn file, bad JSON, bad .npy magic …
-            raise SpillError(
-                f"loading spill entry for token {token}: {exc}"
-            ) from exc
-        if bat.token != token:
-            raise SpillError(
-                f"spill entry {token} carries metadata for {bat.token}"
-            )
+            path = self._path(token)
+            on_disk = os.path.getsize(path)
+            if on_disk != image.size:
+                raise ValueError(f"{on_disk} bytes, wrote {image.size}")
+            # Dense or empty columns only: an empty file, nothing to map.
+            data = (np.memmap(path, np.uint8, "r") if on_disk
+                    else np.empty(0, np.uint8))
+        except (OSError, ValueError) as exc:
+            raise SpillError(f"loading spill image {token}: {exc}") from exc
+        head, tail = (
+            c if isinstance(c, Dense) else
+            data[c[1]:c[1] + c[2] * c[0].itemsize].view(c[0])
+            for c in image.columns
+        )
+        bat = BAT(head, tail, owned_nbytes=image.owned_nbytes,
+                  sources=image.sources, subset_of=image.subset_of,
+                  subset_chain=image.subset_chain,
+                  tail_sorted=image.tail_sorted,
+                  persistent_name=image.persistent_name)
+        bat.token = token
+        with self._lock:
+            self.load_cost.record(self.clock() - started)
         return bat
 
     def delete(self, token: int) -> None:
-        """Remove a spilled entry's files and accounting (missing is fine)."""
+        """Remove an image and its accounting (an unknown token is fine)."""
         with self._lock:
-            size = self._files.pop(token, None)
-            if size is not None:
-                self.total_bytes -= size
-            self._remove_files(token)
-
-    def _remove_files(self, token: int) -> None:
-        for path in self._entry_paths(token):
-            for victim in (path, path + ".tmp"):
-                try:
-                    os.remove(victim)
-                except OSError:
-                    pass
+            image = self._images.pop(token, None)
+            if image is not None:
+                self.total_bytes -= image.size
+                self._unlink(self._path(token))
 
     def clear(self) -> None:
         with self._lock:
-            for token in list(self._files):
+            for token in list(self._images):
                 self.delete(token)
 
     def close(self) -> None:
-        """Delete every spill file and this store's private run directory.
-
-        Only the ``run-<pid>-<seq>`` directory owned by this store is
-        removed — other stores (or processes) sharing the configured base
-        directory are untouched.  Idempotent.
-        """
+        """Delete every image and this store's own run directory."""
         self.clear()
         shutil.rmtree(self.directory, ignore_errors=True)
 
-    # ------------------------------------------------------------------
     def check(self) -> List[str]:
-        """Compare the accounting with the directory; return problems.
-
-        Used by :meth:`RecyclePool.check_invariants`: every tracked token
-        must have a committed metadata file, recorded sizes must match the
-        filesystem, and no untracked ``bat-*`` files may linger.
-        """
-        problems: List[str] = []
-        if sum(self._files.values()) != self.total_bytes:
-            problems.append(
-                f"spill byte accounting drift: recorded {self.total_bytes},"
-                f" recomputed {sum(self._files.values())}"
-            )
-        on_disk: Dict[int, int] = {}
-        for name in os.listdir(self.directory):
-            if not name.startswith("bat-"):
-                continue
-            if name.endswith(".tmp"):
-                problems.append(f"leftover temp file {name}")
-                continue
-            try:
-                token = int(name.split("-", 1)[1].split(".", 1)[0])
-            except ValueError:
-                problems.append(f"unparseable spill file {name}")
-                continue
-            path = os.path.join(self.directory, name)
-            on_disk[token] = on_disk.get(token, 0) + os.path.getsize(path)
-        for token, size in self._files.items():
-            if token not in on_disk:
-                problems.append(f"tracked token {token} has no files")
-            elif on_disk[token] != size:
-                problems.append(
-                    f"token {token}: recorded {size} bytes, "
-                    f"{on_disk[token]} on disk"
-                )
-        for token in on_disk:
-            if token not in self._files:
-                problems.append(f"orphan spill files for token {token}")
+        """The books against the directory: byte-accounting drift, images
+        whose file is missing or the wrong size, files no image owns."""
+        with self._lock:
+            sizes = {f"bat-{t}": im.size for t, im in self._images.items()}
+            recorded = self.total_bytes
+        on_disk = {name: os.path.getsize(os.path.join(self.directory, name))
+                   for name in os.listdir(self.directory)}
+        problems = [
+            f"image {name}: recorded {size} bytes, {on_disk.get(name)} on disk"
+            for name, size in sizes.items() if on_disk.get(name) != size
+        ]
+        problems += [f"stray file {n}" for n in on_disk if n not in sizes]
+        if sum(sizes.values()) != recorded:
+            problems.append(f"spill byte accounting drift: {recorded} "
+                            f"recorded, {sum(sizes.values())} in images")
         return problems
-
-    def __repr__(self) -> str:
-        return (
-            f"SpillStore({self.directory!r}, entries={len(self._files)}, "
-            f"bytes={self.total_bytes})"
-        )

@@ -501,6 +501,9 @@ class TestSpillLifecycle:
         # test_spill.py recipe); subsumption off so every bound admits.
         with repro.connect(spill_dir=spill, max_bytes=400_000,
                            subsumption=False) as conn:
+            # Freeze the store's clock: I/O then measures free, so every
+            # victim is worth demoting (see test_spill.py).
+            conn.database.recycler.spill.clock = lambda: 0.0
             conn.create_table(
                 "t", {"x": "int64"},
                 {"x": rng.integers(0, 5000, 40_000)},

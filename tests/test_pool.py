@@ -120,6 +120,33 @@ class TestDependencies:
         assert removed == 2
         assert len(pool) == 0
 
+    def test_same_operand_twice_is_one_dependency(self):
+        # op(x, x): the consumer index holds the entry once, so the
+        # producer's count (the size of that set) must too.
+        pool = RecyclePool()
+        pb = bat()
+        parent = entry(("p",), pb)
+        both = entry(("c", ("b", pb.token), ("b", pb.token)), bat(),
+                     arg_tokens=(pb.token, pb.token))
+        pool.add(parent)
+        pool.add(both)
+        assert parent.dependents == 1
+        assert pool.dependent_thread(parent) == [both]
+        pool.check_invariants()
+        pool.remove(both)
+        assert parent.dependents == 0 and pool.leaves() == [parent]
+        pool.check_invariants()
+
+    def test_dependent_thread_is_transitive(self):
+        pool, parent, child = self.make_chain()
+        cb = child.value
+        grandchild = entry(("g", ("b", cb.token)), bat(),
+                           arg_tokens=(cb.token,))
+        pool.add(grandchild)
+        assert pool.dependent_thread(parent) == [child, grandchild]
+        assert pool.dependent_thread(child) == [grandchild]
+        assert pool.dependent_thread(grandchild) == []
+
     def test_clear_resets_everything(self):
         pool, parent, child = self.make_chain()
         removed = pool.clear()

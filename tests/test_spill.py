@@ -1,10 +1,16 @@
 """The two-tier recycle pool: spill store, demotion, promotion.
 
 Covers the disk tier end to end: byte-identical (de)serialisation with
-lineage preserved, atomicity/corruption handling, the demote-on-eviction
+lineage preserved, short/missing-file handling, the demote-on-eviction
 and promote-on-hit paths through a real :class:`~repro.db.Database`,
 invalidation of spilled entries (files must go), the disk-tier byte
 quota, and pool invariants under concurrent sessions with spilling on.
+
+Whether a victim is demoted depends on what the store has measured its
+I/O to cost, so the Database-level tests freeze the store's injectable
+clock: every write and load then measures zero seconds and every victim
+is worth demoting, which is the regime these tests are about.  The rule
+itself is covered in ``test_spill_policy.py``.
 """
 
 from __future__ import annotations
@@ -90,8 +96,11 @@ def test_load_is_corruption_tolerant(tmp_path):
     store = SpillStore(str(tmp_path))
     bat = BAT.from_tail(np.arange(100, dtype=np.int64))
     store.write(bat)
-    with open(store._col_path(bat.token, "tail"), "wb") as f:
-        f.write(b"not an npy file")
+    with open(store._path(bat.token), "wb") as f:
+        f.write(b"a torn, short file")
+    with pytest.raises(SpillError):
+        store.load(bat.token)
+    os.remove(store._path(bat.token))
     with pytest.raises(SpillError):
         store.load(bat.token)
     # Unknown tokens are an error, never a crash.
@@ -110,10 +119,10 @@ def test_recovery_reaps_dead_runs_only(tmp_path):
     # Simulate a crashed process's leftovers plus a torn loose file.
     dead_run = tmp_path / f"run-{DEAD_PID}-1"
     dead_run.mkdir()
-    (dead_run / "bat-7.meta.json").write_bytes(b"{}")
-    (tmp_path / "bat-9.tail.npy.tmp").write_bytes(b"torn write")
+    (dead_run / "bat-7").write_bytes(b"orphaned image")
+    (tmp_path / "bat-9").write_bytes(b"loose file")
     fresh = SpillStore(str(tmp_path))
-    assert fresh.recovered == 2          # the dead run dir + the .tmp
+    assert fresh.recovered == 2          # the dead run dir + the loose file
     assert not dead_run.exists()
     assert len(fresh) == 0 and fresh.total_bytes == 0
     # The live store's run directory was left strictly alone.
@@ -174,6 +183,7 @@ def make_db(tmp_path, **kwargs) -> Database:
     kwargs.setdefault("subsumption", False)
     rng = np.random.default_rng(3)
     db = Database(spill_dir=str(tmp_path / "spill"), **kwargs)
+    db.recycler.spill.clock = lambda: 0.0  # I/O measures free: see above
     db.create_table(
         "t", {"x": "int64", "v": "float64"},
         {"x": rng.integers(0, 5000, N_ROWS),
@@ -324,7 +334,7 @@ def test_destroying_persistent_bind_keeps_spilled_dependents(tmp_path):
     # its token is stable (catalogue bind cache), so the spilled selects
     # keyed on it must survive and still be matchable afterwards.
     with db.recycler.lock:
-        assert db.recycler._token_is_stable(bind)
+        assert bind.token_is_stable
         pool.remove_set([bind])
     db.recycler.check_invariants()
     assert db.recycler.spilled_entry_count == spilled_before
@@ -342,8 +352,8 @@ def test_corrupt_spill_drops_stranded_thread(tmp_path):
     assert spilled
     victim = spilled[0]
     store = db.recycler.spill
-    with open(store._col_path(victim.result_token, "tail"), "wb") as f:
-        f.write(b"garbage")
+    with open(store._path(victim.result_token), "wb") as f:
+        f.write(b"torn")
     lo = victim.sig[2][1]
     r = db.execute(f"select count(*) from t where x >= {lo}")
     # The corrupt entry was dropped, the query recomputed, and the fresh
