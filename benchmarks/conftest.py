@@ -1,8 +1,8 @@
 """Shared benchmark fixtures.
 
 Scale note: the paper uses TPC-H SF-1 and a 100 GB SkyServer slice; the
-benches default to SF 0.01 and a 50k-object sky catalogue (see DESIGN.md
-substitutions).  Shapes — hit ratios, relative times, crossovers — are the
+benches default to SF 0.01 and a 50k-object sky catalogue (see
+``docs/BENCHMARKS.md``).  Shapes — hit ratios, relative times, crossovers — are the
 reproduction target, not absolute milliseconds.
 """
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from conftest import SF, make_tpch_db
 
 from repro import BenefitEviction, HistoryEviction
-from repro.bench import mixed_workload, render_table, run_batch
-from repro.workloads.tpch import ParamGenerator
+from repro.bench import render_table, run_workload
+from repro.workloads.tpch import ParamGenerator, mixed_instances
 
 PHASE_A = ["q04", "q12", "q16"]
 PHASE_B = ["q18", "q19", "q21"]
@@ -34,14 +34,14 @@ def phase_change_batch():
 
 def run_ablation():
     out = {}
-    stationary = mixed_workload(n_instances_each=10, seed=66, sf=SF)
+    stationary = mixed_instances(n_instances_each=10, seed=66, sf=SF)
     changing = phase_change_batch()
     for label, batch in (("stationary", stationary),
                          ("phase-change", changing)):
         for pol_name, policy in (("BP", BenefitEviction()),
                                  ("HP", HistoryEviction())):
             db = make_tpch_db(eviction=policy, max_bytes=8 << 20)
-            res = run_batch(db, batch)
+            res = run_workload(db, batch)
             out[(label, pol_name)] = {
                 "hit_ratio": res.hit_ratio,
                 "seconds": res.total_seconds,

@@ -13,7 +13,8 @@ from __future__ import annotations
 from conftest import SF, make_tpch_db
 
 from repro import BenefitEviction, CreditAdmission, LruEviction
-from repro.bench import mixed_workload, render_table, run_batch
+from repro.bench import render_table, run_workload
+from repro.workloads.tpch import mixed_instances
 
 LIMITS = [0.2, 0.4, 0.6, 0.8]
 
@@ -21,8 +22,8 @@ LIMITS = [0.2, 0.4, 0.6, 0.8]
 def run_config(max_bytes=None, eviction=None, admission=None, recycle=True):
     db = make_tpch_db(recycle=recycle, max_bytes=max_bytes,
                       eviction=eviction, admission=admission)
-    batch = mixed_workload(n_instances_each=20, seed=66, sf=SF)
-    result = run_batch(db, batch)
+    batch = mixed_instances(n_instances_each=20, seed=66, sf=SF)
+    result = run_workload(db, batch)
     return {
         "seconds": result.total_seconds,
         "hit_ratio": result.hit_ratio,

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from conftest import SF, make_tpch_db
 
-from repro.bench import mixed_workload, render_table, run_batch
+from repro.bench import render_table, run_workload
+from repro.workloads.tpch import mixed_instances
 
 LIMITS = [0.1, 0.2]
 
@@ -29,8 +30,8 @@ LIMITS = [0.1, 0.2]
 def run_config(max_bytes=None, spill_dir=None, recycle=True):
     db = make_tpch_db(recycle=recycle, max_bytes=max_bytes,
                       spill_dir=spill_dir)
-    batch = mixed_workload(n_instances_each=20, seed=66, sf=SF)
-    result = run_batch(db, batch)
+    batch = mixed_instances(n_instances_each=20, seed=66, sf=SF)
+    result = run_workload(db, batch)
     out = {
         "seconds": result.total_seconds,
         "hits": result.hits,

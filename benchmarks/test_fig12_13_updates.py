@@ -17,28 +17,28 @@ from __future__ import annotations
 from conftest import SF, make_tpch_db
 
 from repro import LruEviction
-from repro.bench import mixed_workload, render_series, run_batch
-from repro.workloads.tpch import RefreshStream
+from repro.bench import render_series, run_workload
+from repro.workloads.tpch import RefreshStream, mixed_instances
 
 
 def run_updates(k: int, max_bytes=None):
     db = make_tpch_db(max_bytes=max_bytes, eviction=LruEviction())
     refresh = RefreshStream(db, seed=101)
-    batch = mixed_workload(n_instances_each=10, seed=88, sf=SF)
+    batch = mixed_instances(n_instances_each=10, seed=88, sf=SF)
 
     def boundary(i):
         if i > 0 and i % k == 0:
             refresh.update_block()
 
-    result = run_batch(db, batch, on_boundary=boundary)
+    result = run_workload(db, batch, on_boundary=boundary)
     return result
 
 
 def run_fig12_13():
     out = {}
     # Size the limited pools from an update-free keepall run.
-    base = run_batch(make_tpch_db(),
-                     mixed_workload(n_instances_each=10, seed=88, sf=SF))
+    base = run_workload(
+        make_tpch_db(), mixed_instances(n_instances_each=10, seed=88, sf=SF))
     footprint = base.records[-1].pool_bytes
     for k in (20, 1):
         out[k] = {

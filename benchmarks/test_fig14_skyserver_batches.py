@@ -81,7 +81,7 @@ def test_fig14_batches(benchmark):
         assert keepall < naive * 0.5    # recycling wins big
         # The limited configuration wins clearly in a cold process
         # (~0.6x naive); in a warm pytest session Python pool-management
-        # constants bring it to parity — see EXPERIMENTS.md.
+        # constants bring it to parity — see docs/BENCHMARKS.md.
         assert limited <= naive * 1.25
     # The uninterrupted 1x100 batch gains the most from the pool.
     assert rows[-1][3] <= rows[0][3] * 1.5

@@ -16,20 +16,20 @@ from conftest import SF, make_tpch_db
 
 from repro import AdaptiveCreditAdmission, CreditAdmission
 from repro.bench import (
-    mixed_workload,
     render_table,
-    run_batch,
     reused_entries,
     reused_memory,
+    run_workload,
 )
+from repro.workloads.tpch import mixed_instances
 
 CREDITS = list(range(3, 11))
 
 
 def run_policy(admission):
     db = make_tpch_db(admission=admission)
-    batch = mixed_workload(n_instances_each=20, seed=66, sf=SF)
-    result = run_batch(db, batch)
+    batch = mixed_instances(n_instances_each=20, seed=66, sf=SF)
+    result = run_workload(db, batch)
     mem = db.pool_bytes
     entries = db.pool_entries
     return {

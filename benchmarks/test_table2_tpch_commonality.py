@@ -37,13 +37,13 @@ def collect_table2():
         # First instance: cold pool -> intra-query commonality.
         r1 = db.run_template(name, pg.params_for(name))
         marked = max(r1.stats.n_marked_nonbind, 1)
-        intra = 100.0 * r1.stats.hits_local_nonbind / marked
+        intra = 100.0 * r1.stats.local_hits_nonbind / marked
         potential = r1.stats.potential_time + r1.stats.saved_time
 
         # Second instance, fresh parameters -> inter-query commonality.
         r2 = db.run_template(name, pg.params_for(name))
         inter = 100.0 * (
-            r2.stats.hits_global_nonbind + r2.stats.hits_subsumed
+            r2.stats.global_hits_nonbind + r2.stats.subsumed_hits
         ) / marked
         rows.append([
             name.upper(), marked, round(intra, 1), round(inter, 1),

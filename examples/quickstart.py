@@ -80,7 +80,7 @@ def main() -> None:
          "hi": datetime.date(2025, 4, 20)},
     )
     print(f"  count={cur.fetchone()[0]}, subsumed hits: "
-          f"{cur.stats.hits_subsumed}")
+          f"{cur.stats.subsumed_hits}")
 
     print("\n== recycle pool content ==")
     print(conn.database.recycler_report().render())

@@ -28,7 +28,7 @@ def run_log(conn, batch):
         cur.execute_template(qi.template, qi.params)
         hits += cur.stats.hits
         potential += cur.stats.n_marked
-        subsumed += cur.stats.hits_subsumed
+        subsumed += cur.stats.subsumed_hits
     return time.perf_counter() - t0, hits, potential, subsumed
 
 
@@ -71,7 +71,7 @@ def main() -> None:
                                         "r": 0.2})
     dt = (time.perf_counter() - t0) * 1e3
     print(f"  fGetNearbyObjEq(195.05, 2.55, 0.2): {cur.rowcount} row(s) "
-          f"in {dt:.2f} ms, subsumed hits: {cur.stats.hits_subsumed}")
+          f"in {dt:.2f} ms, subsumed hits: {cur.stats.subsumed_hits}")
 
     conn.close()
     naive.close()

@@ -13,7 +13,7 @@ import time
 
 import repro
 from repro import AdaptiveCreditAdmission
-from repro.bench import run_batch_cursor
+from repro.bench import run_workload
 from repro.workloads.tpch import (
     ParamGenerator,
     build_templates,
@@ -87,7 +87,8 @@ def main() -> None:
     print("\nprepared-statement batch (parameterized SQL, ':name' "
           "placeholders):")
     batch = sql_instances(n_instances_each=3, seed=42, sf=SF)
-    res = run_batch_cursor(keepall, [(sql, p) for _n, sql, p in batch])
+    res = run_workload(keepall.database,
+                       [(sql, p) for _n, sql, p in batch])
     print(f"  {len(res.records)} statements over "
           f"{res.compile_misses} compiled plans — compile-cache hit "
           f"rate {res.compile_hit_ratio:.0%}, "

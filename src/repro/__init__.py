@@ -68,14 +68,7 @@ from repro.net import (
     serve_in_thread,
 )
 from repro.rel.builder import QueryBuilder
-from repro.server import (
-    ConcurrentResult,
-    ReadWriteLock,
-    Session,
-    SessionManager,
-    SessionStats,
-    WorkItem,
-)
+from repro.server import ReadWriteLock, Session, SessionManager
 from repro.storage import BAT, Catalog, SpillStore
 
 __version__ = "2.0.0"
@@ -104,10 +97,7 @@ __all__ = [
     "PreparedTemplate",
     "CompileCacheStats",
     "Session",
-    "SessionStats",
     "SessionManager",
-    "ConcurrentResult",
-    "WorkItem",
     "ReadWriteLock",
     "Recycler",
     "RecyclerConfig",

@@ -1,41 +1,31 @@
-"""Benchmark harness: batch runners and paper-style table/series rendering.
+"""Benchmark harness: the workload runner and paper-style table/series
+rendering.
 
 Used by the ``benchmarks/`` suite, which regenerates every table and figure
-of the paper's evaluation (§7 TPC-H, §8 SkyServer).  See DESIGN.md for the
-per-experiment index and EXPERIMENTS.md for paper-vs-measured results.
+of the paper's evaluation (§7 TPC-H, §8 SkyServer).  See
+``docs/BENCHMARKS.md`` for the per-experiment index and the measured
+results.
 """
 
 from repro.bench.harness import (
-    BatchResult,
-    ConcurrentBatchResult,
     QueryRecord,
-    SessionRecord,
+    RunResult,
     fresh_tpch_db,
-    mixed_workload,
     profile_template,
-    run_batch,
-    run_batch_concurrent,
-    run_batch_cursor,
     reused_entries,
     reused_memory,
-    warm_up,
+    run_workload,
 )
 from repro.bench.reporting import render_series, render_table
 
 __all__ = [
-    "BatchResult",
-    "ConcurrentBatchResult",
     "QueryRecord",
-    "SessionRecord",
-    "run_batch_concurrent",
-    "run_batch_cursor",
+    "RunResult",
+    "run_workload",
     "fresh_tpch_db",
-    "mixed_workload",
     "profile_template",
-    "run_batch",
     "reused_entries",
     "reused_memory",
-    "warm_up",
     "render_series",
     "render_table",
 ]

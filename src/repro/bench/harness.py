@@ -1,60 +1,118 @@
-"""Batch runners and measurement helpers for the benchmark suite.
+"""The workload runner and measurement helpers for the benchmark suite.
 
-The experimental protocol follows the paper (§7): databases are *warmed up*
-by executing one instance of each template, the recycle pool is then
-emptied, and measurements start from a hot data / cold pool state.
+The experimental protocol follows the paper (§7): measurements start
+from a hot data / cold pool state (``db.reset_recycler()`` after a
+warm-up pass).
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.db import Database
-from repro.workloads.tpch import (
-    MIXED_TEMPLATES,
-    ParamGenerator,
-    build_templates,
-    load_tpch,
-    mixed_instances,
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
 )
 
-#: The paper's mixed workload (§7.2): ten templates with large overlaps.
-MIXED_QUERIES = list(MIXED_TEMPLATES)
+from repro.db import Database
+from repro.mal.interpreter import ExecutionStats
+from repro.mal.program import MalProgram
+from repro.workloads.tpch import build_templates, load_tpch
+
+#: Seconds a worker waits for the others at the start line.
+BARRIER_TIMEOUT = 30.0
+
+#: One unit of workload: a registered template name, a compiled program
+#: or SQL text, plus its parameters (a mapping of template parameters; for
+#: SQL a sequence binds ``?`` and a mapping binds ``:name``).
+WorkloadItem = Tuple[Union[str, MalProgram], Any]
 
 
 @dataclass
 class QueryRecord:
-    """Per-query measurements inside a batch run."""
+    """What one workload item did, tagged with the session that ran it.
 
+    ``stats`` is the invocation's own record (None when the item failed,
+    ``error`` then holds the exception); ``pool_*`` is the pool as the
+    owning worker saw it right after the item.
+    """
+
+    index: int
+    session: str
     template: str
     seconds: float
-    hits: int
-    marked: int
-    pool_bytes: int
-    pool_entries: int
-    #: Hits served by promoting a spilled entry (two-tier pool).
-    hits_promoted: int = 0
+    stats: Optional[ExecutionStats] = None
+    value: Any = None
+    error: Optional[BaseException] = None
+    pool_bytes: int = 0
+    pool_entries: int = 0
     #: Disk-tier bytes after the query (0 without a spill tier).
     pool_spilled_bytes: int = 0
 
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.marked if self.marked else 0.0
-
 
 @dataclass
-class BatchResult:
-    """Aggregate of one batch execution."""
+class RunResult:
+    """One workload run: records in workload order plus their sums."""
 
     records: List[QueryRecord] = field(default_factory=list)
-    #: Compile-cache counters over the batch (prepared-statement runs):
-    #: executions that bound into an already-compiled plan vs. fresh
-    #: parse/plan work.  Zero for template-driven batches (templates are
-    #: pre-compiled by construction).
+    wall_seconds: float = 0.0
+    #: Compile-cache counters over the run: executions that bound into
+    #: an already-compiled plan vs. fresh parse/plan work (templates are
+    #: pre-compiled by construction and count as neither).
     compile_hits: int = 0
     compile_misses: int = 0
+
+    @property
+    def errors(self) -> List[QueryRecord]:
+        return [r for r in self.records if r.error is not None]
+
+    @property
+    def total(self) -> ExecutionStats:
+        """The sum of every completed item's record."""
+        total = ExecutionStats()
+        for r in self.records:
+            if r.stats is not None:
+                total.add(r.stats)
+        return total
+
+    @property
+    def sessions(self) -> Dict[str, ExecutionStats]:
+        """Per-session sums (the §3.3 local/global split by client)."""
+        out: Dict[str, ExecutionStats] = {}
+        for r in self.records:
+            if r.stats is not None:
+                out.setdefault(r.session, ExecutionStats()).add(r.stats)
+        return dict(sorted(out.items()))
+
+    @property
+    def hits(self) -> int:
+        return self.total.hits
+
+    @property
+    def promoted_hits(self) -> int:
+        """Hits served from the disk tier (subset of :attr:`hits`)."""
+        return self.total.promoted_hits
+
+    @property
+    def potential(self) -> int:
+        return self.total.n_marked
+
+    @property
+    def hit_ratio(self) -> float:
+        return self.total.hit_ratio
+
+    @property
+    def total_seconds(self) -> float:
+        return sum(r.seconds for r in self.records)
 
     @property
     def compile_hit_ratio(self) -> float:
@@ -62,41 +120,38 @@ class BatchResult:
         total = self.compile_hits + self.compile_misses
         return self.compile_hits / total if total else 0.0
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    @property
-    def hits(self) -> int:
-        return sum(r.hits for r in self.records)
-
-    @property
-    def promoted_hits(self) -> int:
-        """Hits served from the disk tier (subset of :attr:`hits`)."""
-        return sum(r.hits_promoted for r in self.records)
-
-    @property
-    def memory_hits(self) -> int:
-        """Hits served straight from the memory tier."""
-        return self.hits - self.promoted_hits
-
-    @property
-    def potential(self) -> int:
-        return sum(r.marked for r in self.records)
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.potential if self.potential else 0.0
+    def values(self) -> List[Any]:
+        """Result values in workload order (None where an item failed)."""
+        return [r.value for r in self.records]
 
     def cumulative_hit_curve(self) -> List[float]:
         """Cumulative hits / cumulative potential after each query
         (the y-axis of Figures 10-11)."""
-        out, h, p = [], 0, 0
+        out, running = [], ExecutionStats()
         for r in self.records:
-            h += r.hits
-            p += r.marked
-            out.append(h / p if p else 0.0)
+            if r.stats is not None:
+                running.add(r.stats)
+            out.append(running.hit_ratio)
         return out
+
+    def render(self) -> str:
+        """Per-session summary table (the concurrent analogue of Fig 4)."""
+        header = (
+            f"{'session':<12}{'queries':>9}{'hits':>7}{'marked':>8}"
+            f"{'local':>7}{'global':>8}{'disk':>6}{'ratio':>8}"
+        )
+        queries = Counter(r.session for r in self.records
+                          if r.stats is not None)
+        rows = list(self.sessions.items()) + [("total", self.total)]
+        queries["total"] = sum(queries.values())
+        lines = [header, "-" * len(header)]
+        for name, s in rows:
+            lines.append(
+                f"{name:<12}{queries[name]:>9}{s.hits:>7}{s.n_marked:>8}"
+                f"{s.local_hits:>7}{s.global_hits:>8}"
+                f"{s.promoted_hits:>6}{s.hit_ratio:>8.2f}"
+            )
+        return "\n".join(lines)
 
 
 def fresh_tpch_db(sf: float = 0.01, seed: int = 42,
@@ -109,199 +164,102 @@ def fresh_tpch_db(sf: float = 0.01, seed: int = 42,
     return db
 
 
-def warm_up(db: Database, queries: Sequence[str],
-            pg: Optional[ParamGenerator] = None) -> None:
-    """The paper's preparation step: touch hot data, then empty the pool."""
-    pg = pg or ParamGenerator(seed=1234)
-    for name in queries:
-        db.run_template(name, pg.params_for(name))
-    db.reset_recycler()
+def _label(query: Union[str, MalProgram]) -> str:
+    """What a failed item is filed under (it has no plan to name it)."""
+    return query.name if isinstance(query, MalProgram) else str(query)[:60]
 
 
-def mixed_workload(n_instances_each: int = 20, seed: int = 77,
-                   queries: Sequence[str] = MIXED_TEMPLATES,
-                   sf: float = 0.01) -> List[Tuple[str, Dict[str, Any]]]:
-    """The §7.2 batch: *n* instances of each template, shuffled."""
-    return mixed_instances(n_instances_each, seed, queries, sf)
+def run_workload(db: Database, items: Iterable[WorkloadItem],
+                 sessions: int = 1,
+                 on_boundary: Optional[Callable[[int], None]] = None,
+                 collect_values: bool = True) -> RunResult:
+    """Execute *items* across *sessions* threads sharing the pool.
 
+    Item *i* goes to session ``i % sessions``; each session runs its
+    items in workload order on its own thread, all released together
+    behind a barrier so the pool sees real contention (with one session
+    the run stays on the calling thread).  Records come back in workload
+    order whichever session ran them, so they compare 1:1 against a
+    serial reference run.  Whatever an item raises is recorded on it and
+    never ends the run; every slot is accounted for.
 
-def run_batch(db: Database,
-              instances: Iterable[Tuple[str, Dict[str, Any]]],
-              on_boundary=None) -> BatchResult:
-    """Execute a batch of (template, params) and record per-query stats.
-
-    *on_boundary*, when given, is called with the query index before each
-    query — the hook the update experiments use to inject refresh blocks.
+    *on_boundary(i)* is called by the worker that owns item *i* right
+    before it runs, outside the item's timer and error capture — the
+    hook the update experiments use to inject refresh blocks.  With
+    *collect_values* off, result values are dropped as they complete
+    (stress runs that would not fit in memory).
     """
-    result = BatchResult()
-    for i, (name, params) in enumerate(instances):
-        if on_boundary is not None:
-            on_boundary(i)
-        t0 = time.perf_counter()
-        r = db.run_template(name, params)
-        dt = time.perf_counter() - t0
-        result.records.append(QueryRecord(
-            template=name,
-            seconds=dt,
-            hits=r.stats.hits,
-            marked=r.stats.n_marked,
-            pool_bytes=db.pool_bytes,
-            pool_entries=db.pool_entries,
-            hits_promoted=r.stats.hits_promoted,
-            pool_spilled_bytes=db.pool_spilled_bytes,
-        ))
-    return result
+    items = list(items)
+    n = max(1, min(sessions, len(items)))
+    records: List[Optional[QueryRecord]] = [None] * len(items)
+    workers = [db.session(f"worker-{i}") for i in range(n)]
+    barrier = threading.Barrier(n)
 
-
-def run_batch_cursor(connection,
-                     statements: Iterable[Tuple[str, Any]],
-                     cursor=None) -> BatchResult:
-    """Execute ``(sql, params)`` pairs through a DB-API cursor.
-
-    The prepared-statement counterpart of :func:`run_batch` for
-    workloads expressed as parametrised SQL instead of named templates:
-    each pair runs via :meth:`repro.dbapi.Cursor.execute` (sequence
-    params bind ``?``, mappings bind ``:name``), so the whole batch
-    flows through the template cache exactly as production client
-    traffic would.  The result carries the batch's compile-cache
-    counters — on a healthy parameterised workload every execution
-    after each template's first is a compile-cache hit
-    (``compile_hit_ratio`` near 1).
-    """
-    cur = cursor if cursor is not None else connection.cursor()
-    db = connection.database
-    before = db.compile_cache_stats
-    result = BatchResult()
-    for sql, params in statements:
-        t0 = time.perf_counter()
-        cur.execute(sql, params)
-        dt = time.perf_counter() - t0
-        result.records.append(QueryRecord(
-            template=cur.stats.template or sql[:40],
-            seconds=dt,
-            hits=cur.stats.hits,
-            marked=cur.stats.n_marked,
-            pool_bytes=db.pool_bytes,
-            pool_entries=db.pool_entries,
-            hits_promoted=cur.stats.hits_promoted,
-            pool_spilled_bytes=db.pool_spilled_bytes,
-        ))
-    after = db.compile_cache_stats
-    result.compile_hits = after.hits - before.hits
-    result.compile_misses = after.misses - before.misses
-    return result
-
-
-@dataclass
-class SessionRecord:
-    """Per-session aggregate of a concurrent batch run."""
-
-    session: str
-    queries: int
-    hits: int
-    marked: int
-    hits_local: int
-    hits_global: int
-    hits_promoted: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.marked if self.marked else 0.0
-
-
-@dataclass
-class ConcurrentBatchResult:
-    """A multi-session batch: workload-order records plus session stats."""
-
-    records: List[QueryRecord] = field(default_factory=list)
-    sessions: List[SessionRecord] = field(default_factory=list)
-    wall_seconds: float = 0.0
-    errors: int = 0
-    global_hits: int = 0
-
-    @property
-    def hits(self) -> int:
-        return sum(r.hits for r in self.records)
-
-    @property
-    def potential(self) -> int:
-        return sum(r.marked for r in self.records)
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.potential if self.potential else 0.0
-
-    @property
-    def promoted_hits(self) -> int:
-        """Hits served from the disk tier across all sessions."""
-        return sum(s.hits_promoted for s in self.sessions)
-
-    def render(self) -> str:
-        """Per-session summary table (the concurrent analogue of Fig 4)."""
-        header = (
-            f"{'session':<12}{'queries':>9}{'hits':>7}{'marked':>8}"
-            f"{'local':>7}{'global':>8}{'disk':>6}{'ratio':>8}"
-        )
-        lines = [header, "-" * len(header)]
-        for s in self.sessions:
-            lines.append(
-                f"{s.session:<12}{s.queries:>9}{s.hits:>7}{s.marked:>8}"
-                f"{s.hits_local:>7}{s.hits_global:>8}"
-                f"{s.hits_promoted:>6}{s.hit_ratio:>8.2f}"
+    def drive(worker_idx: int) -> None:
+        session = workers[worker_idx]
+        owned = range(worker_idx, len(items), n)
+        try:
+            barrier.wait(timeout=BARRIER_TIMEOUT)
+        except threading.BrokenBarrierError as exc:
+            # A worker failed to start: every item this one owns is an
+            # error, not a silently shorter run.
+            for i in owned:
+                records[i] = QueryRecord(i, session.name,
+                                         _label(items[i][0]), 0.0, error=exc)
+            return
+        for i in owned:
+            query, params = items[i]
+            if on_boundary is not None:
+                on_boundary(i)
+            t0 = time.perf_counter()
+            try:
+                if isinstance(query, MalProgram) or db.has_template(query):
+                    stmt = db.prepare_template(query)
+                else:
+                    stmt = db.prepare(query)
+                r = session.run_statement(stmt, params)
+            except Exception as exc:
+                records[i] = QueryRecord(i, session.name, _label(query),
+                                         time.perf_counter() - t0, error=exc)
+                continue
+            records[i] = QueryRecord(
+                i, session.name, r.stats.template,
+                time.perf_counter() - t0, r.stats,
+                r.value if collect_values else None,
+                pool_bytes=db.pool_bytes,
+                pool_entries=db.pool_entries,
+                pool_spilled_bytes=db.pool_spilled_bytes,
             )
-        lines.append(
-            f"{'total':<12}{sum(s.queries for s in self.sessions):>9}"
-            f"{self.hits:>7}{self.potential:>8}"
-            f"{sum(s.hits_local for s in self.sessions):>7}"
-            f"{self.global_hits:>8}{self.promoted_hits:>6}"
-            f"{self.hit_ratio:>8.2f}"
-        )
-        return "\n".join(lines)
 
+    before = db.compile_cache_stats
+    started = time.perf_counter()
+    try:
+        if n == 1:
+            drive(0)
+        else:
+            threads = [
+                threading.Thread(target=drive, args=(i,), name=w.name)
+                for i, w in enumerate(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+    finally:
+        for w in workers:
+            w.close()
+    wall = time.perf_counter() - started
+    after = db.compile_cache_stats
 
-def run_batch_concurrent(db: Database,
-                         instances: Sequence[Tuple[str, Dict[str, Any]]],
-                         n_sessions: int = 4,
-                         collect_values: bool = False
-                         ) -> ConcurrentBatchResult:
-    """Execute a batch across *n_sessions* threads sharing one pool.
-
-    The concurrent counterpart of :func:`run_batch`: instances are dealt
-    round-robin to sessions, per-query records come back in workload order
-    (tagged with pool state *after* the whole run, since mid-run pool
-    sizes are racy by construction), and per-session aggregates report the
-    local/global hit split — global hits are the cross-session reuses the
-    single-loop benchmarks cannot produce.
-    """
-    cr = db.execute_concurrent(instances, n_sessions=n_sessions,
-                               collect_values=collect_values)
-    result = ConcurrentBatchResult(wall_seconds=cr.wall_seconds,
-                                   errors=len(cr.errors))
-    for o in cr.outcomes:
-        if o.error is not None:
-            continue
-        result.records.append(QueryRecord(
-            template=o.template,
-            seconds=o.seconds,
-            hits=o.hits,
-            marked=o.marked,
-            pool_bytes=db.pool_bytes,
-            pool_entries=db.pool_entries,
-            hits_promoted=o.hits_promoted,
-            pool_spilled_bytes=db.pool_spilled_bytes,
-        ))
-    for name, stats in sorted(cr.sessions.items()):
-        result.sessions.append(SessionRecord(
-            session=name,
-            queries=stats.queries,
-            hits=stats.hits,
-            marked=stats.marked,
-            hits_local=stats.hits_local,
-            hits_global=stats.hits_global,
-            hits_promoted=stats.hits_promoted,
-        ))
-        result.global_hits += stats.hits_global
-    return result
+    # A worker dying outside the per-item handler must not read as a
+    # clean (shorter) run.
+    for i, record in enumerate(records):
+        if record is None:
+            records[i] = QueryRecord(
+                i, "<lost>", _label(items[i][0]), 0.0,
+                error=RuntimeError("worker thread died before this item"))
+    return RunResult(records, wall, after.hits - before.hits,
+                     after.misses - before.misses)
 
 
 def reused_memory(db: Database) -> int:
@@ -326,15 +284,13 @@ def profile_template(db: Database, name: str, params_list,
                      ) -> List[Dict[str, float]]:
     """Per-instance profile of one template (Figures 4-5): hit ratio,
     time, and pool memory after each instance."""
-    out = []
-    for params in params_list:
-        t0 = time.perf_counter()
-        r = db.run_template(name, params)
-        dt = time.perf_counter() - t0
-        out.append({
-            "hit_ratio": r.stats.hit_ratio,
-            "seconds": dt,
-            "pool_bytes": float(db.pool_bytes),
-            "reused_bytes": float(reused_memory(db)),
-        })
-    return out
+    reused: List[int] = []      # sampled before each item = after the last
+    run = run_workload(db, [(name, p) for p in params_list],
+                       on_boundary=lambda i: reused.append(reused_memory(db)))
+    reused = reused[1:] + [reused_memory(db)]
+    return [{
+        "hit_ratio": r.stats.hit_ratio,
+        "seconds": r.seconds,
+        "pool_bytes": float(r.pool_bytes),
+        "reused_bytes": float(b),
+    } for r, b in zip(run.records, reused)]

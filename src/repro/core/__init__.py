@@ -4,7 +4,6 @@
   instruction lineage (§3.2, §4.1).
 * :mod:`repro.core.recycler` — run-time support wrapping marked
   instructions with ``recycleEntry``/``recycleExit`` (Algorithm 1).
-* :mod:`repro.core.marking` — re-export of the recycler optimiser pass.
 * :mod:`repro.core.admission` — KEEPALL / CREDIT / adaptive credit (§4.2).
 * :mod:`repro.core.eviction` — LRU / Benefit / History policies with
   per-entry and knapsack memory variants (§4.3).

@@ -31,11 +31,13 @@ shards named by the signature/tokens involved, so sessions working on
 unrelated lineage proceed in parallel.  Operations that must observe the
 whole pool — eviction sweeps under a resource limit, invalidation,
 ``recycle_reset``/``close``, delta propagation, ``check_invariants`` —
-take *all* shard locks in index order (stop-the-world).  The cumulative
-totals and the admission policy's internal state have their own small
-mutex (acquired *inside* shard scopes, never around them), and the
-in-flight invocation registry another.  The legacy ``recycler.lock``
-context manager is preserved as an alias for the all-shards scope.
+take *all* shard locks in index order (stop-the-world).  Hits,
+admissions, evictions and demotions are booked once, on the running
+invocation's :class:`~repro.mal.interpreter.ExecutionStats`, and folded
+into the lifetime totals when the invocation ends; the totals and the
+admission policy's internal state have their own small mutex (acquired
+*inside* shard scopes, never around them), and the in-flight invocation
+registry another.
 Eviction — including demotion and disk-quota reclaim — protects the
 union of all *active* invocations' touched sets, generalising the §4.3
 single-query protection rule.
@@ -69,6 +71,7 @@ from repro.core.subsumption import (
     split_target_into_segments,
 )
 from repro.errors import SpillError
+from repro.mal.interpreter import ExecutionStats
 from repro.mal.program import Instr, MalProgram
 from repro.storage.bat import BAT
 from repro.storage.spill import SpilledStub, SpillStore
@@ -111,7 +114,13 @@ class RecyclerConfig:
 
 @dataclass
 class RecyclerTotals:
-    """Cumulative counters across the recycler's lifetime."""
+    """Cumulative counters across the recycler's lifetime.
+
+    The counters an invocation also keeps (same names as on its
+    :class:`~repro.mal.interpreter.ExecutionStats`) are the sum of every
+    ended invocation's record — see :meth:`add`; the others have no
+    per-query meaning and are booked where the event happens.
+    """
 
     invocations: int = 0
     exact_hits: int = 0
@@ -136,6 +145,18 @@ class RecyclerTotals:
     subsumption_algo_calls: int = 0
     combined_search_time: float = 0.0
     combined_search_calls: int = 0
+
+    def add(self, stats: ExecutionStats) -> None:
+        """Fold one ended invocation's record into the shared counters."""
+        self.exact_hits += stats.exact_hits
+        self.subsumed_hits += stats.subsumed_hits
+        self.promoted_hits += stats.promoted_hits
+        self.local_hits += stats.local_hits
+        self.global_hits += stats.global_hits
+        self.admissions += stats.admissions
+        self.evictions += stats.evictions
+        self.demotions += stats.demotions
+        self.saved_time += stats.saved_time
 
 
 class Invocation:
@@ -228,16 +249,6 @@ class Recycler:
         self._active: Dict[int, Invocation] = {}
 
     @property
-    def lock(self):
-        """Stop-the-world scope: all pool shard locks, in order.
-
-        Kept for the pre-sharding API (``with recycler.lock:``) — tests
-        and :meth:`repro.db.Database.recycler_report` freeze the whole
-        pool with it.  Every pool method is safe (re-entrant) under it.
-        """
-        return self.pool.all_locked()
-
-    @property
     def _limited(self) -> bool:
         """Is any resource limit configured?  Limits force admissions and
         promotions through the stop-the-world eviction path."""
@@ -260,10 +271,13 @@ class Recycler:
         return inv
 
     def end_invocation(self, invocation: Optional[Invocation]) -> None:
+        """Retire the invocation and fold its record into the totals."""
         if invocation is not None:
             with self._active_lock:
                 self._active.pop(invocation.id, None)
             invocation.clear_touched()
+            with self._stats_lock:
+                self.totals.add(invocation.stats)
 
     def recycle_entry(self, inv: Invocation, instr: Instr, opdef,
                       args: Tuple) -> Optional[_Reuse]:
@@ -298,15 +312,12 @@ class Recycler:
             outcome, promoted_any = self._try_subsume(inv, instr.opname,
                                                       args)
             if outcome is not None:
-                inv.stats.hits_subsumed += 1
+                inv.stats.subsumed_hits += 1
                 if promoted_any:
-                    inv.stats.hits_promoted += 1
-                with self._stats_lock:
-                    self.totals.subsumed_hits += 1
-                    if outcome.kind == "combined":
+                    inv.stats.promoted_hits += 1
+                if outcome.kind == "combined":
+                    with self._stats_lock:
                         self.totals.combined_hits += 1
-                    if promoted_any:
-                        self.totals.promoted_hits += 1
                 for used in outcome.used_entries:
                     with self.pool.sig_locked(used.sig):
                         self._record_reuse(inv, used, subsumed=True)
@@ -336,24 +347,19 @@ class Recycler:
         if promoted:
             reload = self.spill.load_cost.estimate(entry.nbytes)
             saved = max(entry.cost - reload, 0.0)
-            inv.stats.hits_promoted += 1
+            inv.stats.promoted_hits += 1
         with self.pool.sig_locked(entry.sig):
             local = self._record_reuse(inv, entry, saved=saved)
-        inv.stats.hits_exact += 1
+        inv.stats.exact_hits += 1
         inv.stats.saved_time += saved
         if local:
             inv.stats.saved_local += saved
             if opdef.kind != "bind":
-                inv.stats.hits_local_nonbind += 1
+                inv.stats.local_hits_nonbind += 1
         else:
             inv.stats.saved_global += saved
             if opdef.kind != "bind":
-                inv.stats.hits_global_nonbind += 1
-        with self._stats_lock:
-            self.totals.exact_hits += 1
-            self.totals.saved_time += saved
-            if promoted:
-                self.totals.promoted_hits += 1
+                inv.stats.global_hits_nonbind += 1
         inv.touch(entry.sig)
         return _Reuse(value)
 
@@ -373,15 +379,13 @@ class Recycler:
             entry.subsumed_reuses += 1
         if entry.invocation_id == inv.id:
             entry.local_reuses += 1
-            inv.stats.hits_local += 1
+            inv.stats.local_hits += 1
             with self._stats_lock:
-                self.totals.local_hits += 1
                 self.admission.on_local_reuse(entry)
             return True
         entry.global_reuses += 1
-        inv.stats.hits_global += 1
+        inv.stats.global_hits += 1
         with self._stats_lock:
-            self.totals.global_hits += 1
             self.admission.on_global_reuse(entry)
         return False
 
@@ -457,9 +461,8 @@ class Recycler:
                 return
         with self._stats_lock:
             self.admission.on_admit(key)
-            self.totals.admissions += 1
         inv.touch(sig)
-        inv.stats.admitted_entries += 1
+        inv.stats.admissions += 1
         inv.stats.admitted_bytes += nbytes
 
     # ------------------------------------------------------------------
@@ -551,15 +554,14 @@ class Recycler:
 
     def _count_evicted(self, inv: Invocation,
                        victims: Sequence[RecycleEntry]) -> None:
-        """Book destroyed entries — in the totals, the admission policy
-        and the evicting invocation's own statistics."""
+        """Book destroyed entries — with the admission policy and on the
+        evicting invocation's own record."""
         with self._stats_lock:
             for v in victims:
                 self.admission.on_evict(v)
-                self.totals.evictions += 1
                 if v.is_spilled:
                     self.totals.spill_evictions += 1
-        inv.stats.evicted_entries += len(victims)
+        inv.stats.evictions += len(victims)
 
     def _reclaim_spill_room(self, inv: Invocation, nbytes: int,
                             protected: Set[Signature]) -> bool:
@@ -634,20 +636,12 @@ class Recycler:
                 return False
         self.pool.demote(victim)
         with self._stats_lock:
-            self.totals.demotions += 1
             if clean:
                 self.totals.clean_demotions += 1
             else:
                 self.totals.spill_writes += 1
-        inv.stats.demoted_entries += 1
+        inv.stats.demotions += 1
         return True
-
-    def _ensure_capacity(self, inv: Invocation, incoming_bytes: int,
-                         incoming_entries: int = 1) -> None:
-        """Public shim: take all shard locks, then re-balance."""
-        with self.pool.all_locked():
-            self._ensure_capacity_locked(inv, incoming_bytes,
-                                         incoming_entries)
 
     def _ensure_capacity_locked(self, inv: Invocation, incoming_bytes: int,
                                 incoming_entries: int = 1) -> None:

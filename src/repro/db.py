@@ -9,9 +9,8 @@ surface, this facade is the *engine* underneath::
         cur = conn.cursor()
         cur.execute("select count(*) from t where k >= ?", (3,))
 
-``Database`` remains fully usable directly (and
-:meth:`Database.execute` is kept as a compatibility shim), but clients
-should normally reach it through :func:`repro.connect`.
+``Database`` remains fully usable directly, but clients should normally
+reach it through :func:`repro.connect`.
 
 Queries compile once into parametrised *templates* (literals factored out,
 §2.2) cached by normalised text, so repeated queries — even with different
@@ -26,8 +25,9 @@ exclusive side (so a plan always sees a consistent snapshot of column
 versions), template caches are mutex-guarded, and the recycler core has
 its own pool lock.  :meth:`Database.session` opens a
 :class:`~repro.server.session.Session` with its own interpreter over the
-shared catalogue and recycle pool; :meth:`Database.execute_concurrent`
-drives a whole workload across many such sessions.
+shared catalogue and recycle pool;
+:func:`repro.bench.harness.run_workload` drives a whole workload across
+many such sessions.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class PreparedStatement:
             tokens = tokens_with_values(self.tokens, self.slots, values)
             # Compilation reads the catalogue: take the snapshot lock so
             # concurrent DDL cannot mutate table definitions mid-plan.
-            with self.db.rwlock.read_locked():
+            with self.db.locks.database.read_locked():
                 fresh = compile_tokens(self.db.catalog, tokens, self.key)
             compiled = self.db._cache_template(self.key, fresh, values,
                                                sig)
@@ -410,12 +410,6 @@ class Database:
         if self._closed:
             raise InterfaceError("database is closed")
 
-    @property
-    def rwlock(self):
-        """The database-level readers-writer lock (compatibility alias;
-        per-table locks live in :attr:`locks`)."""
-        return self.locks.database
-
     def _bind_tables(self, program: MalProgram) -> frozenset:
         """The tables a compiled plan binds — its table-lock read set.
 
@@ -490,6 +484,7 @@ class Database:
 
     def add_foreign_key(self, name: str, fk_table: str, fk_column: str,
                         pk_table: str, pk_column: str) -> None:
+        self._check_open()
         with self.locks.ddl_locked():
             self.catalog.add_foreign_key(name, fk_table, fk_column,
                                          pk_table, pk_column)
@@ -637,8 +632,8 @@ class Database:
 
         A *hit* means an execution bound into an already-compiled plan
         (zero parse/plan work); a *miss* means the statement was parsed
-        and planned.  The bench harness reports the batch-level rate —
-        see :func:`repro.bench.harness.run_batch_cursor`.
+        and planned.  The bench harness reports the rate per run — see
+        :func:`repro.bench.harness.run_workload`.
         """
         with self._cache_lock:
             return CompileCacheStats(self._compile_hits,
@@ -670,23 +665,6 @@ class Database:
                 while len(self._prepared) > self.PREPARED_CACHE_SIZE:
                     self._prepared.popitem(last=False)
         return stmt
-
-    def compile_cached(self, sql: str) -> Tuple[Any, List[Any]]:
-        """Normalise and compile *sql* with first-wins template caching.
-
-        Returns the compiled query plus this instance's literal values;
-        sessions share the cache, so any session's compilation serves all.
-        (Compatibility surface — new code should use :meth:`prepare`.)
-        """
-        stmt = self.prepare(sql)
-        if stmt.paramstyle is not None:
-            raise ProgrammingError(
-                "compile_cached cannot bind placeholder statements; "
-                "use prepare()/cursors"
-            )
-        values = bind_slot_values(stmt.slots, None, None)
-        compiled = stmt._ensure_compiled(values)
-        return compiled, values
 
     @staticmethod
     def bind_literals(compiled, literals: List[Any],
@@ -729,10 +707,9 @@ class Database:
     def execute(self, sql: str, params: Any = None) -> InvocationResult:
         """Compile (with template caching) and run a SQL statement.
 
-        The compatibility shim over the DB-API machinery: *params* may
-        be a DB-API parameter set (sequence for ``?``, mapping for
-        ``:name``) or, on a placeholder-free statement, a mapping of raw
-        template-parameter overrides (the historical convention).
+        *params* may be a DB-API parameter set (sequence for ``?``,
+        mapping for ``:name``) or, on a placeholder-free statement, a
+        mapping of raw template-parameter overrides.
         Literal constants are factored out into template parameters; the
         same query shape with different constants reuses the compiled
         template — and, through the recycler, its intermediates.
@@ -754,33 +731,6 @@ class Database:
         # itertools.count.__next__ is atomic in CPython — no lock, and in
         # particular not the template-cache lock (its old double duty).
         return Session(self, session_id=next(self._session_ids), name=name)
-
-    def execute_concurrent(
-        self,
-        items: Sequence[Tuple[Union[str, MalProgram], Optional[Dict[str, Any]]]],
-        n_sessions: int = 4,
-        *,
-        sql: bool = False,
-        collect_values: bool = True,
-    ) -> "ConcurrentResult":  # noqa: F821
-        """Run a workload of ``(template-or-SQL, params)`` over N sessions.
-
-        Items are dealt round-robin to *n_sessions* threads sharing this
-        database's recycle pool; with ``sql=True`` the first element of
-        each item is SQL text instead of a template name, and with
-        ``collect_values=False`` result values are dropped as they
-        complete (stress runs).  Returns a
-        :class:`~repro.server.manager.ConcurrentResult` with per-session
-        and aggregate statistics.
-        """
-        from repro.server.manager import SessionManager, WorkItem
-
-        manager = SessionManager(self)
-        work = [
-            WorkItem(query=q, params=p, sql=sql) for q, p in items
-        ]
-        return manager.run_concurrent(work, n_sessions=n_sessions,
-                                      collect_values=collect_values)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -818,7 +768,7 @@ class Database:
     def recycler_report(self) -> Optional[PoolReport]:
         if self.recycler is None:
             return None
-        with self.recycler.lock:
+        with self.recycler.pool.all_locked():
             return pool_report(self.recycler.pool)
 
     def reset_recycler(self) -> int:

@@ -35,7 +35,12 @@ from repro.storage.catalog import Catalog
 
 @dataclass
 class ExecutionStats:
-    """Per-invocation execution statistics.
+    """The one counter record: what an invocation counted.
+
+    Every wider scope is a plain sum of these: a session's totals and a
+    workload run's aggregates through :meth:`add`, the recycler's
+    lifetime :class:`~repro.core.recycler.RecyclerTotals` through its
+    own ``add`` over the counters the two share, under the same names.
 
     ``potential_time`` is the paper's "potential savings": total time spent
     executing monitored instructions (Table II).  ``saved_time`` estimates
@@ -47,35 +52,29 @@ class ExecutionStats:
     n_instructions: int = 0
     n_marked: int = 0
     n_marked_nonbind: int = 0
-    n_executed_marked: int = 0
-    hits_exact: int = 0
-    hits_subsumed: int = 0
+    exact_hits: int = 0
+    subsumed_hits: int = 0
     #: hits served from the disk tier — the matched (or subsuming) entry
     #: was spilled and had to be promoted back into memory first.
-    hits_promoted: int = 0
-    hits_local: int = 0
-    hits_global: int = 0
+    promoted_hits: int = 0
+    local_hits: int = 0
+    global_hits: int = 0
     #: hits excluding ``sql.bind`` — Table II counts commonalities over
     #: non-bind instructions only.
-    hits_local_nonbind: int = 0
-    hits_global_nonbind: int = 0
+    local_hits_nonbind: int = 0
+    global_hits_nonbind: int = 0
     potential_time: float = 0.0
     saved_time: float = 0.0
     saved_local: float = 0.0
     saved_global: float = 0.0
-    admitted_entries: int = 0
+    admissions: int = 0
     admitted_bytes: int = 0
-    evicted_entries: int = 0
-    demoted_entries: int = 0
+    evictions: int = 0
+    demotions: int = 0
 
     @property
     def hits(self) -> int:
-        return self.hits_exact + self.hits_subsumed
-
-    @property
-    def hits_memory(self) -> int:
-        """Hits served straight from the memory tier (no promotion)."""
-        return self.hits - self.hits_promoted
+        return self.exact_hits + self.subsumed_hits
 
     @property
     def hit_ratio(self) -> float:
@@ -83,6 +82,38 @@ class ExecutionStats:
         if self.n_marked == 0:
             return 0.0
         return self.hits / self.n_marked
+
+    def add(self, other: "ExecutionStats") -> "ExecutionStats":
+        """Sum every counter of *other* into this record; returns self.
+
+        Spelled out field by field: plain attribute updates are what
+        CPython specialises, and going through ``__dict__`` here would
+        slow every later ``stats.x += 1`` on the same object.
+        """
+        self.wall_time += other.wall_time
+        self.n_instructions += other.n_instructions
+        self.n_marked += other.n_marked
+        self.n_marked_nonbind += other.n_marked_nonbind
+        self.exact_hits += other.exact_hits
+        self.subsumed_hits += other.subsumed_hits
+        self.promoted_hits += other.promoted_hits
+        self.local_hits += other.local_hits
+        self.global_hits += other.global_hits
+        self.local_hits_nonbind += other.local_hits_nonbind
+        self.global_hits_nonbind += other.global_hits_nonbind
+        self.potential_time += other.potential_time
+        self.saved_time += other.saved_time
+        self.saved_local += other.saved_local
+        self.saved_global += other.saved_global
+        self.admissions += other.admissions
+        self.admitted_bytes += other.admitted_bytes
+        self.evictions += other.evictions
+        self.demotions += other.demotions
+        return self
+
+    def as_dict(self) -> Dict[str, Any]:
+        """Every field plus the derived ``hits``, keyed by attribute name."""
+        return {**vars(self), "hits": self.hits}
 
 
 @dataclass
@@ -178,7 +209,6 @@ class Interpreter:
         t0 = self.clock()
         value = opdef.fn(self, *args)
         elapsed = self.clock() - t0
-        stats.n_executed_marked += 1
         stats.potential_time += elapsed
         self.recycler.recycle_exit(invocation, instr, opdef, args, value,
                                    elapsed)

@@ -41,6 +41,7 @@ and the session closes — nothing leaks.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -74,19 +75,6 @@ MAX_PREPARED_PER_CONN = 256
 
 #: Result sets kept fetchable per connection (oldest dropped first).
 MAX_PENDING_RESULTS = 8
-
-
-def _stats_dict(stats) -> Dict[str, Any]:
-    """The per-execution statistics subset a RESULT frame carries."""
-    return {
-        "hits": stats.hits,
-        "hits_exact": stats.hits_exact,
-        "hits_subsumed": stats.hits_subsumed,
-        "hits_promoted": stats.hits_promoted,
-        "marked": stats.n_marked,
-        "wall_time": stats.wall_time,
-        "saved_time": stats.saved_time,
-    }
 
 
 class _Connection:
@@ -486,7 +474,7 @@ class ReproServer:
         self.queries_served += 1
         response: Dict[str, Any] = {
             "type": "result",
-            "stats": _stats_dict(stats),
+            "stats": stats.as_dict(),
             "description": description,
             "rowcount": len(rows) if rows is not None else -1,
         }
@@ -536,25 +524,15 @@ class ReproServer:
         recycler = db.recycler
         if recycler is not None:
             pool_bytes, pool_entries = recycler.pool.usage()
-            totals = recycler.totals
             payload["pool"] = {
                 "bytes": pool_bytes,
                 "entries": pool_entries,
                 "spilled_bytes": recycler.spilled_bytes,
             }
-            hits = totals.exact_hits + totals.subsumed_hits
+            totals = recycler.totals
             payload["recycler"] = {
-                "invocations": totals.invocations,
-                "hits": hits,
-                "exact_hits": totals.exact_hits,
-                "subsumed_hits": totals.subsumed_hits,
-                "admissions": totals.admissions,
-                "evictions": totals.evictions,
-                "demotions": totals.demotions,
-                "spill_writes": totals.spill_writes,
-                "clean_demotions": totals.clean_demotions,
-                "promotions": totals.promotions,
-                "saved_time": totals.saved_time,
+                **dataclasses.asdict(totals),
+                "hits": totals.exact_hits + totals.subsumed_hits,
             }
         return payload
 

@@ -7,8 +7,8 @@ share one recycle pool:
 * :class:`~repro.server.session.Session` — one client connection: its own
   interpreter and execution stack over the shared catalogue and recycler,
   plus per-session statistics.
-* :class:`~repro.server.manager.SessionManager` — opens/closes sessions
-  and drives multi-threaded workloads against the shared pool.
+* :class:`~repro.server.manager.SessionManager` — the thread-safe
+  registry of open sessions the network server keeps.
 * :class:`~repro.server.locks.ReadWriteLock` — the query/update
   serialisation primitive of the concurrency contract.
 
@@ -31,18 +31,11 @@ The full walk-through, with the paper-section map, lives in
 """
 
 from repro.server.locks import ReadWriteLock
-from repro.server.session import Session, SessionStats
-from repro.server.manager import (
-    ConcurrentResult,
-    SessionManager,
-    WorkItem,
-)
+from repro.server.session import Session
+from repro.server.manager import SessionManager
 
 __all__ = [
     "ReadWriteLock",
     "Session",
-    "SessionStats",
     "SessionManager",
-    "ConcurrentResult",
-    "WorkItem",
 ]

@@ -1,119 +1,31 @@
-"""The session manager: concurrent workload execution over one pool.
+"""The session manager: a thread-safe registry of open sessions.
 
-:class:`SessionManager` opens sessions on a shared
-:class:`~repro.db.Database` and drives a workload across N worker
-threads, one session per thread.  Work items are dealt round-robin, each
-thread executes its share in order, and all threads start together behind
-a barrier so the pool actually sees contention (admission races, shared
-hits, concurrent eviction) rather than accidental serial execution.
-
-Results come back in *workload order* regardless of which session ran
-them, so callers can compare them 1:1 against a serial reference run —
-the contract the differential and stress tests rely on.
-
-Locking: the manager adds no locks of its own.  Worker threads only run
-queries, which follow the three-level lock order **database → table →
-pool shard**: the read side of the database
-:class:`~repro.server.locks.ReadWriteLock` (via
-:class:`~repro.server.locks.TableLockManager`), then read locks on the
-tables the plan binds (sorted by name), then the
-:class:`~repro.core.pool.RecyclePool` shard locks for whatever pool
-state an instruction touches (ascending shard index; eviction and
-other sweeps take all shards — see the :mod:`repro.server.locks` and
-:mod:`repro.server.session` docstrings and ``docs/ARCHITECTURE.md``
-for the full contract, including the stop-the-world list).  The
-per-slot ``outcomes`` list is race-free by construction: each worker
-writes only the indices it owns.
+The network server opens one :class:`~repro.server.session.Session` per
+connection and must be able to say, at any moment, how many are alive —
+and to close them all on drain.  Running a workload across sessions is
+:func:`repro.bench.harness.run_workload`'s job, not the manager's.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.mal.program import MalProgram
-from repro.server.session import Session, SessionStats
+from repro.server.session import Session
 
 if TYPE_CHECKING:
     from repro.db import Database
 
 
-@dataclass
-class WorkItem:
-    """One unit of workload: a template name (or program, or SQL) + params.
-
-    With ``sql=True``, *params* follows the DB-API convention of
-    :meth:`repro.server.session.Session.execute`: a sequence binds
-    ``?`` placeholders, a mapping binds ``:name`` placeholders (or
-    overrides template parameters on a placeholder-free statement) — so
-    a concurrent workload can be expressed as one parametrised statement
-    plus rows of parameter sets.
-    """
-
-    query: Union[str, MalProgram]
-    params: Union[Dict[str, Any], Sequence[Any], None] = None
-    sql: bool = False
-
-
-@dataclass
-class QueryOutcome:
-    """What one work item produced, tagged with the session that ran it."""
-
-    index: int
-    session: str
-    template: str
-    seconds: float
-    hits: int
-    marked: int
-    hits_promoted: int = 0
-    value: Any = None
-    error: Optional[BaseException] = None
-
-
-@dataclass
-class ConcurrentResult:
-    """Aggregate of one concurrent run: outcomes + per-session stats."""
-
-    outcomes: List[QueryOutcome]
-    sessions: Dict[str, SessionStats]
-    wall_seconds: float = 0.0
-
-    @property
-    def errors(self) -> List[QueryOutcome]:
-        return [o for o in self.outcomes if o.error is not None]
-
-    @property
-    def hits(self) -> int:
-        return sum(o.hits for o in self.outcomes if o.error is None)
-
-    @property
-    def marked(self) -> int:
-        return sum(o.marked for o in self.outcomes if o.error is None)
-
-    @property
-    def hit_ratio(self) -> float:
-        """Aggregate hits over potential hits across all sessions."""
-        return self.hits / self.marked if self.marked else 0.0
-
-    def values(self) -> List[Any]:
-        """Result values in workload order (None where an item failed)."""
-        return [o.value for o in self.outcomes]
-
-    def session_hit_ratios(self) -> Dict[str, float]:
-        return {name: s.hit_ratio for name, s in self.sessions.items()}
-
-
 class SessionManager:
-    """Opens sessions on one database and runs workloads across them.
+    """Opens and closes sessions on one database, under a lock.
 
-    The registry itself is thread-safe: the network server opens and
-    closes sessions from its event loop while a drain (or a test)
-    calls :meth:`close_all` from another thread, so membership changes
-    are serialised and every closed session leaves the list exactly
-    once — a client vanishing mid-query must bring
-    :attr:`session_count` back to zero, never leave a phantom entry.
+    The network server opens and closes sessions from its event loop
+    while a drain (or a test) calls :meth:`close_all` from another
+    thread, so membership changes are serialised and every closed
+    session leaves the list exactly once — a client vanishing mid-query
+    must bring :attr:`session_count` back to zero, never leave a phantom
+    entry.
     """
 
     def __init__(self, db: "Database"):
@@ -151,111 +63,3 @@ class SessionManager:
             sessions, self.sessions = self.sessions, []
         for s in sessions:
             s.close()
-
-    # ------------------------------------------------------------------
-    def run_concurrent(
-        self,
-        work: Sequence[WorkItem],
-        n_sessions: int = 4,
-        *,
-        collect_values: bool = True,
-        barrier_timeout: float = 30.0,
-    ) -> ConcurrentResult:
-        """Execute *work* across *n_sessions* threads sharing the pool.
-
-        Item *i* goes to session ``i % n_sessions``; each session runs its
-        items in workload order.  Exceptions are captured per item (they
-        mark the outcome, never kill the run).  With ``collect_values``
-        off, result values are dropped as they complete — for stress runs
-        whose results would not fit in memory.
-        """
-        n_sessions = max(1, min(n_sessions, len(work) or 1))
-        outcomes: List[Optional[QueryOutcome]] = [None] * len(work)
-        workers = [
-            self.open_session(f"worker-{i}") for i in range(n_sessions)
-        ]
-        barrier = threading.Barrier(n_sessions)
-
-        def drive(worker_idx: int) -> None:
-            session = workers[worker_idx]
-            try:
-                barrier.wait(timeout=barrier_timeout)
-            except threading.BrokenBarrierError as exc:
-                # A worker failed to start: surface every item this worker
-                # owned as an error instead of silently dropping it.
-                for i in range(worker_idx, len(work), n_sessions):
-                    outcomes[i] = QueryOutcome(
-                        index=i, session=session.name,
-                        template=str(work[i].query)[:60], seconds=0.0,
-                        hits=0, marked=0, error=exc,
-                    )
-                return
-            for i in range(worker_idx, len(work), n_sessions):
-                item = work[i]
-                t0 = time.perf_counter()
-                try:
-                    if item.sql:
-                        r = session.execute(item.query, item.params)
-                        template = "sql"
-                    else:
-                        r = session.run_template(item.query, item.params)
-                        template = (
-                            item.query if isinstance(item.query, str)
-                            else item.query.name
-                        )
-                    outcomes[i] = QueryOutcome(
-                        index=i,
-                        session=session.name,
-                        template=template,
-                        seconds=time.perf_counter() - t0,
-                        hits=r.stats.hits,
-                        marked=r.stats.n_marked,
-                        hits_promoted=r.stats.hits_promoted,
-                        value=r.value if collect_values else None,
-                    )
-                except Exception as exc:
-                    outcomes[i] = QueryOutcome(
-                        index=i,
-                        session=session.name,
-                        template=str(item.query)[:60],
-                        seconds=time.perf_counter() - t0,
-                        hits=0,
-                        marked=0,
-                        error=exc,
-                    )
-
-        threads = [
-            threading.Thread(target=drive, args=(i,), name=workers[i].name)
-            for i in range(n_sessions)
-        ]
-        started = time.perf_counter()
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            # Workers are per-run: close them (their stats objects stay
-            # alive in the result) so back-to-back runs on one manager —
-            # or a server using the manager for its own connections —
-            # never accumulate dead sessions in the registry.
-            for w in workers:
-                self.close_session(w)
-        wall = time.perf_counter() - started
-
-        # Every slot must be accounted for — a worker dying outside the
-        # per-item handler must not read as a clean (shorter) run.
-        for i, outcome in enumerate(outcomes):
-            if outcome is None:
-                outcomes[i] = QueryOutcome(
-                    index=i, session="<lost>",
-                    template=str(work[i].query)[:60], seconds=0.0,
-                    hits=0, marked=0,
-                    error=RuntimeError("worker thread died before this item"),
-                )
-
-        return ConcurrentResult(
-            outcomes=list(outcomes),
-            sessions={s.name: s.stats for s in workers},
-            wall_seconds=wall,
-        )

@@ -40,7 +40,6 @@ session from another thread while pruning dead threads.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.mal.interpreter import (
@@ -52,48 +51,6 @@ from repro.mal.program import MalProgram
 
 if TYPE_CHECKING:
     from repro.db import Database
-
-
-@dataclass
-class SessionStats:
-    """Cumulative per-session execution statistics."""
-
-    queries: int = 0
-    errors: int = 0
-    wall_seconds: float = 0.0
-    marked: int = 0
-    hits: int = 0
-    hits_exact: int = 0
-    hits_subsumed: int = 0
-    #: Hits served from the disk tier (spilled entry promoted back).
-    hits_promoted: int = 0
-    hits_local: int = 0
-    hits_global: int = 0
-    saved_time: float = 0.0
-    admitted_entries: int = 0
-    evicted_entries: int = 0
-    demoted_entries: int = 0
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over potential hits, aggregated over the session's life."""
-        return self.hits / self.marked if self.marked else 0.0
-
-    def absorb(self, stats: ExecutionStats) -> None:
-        """Fold one invocation's statistics into the session totals."""
-        self.queries += 1
-        self.wall_seconds += stats.wall_time
-        self.marked += stats.n_marked
-        self.hits += stats.hits
-        self.hits_exact += stats.hits_exact
-        self.hits_subsumed += stats.hits_subsumed
-        self.hits_promoted += stats.hits_promoted
-        self.hits_local += stats.hits_local
-        self.hits_global += stats.hits_global
-        self.saved_time += stats.saved_time
-        self.admitted_entries += stats.admitted_entries
-        self.evicted_entries += stats.evicted_entries
-        self.demoted_entries += stats.demoted_entries
 
 
 class Session:
@@ -115,7 +72,11 @@ class Session:
         self.interpreter = Interpreter(
             db.catalog, recycler=db.recycler, clock=db.clock
         )
-        self.stats = SessionStats()
+        #: Statements completed / failed, and the sum of every completed
+        #: invocation's record.
+        self.queries = 0
+        self.errors = 0
+        self.stats = ExecutionStats()
         self.closed = False
         #: Guards the closed flag: close() may race between the owning
         #: thread, Connection.close(), and the dead-thread prune in
@@ -129,14 +90,15 @@ class Session:
         Both session entry points end here: the statement's
         :meth:`~repro.db.PreparedStatement.run` executes on *this*
         session's interpreter (private execution state), and the
-        session's cumulative statistics absorb the invocation.
+        session's totals add the invocation's record.
         """
         try:
             result = stmt.run(params, interpreter=self.interpreter)
         except Exception:
-            self.stats.errors += 1
+            self.errors += 1
             raise
-        self.stats.absorb(result.stats)
+        self.queries += 1
+        self.stats.add(result.stats)
         return result
 
     def run_template(self, template: Union[str, MalProgram],
@@ -198,6 +160,6 @@ class Session:
 
     def __repr__(self) -> str:
         return (
-            f"Session({self.name}, queries={self.stats.queries}, "
+            f"Session({self.name}, queries={self.queries}, "
             f"hits={self.stats.hits})"
         )

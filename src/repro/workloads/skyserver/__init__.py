@@ -1,8 +1,8 @@
 """Synthetic SkyServer workload (paper §8).
 
 The real SDSS DR4 data and query logs are not available offline; this
-package generates the closest synthetic equivalent (see DESIGN.md,
-substitution 3): a PhotoObj-like catalogue, the ``fGetNearbyObjEq``
+package generates the closest synthetic equivalent (see
+``docs/BENCHMARKS.md``): a PhotoObj-like catalogue, the ``fGetNearbyObjEq``
 spatial-search template, the documentation-table and point-query templates,
 and a query-log sampler reproducing the mix the paper reports (>60 %
 spatial template with two overlapping parameter sets, ~36 % documentation
@@ -15,7 +15,6 @@ from repro.workloads.skyserver.workload import (
     QueryInstance,
     SkyQueryLog,
     build_sky_templates,
-    run_log_concurrent,
 )
 from repro.workloads.skyserver.microbench import (
     combined_subsumption_batch,
@@ -28,7 +27,6 @@ __all__ = [
     "QueryInstance",
     "SkyQueryLog",
     "build_sky_templates",
-    "run_log_concurrent",
     "combined_subsumption_batch",
     "build_range_template",
 ]

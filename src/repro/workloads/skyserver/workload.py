@@ -212,24 +212,8 @@ class SkyQueryLog:
 
         The prepared-statement form of :meth:`sample`, ready for
         DB-API cursors or
-        :func:`repro.bench.harness.run_batch_cursor`: each class is one
+        :func:`repro.bench.harness.run_workload`: each class is one
         statement text, so the whole log compiles three plans and every
         later entry is a compile-cache hit.
         """
         return [qi.as_sql() for qi in self.sample(n)]
-
-
-def run_log_concurrent(db: Database, log: SkyQueryLog, n: int,
-                       n_sessions: int = 8, collect_values: bool = False):
-    """Replay *n* sampled log entries across concurrent sessions.
-
-    SkyServer is the paper's web workload — many independent portal users
-    hitting one server — so the multi-session mode is its natural shape:
-    each session plays a slice of the shared log against the shared pool.
-    Returns a :class:`~repro.server.manager.ConcurrentResult`.
-    """
-    return db.execute_concurrent(
-        [(q.template, q.params) for q in log.sample(n)],
-        n_sessions=n_sessions,
-        collect_values=collect_values,
-    )

@@ -3,18 +3,17 @@ and refresh functions (RF1/RF2).
 
 The paper evaluates against TPC-H SF-1; this reproduction defaults to
 SF 0.01–0.05 (laptop scale) — commonality percentages and reuse shapes are
-scale-independent plan properties (see DESIGN.md substitutions).
+scale-independent plan properties (see ``docs/BENCHMARKS.md``).
 """
 
 from repro.workloads.tpch.generator import generate_tpch, load_tpch
 from repro.workloads.tpch.queries import TEMPLATE_BUILDERS, build_templates
-from repro.workloads.tpch.params import ParamGenerator
-from repro.workloads.tpch.refresh import RefreshStream
-from repro.workloads.tpch.concurrent import (
+from repro.workloads.tpch.params import (
     MIXED_TEMPLATES,
+    ParamGenerator,
     mixed_instances,
-    run_mixed_concurrent,
 )
+from repro.workloads.tpch.refresh import RefreshStream
 from repro.workloads.tpch.statements import (
     SQL_STATEMENTS,
     SQL_TEMPLATES,
@@ -31,7 +30,6 @@ __all__ = [
     "RefreshStream",
     "MIXED_TEMPLATES",
     "mixed_instances",
-    "run_mixed_concurrent",
     "SQL_STATEMENTS",
     "SQL_TEMPLATES",
     "sql_instances",

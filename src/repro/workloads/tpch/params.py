@@ -9,7 +9,7 @@ parameters" instances the paper's micro-benchmarks use (§7.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -187,3 +187,24 @@ class ParamGenerator:
     def _q22(self):
         codes = self.rng.choice(np.arange(10, 35), 7, replace=False)
         return {"codes": tuple(str(int(c)) for c in codes)}
+
+
+#: The paper's mixed workload templates (§7.2) — large pairwise overlaps.
+MIXED_TEMPLATES = ("q04", "q07", "q08", "q11", "q12", "q16", "q18", "q19",
+                   "q21", "q22")
+
+
+def mixed_instances(n_instances_each: int = 10, seed: int = 77,
+                    queries: Sequence[str] = MIXED_TEMPLATES,
+                    sf: float = 0.01
+                    ) -> List[Tuple[str, Dict[str, Any]]]:
+    """The §7.2 batch: *n* ``(template, params)`` instances of each
+    template, shuffled."""
+    pg = ParamGenerator(seed=seed, sf=sf)
+    items: List[Tuple[str, Dict[str, Any]]] = []
+    for name in queries:
+        for _ in range(n_instances_each):
+            items.append((name, pg.params_for(name)))
+    rng = np.random.default_rng(seed)
+    rng.shuffle(items)
+    return items

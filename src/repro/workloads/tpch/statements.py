@@ -146,10 +146,10 @@ def sql_instances(n_instances_each: int = 10, seed: int = 77,
     """A shuffled batch of ``(name, sql, params)`` statement instances.
 
     The prepared-statement analogue of
-    :func:`repro.workloads.tpch.concurrent.mixed_instances`: *n*
+    :func:`repro.workloads.tpch.params.mixed_instances`: *n*
     instances of each statement with spec-rule parameters, shuffled
     deterministically, ready for
-    :func:`repro.bench.harness.run_batch_cursor` or
+    :func:`repro.bench.harness.run_workload` or
     ``Cursor.executemany``-style loops.
     """
     pg = ParamGenerator(seed=seed, sf=sf)

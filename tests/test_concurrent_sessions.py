@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.bench.harness import run_batch_concurrent
+from repro.bench import run_workload
 from repro.server.locks import LockProtocolError, ReadWriteLock
 
 COLUMNS = {"x": "int64", "g": "int64", "v": "float64", "s": "U2"}
@@ -153,9 +153,9 @@ def test_sessions_share_pool():
     sql = "select count(*) from t where x >= 100 and x < 700"
     s1.execute(sql)
     r = s2.execute(sql)
-    assert r.stats.hits_global > 0
-    assert s2.stats.hits_global > 0
-    assert s1.stats.queries == s2.stats.queries == 1
+    assert r.stats.global_hits > 0
+    assert s2.stats.global_hits > 0
+    assert s1.queries == s2.queries == 1
     db.recycler.check_invariants()
 
 
@@ -163,10 +163,10 @@ def test_concurrent_matches_serial_small():
     seed, sqls = 5, workload(64)
     db = make_db(seed)
     expected = serial_reference(seed, sqls)
-    result = db.execute_concurrent([(s, None) for s in sqls],
-                                   n_sessions=4, sql=True)
+    result = run_workload(db, [(s, None) for s in sqls],
+                          sessions=4)
     assert not result.errors
-    for sql, outcome, exp in zip(sqls, result.outcomes, expected):
+    for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_identical(outcome.value, exp, sql)
     db.recycler.check_invariants()
 
@@ -195,23 +195,23 @@ def test_concurrent_stress_shared_pool():
     poller = threading.Thread(target=poll)
     poller.start()
     try:
-        result = db.execute_concurrent([(s, None) for s in sqls],
-                                       n_sessions=8, sql=True)
+        result = run_workload(db, [(s, None) for s in sqls],
+                              sessions=8)
     finally:
         stop.set()
         poller.join(timeout=10)
 
     assert not invariant_errors, invariant_errors
     assert not result.errors, [str(o.error) for o in result.errors]
-    assert len(result.outcomes) == len(sqls)
-    for sql, outcome, exp in zip(sqls, result.outcomes, expected):
+    assert len(result.records) == len(sqls)
+    for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_identical(outcome.value, exp, sql)
 
     # Cross-session sharing must actually have happened.
     assert db.recycler.totals.global_hits > 0
     report = db.recycler_report()
     assert report.total.reuses > 0
-    per_session = [s.hits_global for s in result.sessions.values()]
+    per_session = [s.global_hits for s in result.sessions.values()]
     assert sum(per_session) > 0
     # Pool accounting: recomputed-from-scratch equals the books.
     db.recycler.check_invariants()
@@ -227,10 +227,10 @@ def test_concurrent_stress_bounded_pool():
     seed, sqls = 29, workload(240, seed=33)
     db = make_db(seed, max_entries=40, max_bytes=1_500_000)
     expected = serial_reference(seed, sqls)
-    result = db.execute_concurrent([(s, None) for s in sqls],
-                                   n_sessions=8, sql=True)
+    result = run_workload(db, [(s, None) for s in sqls],
+                          sessions=8)
     assert not result.errors, [str(o.error) for o in result.errors]
-    for sql, outcome, exp in zip(sqls, result.outcomes, expected):
+    for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_identical(outcome.value, exp, sql)
     assert len(db.recycler.pool) <= 40
     assert db.pool_bytes <= 1_500_000
@@ -263,15 +263,15 @@ def test_concurrent_queries_with_writer_thread():
     t = threading.Thread(target=writer)
     t.start()
     try:
-        result = db.execute_concurrent([(s, None) for s in sqls],
-                                       n_sessions=6, sql=True)
+        result = run_workload(db, [(s, None) for s in sqls],
+                              sessions=6)
     finally:
         stop.set()
         t.join(timeout=10)
 
     assert not writer_errors, writer_errors
     assert not result.errors, [str(o.error) for o in result.errors]
-    for sql, outcome, exp in zip(sqls, result.outcomes, expected):
+    for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_identical(outcome.value, exp, sql)
     db.recycler.check_invariants()
 
@@ -282,8 +282,9 @@ def test_run_batch_concurrent_reports_sessions(tpch_db):
 
     instances = mixed_instances(n_instances_each=3, seed=7,
                                 queries=("q04", "q12"), sf=0.005)
-    result = run_batch_concurrent(tpch_db, instances, n_sessions=3)
-    assert result.errors == 0
+    result = run_workload(tpch_db, instances, sessions=3,
+                          collect_values=False)
+    assert result.errors == []
     assert len(result.records) == len(instances)
     assert len(result.sessions) == 3
     assert result.potential > 0
@@ -295,13 +296,13 @@ def test_run_batch_concurrent_reports_sessions(tpch_db):
 
 def test_skyserver_concurrent_log(sky_db):
     """The SkyServer driver replays a shared log across sessions."""
-    from repro.workloads.skyserver import SkyQueryLog, run_log_concurrent
+    from repro.workloads.skyserver import SkyQueryLog
 
     spec = sky_db.catalog.table("elredshift").column_array("specobjid")
     log = SkyQueryLog(spec_ids=spec, seed=3)
-    result = run_log_concurrent(sky_db, log, n=40, n_sessions=4,
-                                collect_values=True)
+    result = run_workload(
+        sky_db, [(q.template, q.params) for q in log.sample(40)], sessions=4)
     assert not result.errors
-    assert len(result.outcomes) == 40
+    assert len(result.records) == 40
     assert result.hit_ratio > 0
     sky_db.recycler.check_invariants()

@@ -94,7 +94,7 @@ class TestRecyclerSurface:
         db.execute("select count(*) from t where a >= 10")
         r = db.execute("select count(*) from t where a >= 20")
         assert r.stats.hits >= 1
-        assert r.stats.hits_subsumed >= 1  # narrower range subsumed
+        assert r.stats.subsumed_hits >= 1  # narrower range subsumed
 
     def test_report_totals_match_pool(self, db):
         db.execute("select count(*) from t where a >= 10")

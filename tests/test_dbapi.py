@@ -435,7 +435,7 @@ class TestConcurrentCursors:
         assert len(stats) == n_threads
         assert len({id(s) for s in stats}) == n_threads
         # ...and the shared pool produced cross-session (global) hits.
-        assert sum(s.hits_global for s in stats) > 0
+        assert sum(s.global_hits for s in stats) > 0
         conn.database.recycler.check_invariants()
 
     @pytest.mark.stress
@@ -517,7 +517,7 @@ class TestSpillLifecycle:
             assert conn.database.pool_spilled_bytes > 0
             # ...and a placeholder repeat promotes from it.
             cur.execute("select count(*) from t where x >= ?", (2500,))
-            assert cur.stats.hits_promoted > 0
+            assert cur.stats.promoted_hits > 0
             conn.database.recycler.check_invariants()
             run_dir = conn.database.recycler.spill.directory
             assert os.path.isdir(run_dir)
@@ -545,14 +545,19 @@ class TestSpillLifecycle:
             db = conn.database
         # The owned engine closed with the connection: no silent
         # repopulation of a torn-down pool.
-        with pytest.raises(InterfaceError):
-            db.execute("select count(*) from t")
-        with pytest.raises(InterfaceError):
-            db.run_template("anything")
-        with pytest.raises(InterfaceError):
-            db.insert("t", {"x": [1]})
-        with pytest.raises(InterfaceError):
-            db.session()
+        for work in (
+            lambda: db.execute("select count(*) from t"),
+            lambda: db.run_template("anything"),
+            lambda: db.insert("t", {"x": [1]}),
+            lambda: db.delete_oids("t", [0]),
+            lambda: db.update_column("t", "x", [0], [9]),
+            lambda: db.create_table("u", {"y": "int64"}, {"y": [1]}),
+            lambda: db.drop_table("t"),
+            lambda: db.add_foreign_key("fk", "t", "x", "t", "x"),
+            db.session,
+        ):
+            with pytest.raises(InterfaceError, match="closed"):
+                work()
 
     def test_dead_thread_sessions_pruned(self, conn):
         def run():
@@ -752,28 +757,28 @@ class TestPlaceholderHitParity:
 class TestBindLiteralsHardening:
     def test_in_list_arity_mismatch(self, conn):
         db = conn.database
-        compiled, literals = db.compile_cached(
+        stmt = db.prepare(
             "select count(*) from sales where region in ('N', 'S', 'E')"
         )
+        stmt.bind()
         with pytest.raises(ProgrammingError):
-            db.bind_literals(compiled, literals[:2])
+            db.bind_literals(stmt._compiled, ["N", "S"])
 
     def test_missing_scalar_literal(self, conn):
         db = conn.database
-        compiled, literals = db.compile_cached(
-            "select count(*) from sales where amount >= 10"
-        )
+        stmt = db.prepare("select count(*) from sales where amount >= 10")
+        stmt.bind()
         with pytest.raises(ProgrammingError):
-            db.bind_literals(compiled, [])
+            db.bind_literals(stmt._compiled, [])
 
 
-class TestWorkItemParamSequences:
-    def test_execute_concurrent_with_sequences(self, conn):
+class TestWorkloadParamSequences:
+    def test_run_workload_with_sequences(self, conn):
+        from repro.bench import run_workload
+
         sql = "select count(*) from sales where amount >= ?"
         items = [(sql, (10 * i,)) for i in range(8)]
-        result = conn.database.execute_concurrent(
-            items, n_sessions=4, sql=True
-        )
+        result = run_workload(conn.database, items, sessions=4)
         assert not result.errors
         serial = [
             conn.cursor().execute(sql, p).fetchone()[0]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Database, connect
+from repro.bench import run_workload
 
 N_FACT = 4000
 N_DIM = 40
@@ -211,10 +212,11 @@ def test_random_queries_differential(config):
     """300 random queries, no updates: recycled results never differ."""
     db_on, db_off = build_pair(seed=7, **config)
     rng = np.random.default_rng(101)
-    for _ in range(300):
-        sql = gen_query(rng)
-        assert_same_result(sql, db_on.execute(sql).value,
-                           db_off.execute(sql).value)
+    sqls = [gen_query(rng) for _ in range(300)]
+    result = run_workload(db_on, [(s, None) for s in sqls])
+    assert not result.errors, [str(r.error) for r in result.errors]
+    for sql, got in zip(sqls, result.values()):
+        assert_same_result(sql, got, db_off.execute(sql).value)
     # The run must actually have exercised the pool to mean anything.
     assert db_on.recycler.totals.exact_hits > 0
     db_on.recycler.check_invariants()
@@ -225,15 +227,24 @@ def test_interleaved_updates_differential(config):
     """Rounds of queries with random DML in between: invalidation holds."""
     db_on, db_off = build_pair(seed=13, **config)
     rng = np.random.default_rng(202)
-    for _round in range(8):
-        for _ in range(25):
-            sql = gen_query(rng)
-            assert_same_result(sql, db_on.execute(sql).value,
-                               db_off.execute(sql).value)
-        for _ in range(int(rng.integers(1, 4))):
-            gen_update(rng, db_on, db_off)
-        db_on.recycler.check_invariants()
+    sqls = [gen_query(rng) for _ in range(8 * 25)]
+    expected = []
+
+    def between_rounds(i):
+        if i and i % 25 == 0:
+            for _ in range(int(rng.integers(1, 4))):
+                gen_update(rng, db_on, db_off)
+            db_on.recycler.check_invariants()
+        expected.append(db_off.execute(sqls[i]).value)
+
+    result = run_workload(db_on, [(s, None) for s in sqls],
+                          on_boundary=between_rounds)
+    assert not result.errors, [str(r.error) for r in result.errors]
+    for sql, got, exp in zip(sqls, result.values(), expected):
+        assert_same_result(sql, got, exp)
+    db_on.recycler.check_invariants()
     assert db_on.recycler.totals.invocations > 0
+    assert db_on.recycler.totals.invalidations > 0
 
 
 #: DB-API cross-check configs: the default pool and the two-tier pool
@@ -322,10 +333,9 @@ def test_sharded_pool_serial_vs_16_threads(config):
     sqls = [gen_query(rng) for _ in range(320)]
     expected = [db_off.execute(s).value for s in sqls]
 
-    result = db_on.execute_concurrent([(s, None) for s in sqls],
-                                      n_sessions=16, sql=True)
+    result = run_workload(db_on, [(s, None) for s in sqls], sessions=16)
     assert not result.errors, [str(o.error) for o in result.errors]
-    for sql, outcome, exp in zip(sqls, result.outcomes, expected):
+    for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_same_result(sql, outcome.value, exp)
     db_on.recycler.check_invariants()
     assert db_on.recycler.pool.n_shards == 16

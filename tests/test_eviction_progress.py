@@ -69,7 +69,8 @@ def test_byte_pressure_over_view_frontier_terminates(tmp_path):
     rec.config.max_bytes = 50_000
     inv = _fake_invocation(db)
     try:
-        rec._ensure_capacity(inv, incoming_bytes=0, incoming_entries=0)
+        with rec.pool.all_locked():
+            rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)
     assert db.pool_bytes <= 50_000
@@ -89,7 +90,8 @@ def test_byte_pressure_without_spill_falls_back_to_destruction(tmp_path):
     rec.config.max_bytes = 50_000
     inv = _fake_invocation(db)
     try:
-        rec._ensure_capacity(inv, incoming_bytes=0, incoming_entries=0)
+        with rec.pool.all_locked():
+            rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)
     assert db.pool_bytes <= 50_000
@@ -163,7 +165,7 @@ def test_stalled_round_flips_to_entry_count_eviction(tmp_path):
         parent = v
     # Demote the carrier: the frontier is now zero-byte resident views
     # over a spilled child.
-    with rec.lock:
+    with rec.pool.all_locked():
         rec.spill.write(carrier.value)
         pool.demote(carrier)
     assert carrier.is_spilled
@@ -176,7 +178,8 @@ def test_stalled_round_flips_to_entry_count_eviction(tmp_path):
     rec.config.max_entries = 1
     inv = _fake_invocation(db)
     try:
-        rec._ensure_capacity(inv, incoming_bytes=0, incoming_entries=0)
+        with rec.pool.all_locked():
+            rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)
     # The view chain was destroyed leaf-by-leaf (entry-count eviction);

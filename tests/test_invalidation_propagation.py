@@ -121,7 +121,7 @@ class TestPropagation:
         r = db.run_template("q", {"lo": 10.0, "hi": 90.0})
         v = db.catalog.table("t").column_array("v")
         assert r.value.scalar() == int(((v >= 10.0) & (v <= 90.0)).sum())
-        assert r.stats.hits_exact >= 1
+        assert r.stats.exact_hits >= 1
 
     def test_propagated_entry_keeps_select_hit(self):
         db = make_db(propagate_selects=True)

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 import contextlib
 import threading
+from collections import Counter
 
 import pytest
 
 import repro
-from repro.server.manager import SessionManager, WorkItem
+from repro.bench import run_workload
+from repro.server.manager import SessionManager
 
 
 @pytest.fixture
@@ -61,24 +63,22 @@ class TestSessionManagerBookkeeping:
         assert mgr.session_count == 0
         assert all(s.closed for s in sessions)
 
-    def test_run_concurrent_leaves_no_sessions_behind(self, db):
-        mgr = SessionManager(db)
-        work = [WorkItem(query="select count(*) from t where x >= ?",
-                         params=(i,), sql=True) for i in range(12)]
-        result = mgr.run_concurrent(work, n_sessions=3)
+    def test_run_workload_leaves_no_sessions_behind(self, db):
+        opened, open_session = [], db.session
+        db.session = lambda name=None: (
+            opened.append(open_session(name)) or opened[-1])
+        result = run_workload(
+            db, [("select count(*) from t where x >= ?", (i,))
+                 for i in range(12)], sessions=3)
         assert not result.errors
-        # Workers were per-run sessions: the registry must be empty so
-        # back-to-back runs (or a long-lived server) never accumulate.
-        assert mgr.session_count == 0
+        # Workers are per-run sessions: all closed, so back-to-back runs
+        # never accumulate them ...
+        assert len(opened) == 3 and all(s.closed for s in opened)
         # ... and their statistics survive in the result.
-        assert sum(s.queries for s in result.sessions.values()) == 12
-
-    def test_execute_concurrent_facade_leaves_no_sessions(self, db):
-        res = db.execute_concurrent(
-            [("select count(*) from t where x >= ?", (i,))
-             for i in range(8)],
-            n_sessions=2, sql=True)
-        assert not res.errors
+        assert len(result.sessions) == 3
+        assert Counter(r.session for r in result.records) == {
+            s.name: 4 for s in opened}
+        assert [s.queries for s in opened] == [4, 4, 4]
 
 
 class TestConnectionCursorLifecycle:

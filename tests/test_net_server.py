@@ -3,6 +3,7 @@ stats, backpressure, timeouts, graceful drain, disconnect hygiene."""
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
 import time
@@ -10,6 +11,7 @@ import time
 import pytest
 
 import repro
+from repro import ExecutionStats
 from repro.errors import Error, OperationalError, ProgrammingError
 from repro.net.client import NetConnection
 from repro.net.protocol import (
@@ -60,6 +62,12 @@ class TestBasicQueries:
             cur.execute("select count(*) from t where x >= ?", (100,))
             cur.execute("select count(*) from t where x >= ?", (100,))
             assert cur.stats["hits"] > 0
+            # The frame carries the invocation's record, key for field.
+            assert set(cur.stats) == set(
+                dataclasses.asdict(ExecutionStats())) | {"hits"}
+            assert cur.stats["hits"] == cur.stats["exact_hits"] \
+                == cur.stats["n_marked"]
+            assert cur.stats["template"].startswith("sql:select count")
 
     def test_row_batching_streams_everything(self, small_db):
         with serve_in_thread(small_db, fetch_batch=64) as handle:
@@ -165,6 +173,14 @@ class TestStats:
             assert stats["pool"]["entries"] > 0
             assert stats["recycler"]["invocations"] >= 2
             assert stats["recycler"]["hits"] >= 1
+            # Every lifetime counter crosses the wire, named as on
+            # ``db.recycler.totals``.
+            assert set(stats["recycler"]) == set(
+                dataclasses.asdict(served.server.db.recycler.totals)
+            ) | {"hits"}
+            for key in ("spill_evictions", "promoted_hits",
+                        "invalidations", "spill_errors"):
+                assert stats["recycler"][key] == 0
 
 
 class TestConcurrentClients:

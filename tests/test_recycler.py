@@ -1,6 +1,9 @@
 """Recycler run-time integration tests (Algorithm 1 behaviour)."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro import (
     BenefitEviction,
@@ -8,6 +11,7 @@ from repro import (
     Database,
     LruEviction,
 )
+from repro.mal.operators import OPERATORS
 
 
 def make_db(**kwargs):
@@ -46,8 +50,8 @@ class TestExactMatching:
         count_template(db)
         db.run_template("q", {"lo": 10.0, "hi": 50.0})
         r = db.run_template("q", {"lo": 10.0, "hi": 50.0})
-        assert r.stats.hits_exact == r.stats.n_marked
-        assert r.stats.hits_global == r.stats.hits_exact
+        assert r.stats.exact_hits == r.stats.n_marked
+        assert r.stats.global_hits == r.stats.exact_hits
 
     def test_different_template_shares_binds(self):
         db = make_db()
@@ -81,6 +85,30 @@ class TestExactMatching:
         r = db.run_template("q", {"lo": 0.0, "hi": 99.0})
         assert r.stats.saved_time > 0
         assert db.recycler.totals.saved_time >= r.stats.saved_time
+
+
+    def test_totals_include_an_invocation_that_raised(self, monkeypatch):
+        """The fold into the lifetime totals sits in the interpreter's
+        ``finally``: a plan that dies after its hits still counts them."""
+        db = make_db()
+        program = count_template(db)
+        params = {"lo": 10.0, "hi": 50.0}
+        db.run_template("q", params)
+        totals = db.recycler.totals
+        hits_before = totals.exact_hits
+
+        def boom(*_args):
+            raise RuntimeError("operator failed")
+
+        last = program.instrs[-1].opname
+        monkeypatch.setitem(OPERATORS, last,
+                            dataclasses.replace(OPERATORS[last], fn=boom))
+        with pytest.raises(RuntimeError, match="operator failed"):
+            db.run_template("q", params)
+        assert totals.exact_hits > hits_before
+        assert totals.invocations == 2
+        assert not db.recycler._active        # and it was retired
+        db.recycler.check_invariants()
 
 
 class TestResourceLimits:
@@ -137,14 +165,14 @@ class TestCreditIntegration:
         for i in range(6):
             db.run_template("q", {"lo": float(i), "hi": float(i) + 0.5})
         r = db.run_template("q", {"lo": 50.0, "hi": 50.5})
-        assert r.stats.admitted_entries == 0
+        assert r.stats.admissions == 0
 
     def test_reused_instructions_keep_credits(self):
         db = make_db(admission=CreditAdmission(credits=2))
         count_template(db)
         for _ in range(6):
             r = db.run_template("q", {"lo": 10.0, "hi": 20.0})
-        assert r.stats.hits_exact == r.stats.n_marked
+        assert r.stats.exact_hits == r.stats.n_marked
 
 
 class TestReset:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import Database
+from repro.bench import run_workload
 from repro.errors import SpillError, SpillQuotaError
 from repro.storage.bat import BAT, Dense
 from repro.storage.spill import SpillStore, SpilledStub
@@ -218,8 +219,8 @@ def test_eviction_demotes_and_match_promotes(tmp_path):
 
     # Matching a spilled signature promotes it and reports a disk-tier hit.
     r = db.execute(f"select count(*) from t where x >= {SELECT_BOUNDS[0]}")
-    assert r.stats.hits_promoted > 0
-    assert r.stats.hits_promoted <= r.stats.hits
+    assert r.stats.promoted_hits > 0
+    assert r.stats.promoted_hits <= r.stats.hits
     assert totals.promotions > 0 and totals.promoted_hits > 0
     db.recycler.check_invariants()
 
@@ -304,7 +305,7 @@ def test_promotion_at_entry_limit_evicts_nothing(tmp_path):
         if e.opname == "algebra.select" and not e.is_spilled
         and e.sig[2][1] == SELECT_BOUNDS[11]
     )
-    with db.recycler.lock:
+    with pool.all_locked():
         db.recycler.spill.write(last.value)
         pool.demote(last)
     # Clamp the entry limit to the current population: a promoted hit
@@ -316,8 +317,8 @@ def test_promotion_at_entry_limit_evicts_nothing(tmp_path):
     r = db.execute(
         f"select count(*) from t where x >= {SELECT_BOUNDS[11]}"
     )
-    assert r.stats.hits_promoted > 0
-    assert r.stats.admitted_entries == 0
+    assert r.stats.promoted_hits > 0
+    assert r.stats.admissions == 0
     assert totals.evictions == evictions_before
     db.recycler.check_invariants()
 
@@ -333,13 +334,13 @@ def test_destroying_persistent_bind_keeps_spilled_dependents(tmp_path):
     # Force-destroy the bind entry the way eviction's destroy path does:
     # its token is stable (catalogue bind cache), so the spilled selects
     # keyed on it must survive and still be matchable afterwards.
-    with db.recycler.lock:
+    with pool.all_locked():
         assert bind.token_is_stable
         pool.remove_set([bind])
     db.recycler.check_invariants()
     assert db.recycler.spilled_entry_count == spilled_before
     r = db.execute(f"select count(*) from t where x >= {SELECT_BOUNDS[0]}")
-    assert r.stats.hits_promoted > 0  # spilled select still matched
+    assert r.stats.promoted_hits > 0  # spilled select still matched
     db.recycler.check_invariants()
 
 
@@ -358,7 +359,7 @@ def test_corrupt_spill_drops_stranded_thread(tmp_path):
     r = db.execute(f"select count(*) from t where x >= {lo}")
     # The corrupt entry was dropped, the query recomputed, and the fresh
     # result re-admitted resident under the same signature.
-    assert r.stats.hits_promoted == 0
+    assert r.stats.promoted_hits == 0
     assert db.recycler.totals.spill_errors == 1
     replacement = pool.lookup(victim.sig)
     assert replacement is not None and replacement is not victim
@@ -427,8 +428,8 @@ def test_concurrent_sessions_with_spill_keep_invariants(tmp_path):
     poller = threading.Thread(target=poll_invariants)
     poller.start()
     try:
-        result = db.execute_concurrent(items, n_sessions=6, sql=True,
-                                       collect_values=False)
+        result = run_workload(db, items, sessions=6,
+                              collect_values=False)
     finally:
         stop.set()
         poller.join()

@@ -247,7 +247,7 @@ def test_promote_then_redemote_writes_nothing(tmp_path):
     # Promote: the image stays on disk and is indexed as resident.
     writes = count_writes(store)
     writes_before = rec.totals.spill_writes
-    assert db.execute(query(lo)).stats.hits_promoted > 0
+    assert db.execute(query(lo)).stats.promoted_hits > 0
     assert not victim.is_spilled and store.has(token)
     assert rec.pool.resident_images[token] is victim
     assert os.path.exists(store._path(token))
@@ -316,9 +316,9 @@ def test_quota_reclaim_drops_resident_images_first(tmp_path):
     need = sum(store.image(t).size for t in rec.pool.resident_images)
     inv = fake_invocation(db)
     try:
-        with rec.lock:
+        with rec.pool.all_locked():
             assert rec._reclaim_spill_room(inv, need, set())
-        assert inv.stats.evicted_entries == 0
+        assert inv.stats.evictions == 0
     finally:
         rec.end_invocation(inv)
     assert not store.has(token) and not os.path.exists(store._path(token))
@@ -332,11 +332,11 @@ def test_quota_reclaim_drops_resident_images_first(tmp_path):
     store.limit_bytes = store.total_bytes
     inv = fake_invocation(db)
     try:
-        with rec.lock:
+        with rec.pool.all_locked():
             assert rec._reclaim_spill_room(inv, 1, set())
-        assert inv.stats.evicted_entries >= 1
+        assert inv.stats.evictions >= 1
         assert (rec.totals.spill_evictions - spill_evictions
-                == inv.stats.evicted_entries)
+                == inv.stats.evictions)
     finally:
         rec.end_invocation(inv)
     assert store.total_bytes < store.limit_bytes
@@ -352,7 +352,7 @@ def test_cursor_stats_count_disk_tier_evictions(tmp_path):
     db = make_db(tmp_path, spill_limit_bytes=600_000)
     evicted = 0
     for lo in SELECT_BOUNDS + SELECT_BOUNDS[:4]:
-        evicted += db.execute(query(lo)).stats.evicted_entries
+        evicted += db.execute(query(lo)).stats.evictions
     totals = db.recycler.totals
     assert totals.spill_evictions > 0
     assert evicted == totals.evictions
@@ -402,9 +402,9 @@ def test_drop_dependent_thread_matches_brute_force(tmp_path, seed):
     evictions = rec.totals.evictions
     inv = fake_invocation(db)
     try:
-        with rec.lock:
+        with rec.pool.all_locked():
             rec._drop_dependent_thread(inv, victim)
-        assert inv.stats.evicted_entries == len(doomed)
+        assert inv.stats.evictions == len(doomed)
     finally:
         rec.end_invocation(inv)
     assert rec.totals.evictions - evictions == len(doomed)
@@ -413,7 +413,7 @@ def test_drop_dependent_thread_matches_brute_force(tmp_path, seed):
     assert victim.sig in survivors and victim.dependents == 0
     assert all(not rec.spill.has(e.result_token) for e in doomed)
     rec.check_invariants()
-    with rec.lock:
+    with rec.pool.all_locked():
         pool.remove_set([victim])
     rec.check_invariants()
 

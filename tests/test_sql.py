@@ -233,7 +233,7 @@ class TestTemplateCache:
         r2 = sql_db.execute(
             "select count(*) from orders where o_totalprice >= 100"
         )
-        assert r2.stats.hits_exact == r2.stats.n_marked
+        assert r2.stats.exact_hits == r2.stats.n_marked
 
     def test_narrower_literal_subsumed(self, sql_db):
         sql_db.execute(
@@ -244,7 +244,7 @@ class TestTemplateCache:
             "select count(*) from orders "
             "where o_totalprice between 200 and 800"
         )
-        assert r.stats.hits_subsumed >= 1
+        assert r.stats.subsumed_hits >= 1
         tp = sql_db.catalog.table("orders").column_array("o_totalprice")
         assert r.value.scalar() == int(((tp >= 200) & (tp <= 800)).sum())
 

@@ -163,7 +163,7 @@ class TestEndToEndSubsumption:
         self.count_template(db)
         db.run_template("rq", {"lo": 10.0, "hi": 60.0})
         r = db.run_template("rq", {"lo": 20.0, "hi": 50.0})
-        assert r.stats.hits_subsumed >= 1
+        assert r.stats.subsumed_hits >= 1
         naive = Database(recycle=False)
         v = db.catalog.table("t").column_array("v")
         assert r.value.scalar() == int(((v >= 20.0) & (v <= 50.0)).sum())
@@ -184,7 +184,7 @@ class TestEndToEndSubsumption:
         db.run_template("rq", {"lo": 0.0, "hi": 90.0})
         db.run_template("rq", {"lo": 10.0, "hi": 20.0})   # subsumed
         r = db.run_template("rq", {"lo": 10.0, "hi": 20.0})  # exact now
-        assert r.stats.hits_exact == r.stats.n_marked
+        assert r.stats.exact_hits == r.stats.n_marked
 
     def test_like_subsumption_end_to_end(self):
         db = self.make_db()
@@ -196,7 +196,7 @@ class TestEndToEndSubsumption:
         db.register_template(q.build())
         db.run_template("lq", {"pat": "PROMO%"})
         r = db.run_template("lq", {"pat": "PROMO A"})
-        assert r.stats.hits_subsumed >= 1
+        assert r.stats.subsumed_hits >= 1
         s = db.catalog.table("t").column_array("s")
         assert r.value.scalar() == int((s == "PROMO A").sum())
 
@@ -214,7 +214,7 @@ class TestEndToEndSubsumption:
         r = db.run_template("sj", {"lo": 20.0, "hi": 70.0})
         # The narrower candidate list is a lineage-subset of the wider one,
         # so the semijoin over bind(s) is answered by subsumption.
-        assert r.stats.hits_subsumed >= 2  # range select + semijoin
+        assert r.stats.subsumed_hits >= 2  # range select + semijoin
         t = db.catalog.table("t")
         v = t.column_array("v")
         s = t.column_array("s")

@@ -153,7 +153,7 @@ def test_q11_intra_query_reuse(tpch_db):
     """The paper's Fig. 4a: the total sub-query duplicates the stream."""
     pg = ParamGenerator(seed=2, sf=0.005)
     r = tpch_db.run_template("q11", pg.params_for("q11"))
-    assert r.stats.hits_local > 0
+    assert r.stats.local_hits > 0
 
 
 class TestRefresh:

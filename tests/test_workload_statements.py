@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bench import fresh_tpch_db, run_batch_cursor
+from repro.bench import fresh_tpch_db, run_workload
 from repro.workloads.skyserver import (
     SkyQueryLog,
     build_sky_templates,
@@ -102,7 +102,7 @@ def test_sql_instances_compile_once_per_template(tpch):
     db = tpch.database
     before = db.compile_cache_stats
     batch = sql_instances(n_instances_each=4, seed=123, sf=SF)
-    result = run_batch_cursor(tpch, [(s, p) for _n, s, p in batch])
+    result = run_workload(db, [(s, p) for _n, s, p in batch])
     after = db.compile_cache_stats
     assert len(result.records) == 4 * len(SQL_TEMPLATES)
     # Already-prepared templates (from earlier tests in this module)
@@ -138,7 +138,7 @@ class TestSkyServerStatements:
         spec = db.catalog.table("elredshift").column_array("specobjid")
         log = SkyQueryLog(spec, seed=99)
         before = db.compile_cache_stats
-        result = run_batch_cursor(sky, log.sample_sql(80))
+        result = run_workload(db, log.sample_sql(80))
         after = db.compile_cache_stats
         assert len(result.records) == 80
         # One plan per template class at most (earlier tests may have
