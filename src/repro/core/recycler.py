@@ -23,30 +23,26 @@ image from an earlier demotion; a later match **promotes** the entry
 back — a cheaper hit than recomputation.  Entry-count pressure still
 destroys, since a spilled entry occupies a cache line all the same.
 
-Concurrency contract (multi-session mode, :mod:`repro.server`): pool
-state is guarded by the :class:`~repro.core.pool.RecyclePool`'s *shard*
-locks — the hot paths (exact lookup, subsumption search, admission
-without resource limits, statistics on individual entries) take only the
-shards named by the signature/tokens involved, so sessions working on
-unrelated lineage proceed in parallel.  Operations that must observe the
-whole pool — eviction sweeps under a resource limit, invalidation,
-``recycle_reset``/``close``, delta propagation, ``check_invariants`` —
-take *all* shard locks in index order (stop-the-world).  Hits,
-admissions, evictions and demotions are booked once, on the running
-invocation's :class:`~repro.mal.interpreter.ExecutionStats`, and folded
-into the lifetime totals when the invocation ends; the totals and the
-admission policy's internal state have their own small mutex (acquired
-*inside* shard scopes, never around them), and the in-flight invocation
-registry another.
-Eviction — including demotion and disk-quota reclaim — protects the
-union of all *active* invocations' touched sets, generalising the §4.3
-single-query protection rule.
+Concurrency contract (multi-session mode, :mod:`repro.server`): every
+pool operation — exact lookup and hit booking, the §5 subsumption
+search, admission with its eviction sweep, promotion, invalidation,
+delta propagation, ``recycle_reset``/``close``, ``check_invariants`` —
+runs under the one :attr:`RecyclePool.lock <repro.core.pool.RecyclePool.lock>`.
+The same lock guards the lifetime totals, the admission policy's state,
+the in-flight invocation registry and each invocation's touched set.
+Only the subsumption *materialise* phase (running the narrowing operator
+over pooled, immutable BATs) and operator execution run outside it.
+Hits, admissions, evictions and demotions are booked once, on the
+running invocation's :class:`~repro.mal.interpreter.ExecutionStats`, and
+folded into the lifetime totals when the invocation ends.  Eviction —
+including demotion and disk-quota reclaim — protects the union of all
+*active* invocations' touched sets, generalising the §4.3 single-query
+protection rule.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -95,10 +91,6 @@ class RecyclerConfig:
     benefit exceeds the measured cost of a disk round trip are demoted to
     image files in this directory instead of destroyed, bounded by
     ``spill_limit_bytes`` (None = unlimited disk tier).
-
-    ``pool_shards`` is the recycle-pool shard count (concurrency knob:
-    more shards mean less lock contention between sessions; 1 restores
-    the single-lock pool).  It does not affect results or eviction order.
     """
 
     max_bytes: Optional[int] = None
@@ -109,7 +101,6 @@ class RecyclerConfig:
     overhead_tuples: float = 0.0
     spill_dir: Optional[str] = None
     spill_limit_bytes: Optional[int] = None
-    pool_shards: int = 8
 
 
 @dataclass
@@ -162,7 +153,7 @@ class RecyclerTotals:
 class Invocation:
     """Per-invocation recycler state: protection set and statistics."""
 
-    __slots__ = ("id", "program", "stats", "clock", "touched", "_lock")
+    __slots__ = ("id", "program", "stats", "clock", "touched")
 
     def __init__(self, inv_id: int, program: MalProgram, stats,
                  clock: Callable[[], float]):
@@ -171,23 +162,10 @@ class Invocation:
         self.stats = stats
         self.clock = clock
         #: signatures matched or admitted by this invocation — protected
-        #: from eviction while the query runs (§4.3).  Guarded by
-        #: ``_lock``: the owning session adds while eviction sweeps (other
-        #: sessions) snapshot.
+        #: from eviction while the query runs (§4.3).  Guarded by the pool
+        #: lock: the owning session adds while eviction sweeps (other
+        #: sessions) read.
         self.touched: Set[Signature] = set()
-        self._lock = threading.Lock()
-
-    def touch(self, sig: Signature) -> None:
-        with self._lock:
-            self.touched.add(sig)
-
-    def touched_snapshot(self) -> Set[Signature]:
-        with self._lock:
-            return set(self.touched)
-
-    def clear_touched(self) -> None:
-        with self._lock:
-            self.touched.clear()
 
 
 @dataclass
@@ -229,7 +207,7 @@ class Recycler:
         self.eviction = eviction or LruEviction()
         self.config = config or RecyclerConfig()
         self.clock = clock
-        self.pool = RecyclePool(n_shards=max(1, self.config.pool_shards))
+        self.pool = RecyclePool()
         self.spill: Optional[SpillStore] = None
         if self.config.spill_dir is not None:
             self.spill = SpillStore(self.config.spill_dir,
@@ -238,20 +216,14 @@ class Recycler:
             self.pool.spill = self.spill
         self.totals = RecyclerTotals()
         self._invocation_ids = itertools.count(1)
-        self._invocation_seq = 0
-        #: Guards the cumulative totals and the admission policy's mutable
-        #: state.  Acquired inside pool shard scopes, never around them.
-        self._stats_lock = threading.RLock()
-        #: Guards the in-flight invocation registry.
-        self._active_lock = threading.Lock()
         #: In-flight invocations (any session) — their touched entries are
         #: protected from eviction (§4.3, multi-session generalisation).
         self._active: Dict[int, Invocation] = {}
 
     @property
     def _limited(self) -> bool:
-        """Is any resource limit configured?  Limits force admissions and
-        promotions through the stop-the-world eviction path."""
+        """Is any resource limit configured?  Only then can an admission
+        or a promotion need an eviction sweep."""
         return (self.config.max_bytes is not None
                 or self.config.max_entries is not None)
 
@@ -260,51 +232,37 @@ class Recycler:
     # ------------------------------------------------------------------
     def begin_invocation(self, program: MalProgram, stats,
                          clock: Callable[[], float]) -> Invocation:
-        inv_id = next(self._invocation_ids)
-        self._invocation_seq = inv_id
-        with self._stats_lock:
+        inv = Invocation(next(self._invocation_ids), program, stats, clock)
+        with self.pool.lock:
             self.totals.invocations += 1
             self.admission.on_invocation_start(program.name)
-        inv = Invocation(inv_id, program, stats, clock)
-        with self._active_lock:
             self._active[inv.id] = inv
         return inv
 
     def end_invocation(self, invocation: Optional[Invocation]) -> None:
         """Retire the invocation and fold its record into the totals."""
         if invocation is not None:
-            with self._active_lock:
+            with self.pool.lock:
                 self._active.pop(invocation.id, None)
-            invocation.clear_touched()
-            with self._stats_lock:
+                invocation.touched.clear()
                 self.totals.add(invocation.stats)
 
     def recycle_entry(self, inv: Invocation, instr: Instr, opdef,
                       args: Tuple) -> Optional[_Reuse]:
         """Pool lookup (exact, then subsumption).  None means: execute."""
         sig = make_signature(instr.opname, args)
-        entry = self.pool.lookup(sig)
-        if entry is not None and not entry.is_spilled:
-            value = entry.value
-            if isinstance(value, BAT):
-                # Resident hit.  The value read is safe without holding
-                # the shard lock across the serve: pooled BATs are
-                # immutable, so even a concurrent demotion (which swaps
-                # in a stub *after* our read) leaves us a valid result.
-                # A read that catches the stub instead falls through to
-                # the promotion path below.
-                return self._serve_exact(inv, entry, opdef, value,
-                                         promoted=False)
-        if entry is not None:
-            # Disk-tier hit: promote before serving.  A corrupt spill
-            # entry is dropped and the instruction falls through to the
-            # subsumption search / genuine execution.  (The promotion
-            # takes the entry's own lock set — or all shards when a
-            # resource limit forces a capacity re-balance.)
-            value = self._promote_entry(inv, entry)
-            if value is not None:
-                return self._serve_exact(inv, entry, opdef, value,
-                                         promoted=True)
+        with self.pool.lock:
+            entry = self.pool.lookup(sig)
+            if entry is not None:
+                # A disk-tier hit is promoted before serving; a corrupt
+                # spill entry is dropped and the instruction falls through
+                # to the subsumption search / genuine execution.
+                promoted = entry.is_spilled
+                value = (self._promote_entry(inv, entry) if promoted
+                         else entry.value)
+                if value is not None:
+                    return self._serve_exact(inv, entry, opdef, value,
+                                             promoted)
 
         if (self.config.subsumption
                 and instr.opname in self.SUBSUMABLE_OPS
@@ -315,13 +273,12 @@ class Recycler:
                 inv.stats.subsumed_hits += 1
                 if promoted_any:
                     inv.stats.promoted_hits += 1
-                if outcome.kind == "combined":
-                    with self._stats_lock:
+                with self.pool.lock:
+                    if outcome.kind == "combined":
                         self.totals.combined_hits += 1
-                for used in outcome.used_entries:
-                    with self.pool.sig_locked(used.sig):
+                    for used in outcome.used_entries:
                         self._record_reuse(inv, used, subsumed=True)
-                    inv.touch(used.sig)
+                        inv.touched.add(used.sig)
                 # The (cheaper) subsumed result is admitted under the
                 # original signature so future instances match exactly.
                 self._admit(inv, instr, opdef, sig, args, outcome.value,
@@ -340,7 +297,8 @@ class Recycler:
     # ------------------------------------------------------------------
     def _serve_exact(self, inv: Invocation, entry: RecycleEntry, opdef,
                      value: Any, promoted: bool) -> _Reuse:
-        """Book an exact hit (resident or just-promoted) and serve it."""
+        """Book an exact hit (resident or just-promoted) and serve it.
+        Caller holds the pool lock."""
         # A promoted hit is cheaper than recomputation but not free:
         # credit the recorded cost minus the measured reload cost.
         saved = entry.cost
@@ -348,8 +306,7 @@ class Recycler:
             reload = self.spill.load_cost.estimate(entry.nbytes)
             saved = max(entry.cost - reload, 0.0)
             inv.stats.promoted_hits += 1
-        with self.pool.sig_locked(entry.sig):
-            local = self._record_reuse(inv, entry, saved=saved)
+        local = self._record_reuse(inv, entry, saved=saved)
         inv.stats.exact_hits += 1
         inv.stats.saved_time += saved
         if local:
@@ -360,7 +317,7 @@ class Recycler:
             inv.stats.saved_global += saved
             if opdef.kind != "bind":
                 inv.stats.global_hits_nonbind += 1
-        inv.touch(entry.sig)
+        inv.touched.add(entry.sig)
         return _Reuse(value)
 
     def _record_reuse(self, inv: Invocation, entry: RecycleEntry,
@@ -370,7 +327,7 @@ class Recycler:
 
         *saved* overrides the credited time for this reuse (promoted hits
         save less than the full recomputation cost).  Caller holds the
-        entry's signature-home shard lock (entry statistics guard).
+        pool lock.
         """
         entry.reuse_count += 1
         entry.last_used = inv.clock()
@@ -380,34 +337,30 @@ class Recycler:
         if entry.invocation_id == inv.id:
             entry.local_reuses += 1
             inv.stats.local_hits += 1
-            with self._stats_lock:
-                self.admission.on_local_reuse(entry)
+            self.admission.on_local_reuse(entry)
             return True
         entry.global_reuses += 1
         inv.stats.global_hits += 1
-        with self._stats_lock:
-            self.admission.on_global_reuse(entry)
+        self.admission.on_global_reuse(entry)
         return False
 
     def _admit(self, inv: Invocation, instr: Instr, opdef, sig: Signature,
                args: Tuple, value: Any, elapsed: float) -> None:
         if not isinstance(value, BAT):
             return
-        if sig in self.pool:
-            return
         key = (inv.program.name, instr.pc)
         nbytes = value.owned_nbytes
-        with self._stats_lock:
-            admit = self.admission.should_admit(key, nbytes, len(value))
-        if not admit:
-            return
-        if self.config.max_bytes is not None \
-                and nbytes > self.config.max_bytes:
-            return  # can never fit
-
-        def build() -> RecycleEntry:
+        max_bytes = self.config.max_bytes
+        with self.pool.lock:
+            if (sig in self.pool
+                    or not self.admission.should_admit(key, nbytes,
+                                                       len(value))
+                    or (max_bytes is not None and nbytes > max_bytes)):
+                return  # pooled already, refused, or can never fit
+            if self._limited:
+                self._ensure_capacity_locked(inv, nbytes)
             now = inv.clock()
-            return RecycleEntry(
+            self.pool.add(RecycleEntry(
                 sig=sig,
                 opname=instr.opname,
                 kind=opdef.kind,
@@ -422,46 +375,9 @@ class Recycler:
                 arg_tokens=tuple(
                     a.token for a in args if isinstance(a, BAT)
                 ),
-            )
-
-        if self._limited:
-            cfg = self.config
-            pool_bytes, pool_len = self.pool.usage()
-            fits = ((cfg.max_bytes is None
-                     or pool_bytes + nbytes <= cfg.max_bytes)
-                    and (cfg.max_entries is None
-                         or pool_len + 1 <= cfg.max_entries))
-            if fits:
-                # Under the limits: shard-local admission — no eviction is
-                # needed, so no stop-the-world.  Concurrent admissions may
-                # overshoot between the advisory totals read and the add;
-                # the recheck below restores the limits.
-                if not self.pool.add_if_absent(build()):
-                    return
-                pool_bytes, pool_len = self.pool.usage()
-                if ((cfg.max_bytes is not None
-                     and pool_bytes > cfg.max_bytes)
-                        or (cfg.max_entries is not None
-                            and pool_len > cfg.max_entries)):
-                    with self.pool.all_locked():
-                        self._ensure_capacity_locked(inv, 0,
-                                                     incoming_entries=0)
-            else:
-                # Eviction observes and mutates the whole pool, so the
-                # admission happens stop-the-world.
-                with self.pool.all_locked():
-                    if sig in self.pool:
-                        return
-                    self._ensure_capacity_locked(inv, nbytes)
-                    if not self.pool._add_locked(build()):
-                        return
-        else:
-            # No limits: shard-local, race-safe admission.
-            if not self.pool.add_if_absent(build()):
-                return
-        with self._stats_lock:
+            ))
             self.admission.on_admit(key)
-        inv.touch(sig)
+            inv.touched.add(sig)
         inv.stats.admissions += 1
         inv.stats.admitted_bytes += nbytes
 
@@ -483,60 +399,36 @@ class Recycler:
         demote the freshly promoted entry right back, and the caller must
         still serve the real BAT, never the stub.
 
-        Locking: the entry's own lock set without resource limits, all
-        shards with them (the re-balance sweeps the whole pool).  The
-        entry is revalidated under the locks — a concurrent eviction may
-        have removed it (miss), a concurrent hit may have promoted it
-        (serve the resident value).
+        The entry is revalidated under the pool lock — a concurrent
+        eviction may have removed it (miss), a concurrent hit may have
+        promoted it (serve the resident value).
         """
-        spill_failed = False
-        scope = (self.pool.all_locked() if self._limited
-                 else self.pool.entry_locked(entry))
-        with scope:
+        with self.pool.lock:
             if self.pool.lookup(entry.sig) is not entry:
                 return None  # evicted while we waited: treat as a miss
             if not entry.is_spilled:
-                value = entry.value  # promoted by a concurrent session
-                return value if isinstance(value, BAT) else None
-            token = entry.result_token
+                return entry.value  # promoted by a concurrent session
             try:
-                value = self.spill.load(token)
+                value = self.spill.load(entry.result_token)
             except SpillError:
-                spill_failed = True
-            else:
-                self.pool.promote(entry, value)
-                with self._stats_lock:
-                    self.totals.promotions += 1
-                inv.touch(entry.sig)
-                # Promotion adds bytes but no pool entry: reserve no
-                # admission slot, or every promoted hit at the entry
-                # limit would evict.
-                if self._limited:
-                    self._ensure_capacity_locked(inv, 0,
-                                                 incoming_entries=0)
-                return value
-        if spill_failed:
-            self._drop_corrupt_spilled(inv, entry)
-        return None
-
-    def _drop_corrupt_spilled(self, inv: Invocation,
-                              entry: RecycleEntry) -> None:
-        """Drop a spilled entry whose disk image failed to load.
-
-        Same cascade rule as eviction's destroy path: a dropped producer
-        strands its spilled dependent thread, unless its token is stable
-        across re-admission.  Stop-the-world (the cascade crosses shards).
-        """
-        with self.pool.all_locked():
-            if self.pool.lookup(entry.sig) is not entry \
-                    or not entry.is_spilled:
-                return  # resolved concurrently
-            if entry.dependents and not entry.token_is_stable:
-                self._drop_dependent_thread(inv, entry)
-            self.pool.remove_set([entry])
-            with self._stats_lock:
+                # Same cascade rule as eviction's destroy path: a dropped
+                # producer strands its spilled dependent thread, unless
+                # its token is stable across re-admission.
+                if entry.dependents and not entry.token_is_stable:
+                    self._drop_dependent_thread(inv, entry)
+                self.pool.remove_set([entry])
                 self.admission.on_evict(entry)
                 self.totals.spill_errors += 1
+                return None
+            self.pool.promote(entry, value)
+            self.totals.promotions += 1
+            inv.touched.add(entry.sig)
+            # Promotion adds bytes but no pool entry: reserve no
+            # admission slot, or every promoted hit at the entry limit
+            # would evict.
+            if self._limited:
+                self._ensure_capacity_locked(inv, 0, incoming_entries=0)
+            return value
 
     def _resident_value(self, inv: Invocation, entry: RecycleEntry,
                         promoted: Optional[_Flag] = None) -> Optional[BAT]:
@@ -546,7 +438,7 @@ class Recycler:
             if isinstance(value, BAT):
                 return value
             # demoted between plan and use — fall through to the promote
-            # path, which revalidates under the entry's locks
+            # path, which revalidates under the pool lock
         value = self._promote_entry(inv, entry)
         if value is not None and promoted is not None:
             promoted.set()
@@ -555,12 +447,11 @@ class Recycler:
     def _count_evicted(self, inv: Invocation,
                        victims: Sequence[RecycleEntry]) -> None:
         """Book destroyed entries — with the admission policy and on the
-        evicting invocation's own record."""
-        with self._stats_lock:
-            for v in victims:
-                self.admission.on_evict(v)
-                if v.is_spilled:
-                    self.totals.spill_evictions += 1
+        evicting invocation's own record.  Caller holds the pool lock."""
+        for v in victims:
+            self.admission.on_evict(v)
+            if v.is_spilled:
+                self.totals.spill_evictions += 1
         inv.stats.evictions += len(victims)
 
     def _reclaim_spill_room(self, inv: Invocation, nbytes: int,
@@ -571,7 +462,7 @@ class Recycler:
         data, only that entry's zero-I/O re-demotion.  Then spilled
         leaves are destroyed, least recently used first (they already
         lost the memory-tier contest once).  Returns whether the store
-        now has room.  Caller holds all shard locks (eviction path).
+        now has room.  Caller holds the pool lock (eviction path).
         """
         spill = self.spill
         if spill.room_for(nbytes):
@@ -601,7 +492,7 @@ class Recycler:
         result token, which can never be minted again, so they could
         never match — dead weight on disk.  Not applied to
         stable-token producers (``RecycleEntry.token_is_stable``).
-        Caller holds all shard locks.
+        Caller holds the pool lock.
         """
         thread = self.pool.dependent_thread(victim)
         self._count_evicted(inv, thread)
@@ -614,7 +505,7 @@ class Recycler:
         A victim that still has its image from an earlier demotion goes
         back for free (a stub swap); any other must pass
         :func:`~repro.core.eviction.should_demote` at the round-trip cost
-        the store has measured.  Caller holds all shard locks."""
+        the store has measured.  Caller holds the pool lock."""
         value = victim.value
         spill = self.spill
         if not isinstance(value, BAT):
@@ -635,11 +526,10 @@ class Recycler:
                 # Quota race or I/O failure: fall back to destruction.
                 return False
         self.pool.demote(victim)
-        with self._stats_lock:
-            if clean:
-                self.totals.clean_demotions += 1
-            else:
-                self.totals.spill_writes += 1
+        if clean:
+            self.totals.clean_demotions += 1
+        else:
+            self.totals.spill_writes += 1
         inv.stats.demotions += 1
         return True
 
@@ -647,8 +537,8 @@ class Recycler:
                                 incoming_entries: int = 1) -> None:
         """Evict/demote until the configured limits hold.
 
-        Caller holds **all** shard locks — eviction observes and mutates
-        the whole pool.  Guarantees forward progress: a byte-pressure
+        Caller holds the pool lock; returns at once when nothing needs
+        freeing.  Guarantees forward progress: a byte-pressure
         round that frees no memory (every victim a zero-byte view over
         spilled children) flips to entry-count eviction, destroying
         leaves outright; a round that neither frees bytes nor removes
@@ -669,19 +559,14 @@ class Recycler:
                 return 0
             return max(0, cur_len + incoming_entries - cfg.max_entries)
 
-        # Pool totals are aggregates over all shards; maintain them across
-        # rounds with one recomputation per round instead of per probe.
         pool_bytes, pool_len = self.pool.usage()
         if need_bytes(pool_bytes) <= 0 and need_entries(pool_len) <= 0:
             return
         # Protect every in-flight invocation's touched entries, not just
         # ours — another session may be mid-plan over a pooled value.
-        protected: Set[Signature] = inv.touched_snapshot()
-        with self._active_lock:
-            active = list(self._active.values())
-        for other in active:
-            if other is not inv:
-                protected |= other.touched_snapshot()
+        protected: Set[Signature] = set(inv.touched)
+        for other in self._active.values():
+            protected |= other.touched
         dropped_protection = False
         stalled = False
         while True:
@@ -698,9 +583,9 @@ class Recycler:
                 # parent can follow its spilled children to disk and the
                 # whole thread stays matchable.  (Spilled leaves hold no
                 # memory-tier bytes; destroying them would not help.)
-                leaves = self.pool._demotable_locked(protected)
+                leaves = self.pool.demotable(protected)
             else:
-                leaves = self.pool._leaves_locked(protected)
+                leaves = self.pool.leaves(protected)
             if not leaves:
                 if not dropped_protection:
                     # §4.3 exception: a single query filling the whole pool
@@ -737,7 +622,7 @@ class Recycler:
                     # they survive — bypass the leaf-only check.
                     self.pool.remove_set([victim])
                 else:
-                    self.pool._remove_locked(victim)
+                    self.pool.remove(victim)
                 self._count_evicted(inv, [victim])
             bytes_now, len_now = self.pool.usage()
             freed = pool_bytes - bytes_now
@@ -764,13 +649,12 @@ class Recycler:
         """Subsumption search + materialisation.
 
         The *search* (candidate scan, cover selection) runs under the
-        operand token's shard lock — candidates, their signatures and the
-        subsumption bucket are all homed there.  The *materialisation*
-        (running the narrowing operator over pooled values) runs outside
-        any shard lock: pooled BATs are immutable, the used entries are
-        in the invocation's touched set (protected from eviction), and a
-        concurrently demoted/evicted piece is detected by
-        :meth:`_resident_value`, falling back to genuine execution.
+        pool lock and puts the chosen entries in the invocation's touched
+        set (protected from eviction).  The *materialisation* (running
+        the narrowing operator over pooled values) runs outside it:
+        pooled BATs are immutable, and a concurrently demoted/evicted
+        piece is detected by :meth:`_resident_value`, falling back to
+        genuine execution.
 
         Returns ``(outcome, promoted_any)``.
         """
@@ -802,7 +686,7 @@ class Recycler:
             outcome = self._subsume_semijoin(inv, operand, args[1],
                                              promoted)
         algo_time = inv.clock() - t0
-        with self._stats_lock:
+        with self.pool.lock:
             self.totals.subsumption_algo_time += algo_time
             self.totals.subsumption_algo_calls += 1
         if outcome is not None:
@@ -828,10 +712,10 @@ class Recycler:
             algebra_uselect,
         )
 
-        # --- search phase: shard-local (operand token home) ---
+        # --- search phase: under the pool lock ---
         single: Optional[RecycleEntry] = None
         segments = None
-        with self.pool.token_locked(operand.token):
+        with self.pool.lock:
             candidates = self._range_candidates(operand)
             singles = [
                 (rng, e) for rng, e in candidates if covers(rng, target)
@@ -839,6 +723,7 @@ class Recycler:
             if singles:
                 # Cost model: smallest intermediate wins (§5.1).
                 _rng, single = min(singles, key=lambda it: it[1].tuples)
+                inv.touched.add(single.sig)
             elif (self.config.combined_subsumption
                     and opname == "algebra.select"):
                 search_start = inv.clock()
@@ -848,16 +733,19 @@ class Recycler:
                     base_cost=float(len(operand)),
                     overhead=self.config.overhead_tuples,
                 )
-                search_time = inv.clock() - search_start
-                with self._stats_lock:
-                    self.totals.combined_search_time += search_time
-                    self.totals.combined_search_calls += 1
+                self.totals.combined_search_time += (inv.clock()
+                                                     - search_start)
+                self.totals.combined_search_calls += 1
                 if chosen is not None and len(chosen) >= 2:
                     segments = split_target_into_segments(target, chosen)
+                    # Protect every chosen piece before the first
+                    # promotion — a promotion re-balances capacity and
+                    # must not demote or destroy a sibling piece we are
+                    # about to read.
+                    inv.touched.update(e.sig for _seg, e in segments)
 
-        # --- materialise phase: no shard locks held ---
+        # --- materialise phase: outside the pool lock ---
         if single is not None:
-            inv.touch(single.sig)
             source = self._resident_value(inv, single, promoted)
             if source is None:
                 return None  # corrupt spill entry dropped; execute normally
@@ -873,11 +761,6 @@ class Recycler:
 
         if not segments:
             return None
-        # Protect every chosen piece before the first promotion — a
-        # promotion re-balances capacity and must not demote or destroy a
-        # sibling piece we are about to read.
-        for _seg, entry in segments:
-            inv.touch(entry.sig)
         heads: List[np.ndarray] = []
         tails: List[np.ndarray] = []
         used: List[RecycleEntry] = []
@@ -903,7 +786,7 @@ class Recycler:
                       ) -> Optional[SubsumptionOutcome]:
         from repro.mal.operators.selection import algebra_likeselect
 
-        with self.pool.token_locked(operand.token):
+        with self.pool.lock:
             matches = []
             for entry in self.pool.candidates("algebra.likeselect",
                                               operand.token):
@@ -914,7 +797,8 @@ class Recycler:
                 if like_subsumes(cached_pattern, pattern):
                     matches.append(entry)
         for entry in matches:
-            inv.touch(entry.sig)
+            with self.pool.lock:
+                inv.touched.add(entry.sig)
             source = self._resident_value(inv, entry, promoted)
             if source is None:
                 continue  # corrupt spill entry dropped; try the next
@@ -929,7 +813,7 @@ class Recycler:
         from repro.mal.operators.joins import algebra_semijoin
 
         best = None
-        with self.pool.token_locked(operand.token):
+        with self.pool.lock:
             for entry in self.pool.candidates("algebra.semijoin",
                                               operand.token):
                 try:
@@ -941,9 +825,9 @@ class Recycler:
                 if filt.row_subset_of(v_id[1]):
                     if best is None or entry.tuples < best.tuples:
                         best = entry
-        if best is None:
-            return None
-        inv.touch(best.sig)
+            if best is None:
+                return None
+            inv.touched.add(best.sig)
         source = self._resident_value(inv, best, promoted)
         if source is None:
             return None  # corrupt spill entry dropped; execute normally
@@ -967,7 +851,7 @@ class Recycler:
         return result
 
     # ------------------------------------------------------------------
-    # Update synchronisation (paper §6) — stop-the-world paths
+    # Update synchronisation (paper §6) and whole-pool operations
     # ------------------------------------------------------------------
     def on_update(self, table: str, columns: Sequence[str],
                   catalog=None, delta=None) -> int:
@@ -976,20 +860,18 @@ class Recycler:
         Default mode (the paper's §6.4): immediate column-wise
         invalidation.  With ``propagate_selects`` enabled and an
         append-only delta available, eligible select intermediates are
-        refreshed in place instead (§6.3).  Takes all shard locks — the
+        refreshed in place instead (§6.3).  Runs under the pool lock — the
         caller already holds the table's write lock, so no new derivation
         from this table can race the sweep (see
         :mod:`repro.server.locks`).
         """
-        with self.pool.all_locked():
-            propagated = 0
+        with self.pool.lock:
             if (self.config.propagate_selects and catalog is not None
                     and delta is not None and delta.append_only):
                 from repro.core.propagation import propagate_append
 
-                propagated = propagate_append(self, catalog, delta)
-                with self._stats_lock:
-                    self.totals.propagated += propagated
+                self.totals.propagated += propagate_append(self, catalog,
+                                                           delta)
             stale_columns = {(table, c) for c in columns}
             current_versions = None
             if catalog is not None and catalog.has_table(table):
@@ -997,44 +879,41 @@ class Recycler:
                 current_versions = {
                     (table, c, tab.versions[c]) for c in columns
                 }
-            stale = self.pool.stale_entries(stale_columns, current_versions)
-            removed = self.pool.remove_set(stale)
-            with self._stats_lock:
-                for entry in stale:
-                    self.admission.on_evict(entry)
-                self.totals.invalidations += removed
-            return removed
+            return self._invalidate(
+                self.pool.stale_entries(stale_columns, current_versions))
 
     def on_drop_table(self, table: str) -> int:
         """Drop every entry derived from *table* (§6.3 DDL handling).
 
         Dependent intermediates must go at once: dependents of a stale
         entry inherit its sources, so the stale set is dependency-closed.
-        Stop-the-world (caller holds the database DDL lock).
+        The caller holds the database DDL lock.
         """
-        with self.pool.all_locked():
+        with self.pool.lock:
             table_cols = {
                 (table, c)
                 for e in self.pool.entries()
                 for (t, c, _v) in getattr(e.value, "sources", frozenset())
                 if t == table
             }
-            stale = self.pool.stale_entries(table_cols)
-            removed = self.pool.remove_set(stale)
-            with self._stats_lock:
-                for entry in stale:
-                    self.admission.on_evict(entry)
-                self.totals.invalidations += removed
-            return removed
+            return self._invalidate(self.pool.stale_entries(table_cols))
+
+    def _invalidate(self, stale: List[RecycleEntry]) -> int:
+        """Remove a dependency-closed stale set and book it.  Caller
+        holds the pool lock."""
+        removed = self.pool.remove_set(stale)
+        for entry in stale:
+            self.admission.on_evict(entry)
+        self.totals.invalidations += removed
+        return removed
 
     def recycle_reset(self) -> int:
         """Drop the whole pool (the paper's ``RecycleReset``)."""
-        with self.pool.all_locked():
+        with self.pool.lock:
             removed = self.pool.clear()
-            with self._stats_lock:
-                for entry in removed:
-                    self.admission.on_evict(entry)
-                self.totals.invalidations += len(removed)
+            for entry in removed:
+                self.admission.on_evict(entry)
+            self.totals.invalidations += len(removed)
             return len(removed)
 
     def close(self) -> None:
@@ -1043,14 +922,13 @@ class Recycler:
         Called by :meth:`repro.db.Database.close`; idempotent, and the
         pool invariants hold trivially afterwards (both tiers empty).
         """
-        with self.pool.all_locked():
+        with self.pool.lock:
             self.recycle_reset()
             if self.spill is not None:
                 self.spill.close()
 
     def check_invariants(self) -> None:
-        """Verify pool accounting from scratch (tests/debug;
-        stop-the-world across all shards)."""
+        """Verify pool accounting from scratch (tests/debug)."""
         self.pool.check_invariants()
 
     # ------------------------------------------------------------------

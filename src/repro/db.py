@@ -316,11 +316,6 @@ class Database:
             keeps the classic single-tier pool.
         spill_limit_bytes: byte quota of the spill directory (None =
             unlimited disk tier).
-        pool_shards: number of recycle-pool lock shards (1 = the old
-            single-lock pool; see :mod:`repro.core.pool`).
-        morsel_workers: process-wide worker count for morsel-parallel
-            scans (None = leave the current setting; see
-            :mod:`repro.mal.parallel`).
         clock: injectable time source for deterministic tests.
 
     Spill-tier quickstart::
@@ -342,13 +337,8 @@ class Database:
         propagate_selects: bool = False,
         spill_dir: Optional[str] = None,
         spill_limit_bytes: Optional[int] = None,
-        pool_shards: int = 8,
-        morsel_workers: Optional[int] = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        if morsel_workers is not None:
-            from repro.mal.parallel import configure as _configure_morsels
-            _configure_morsels(workers=morsel_workers)
         self.catalog = Catalog()
         self.recycler: Optional[Recycler] = None
         if recycle:
@@ -363,7 +353,6 @@ class Database:
                     propagate_selects=propagate_selects,
                     spill_dir=spill_dir,
                     spill_limit_bytes=spill_limit_bytes,
-                    pool_shards=pool_shards,
                 ),
                 clock=clock,
             )
@@ -768,7 +757,7 @@ class Database:
     def recycler_report(self) -> Optional[PoolReport]:
         if self.recycler is None:
             return None
-        with self.recycler.pool.all_locked():
+        with self.recycler.pool.lock:
             return pool_report(self.recycler.pool)
 
     def reset_recycler(self) -> int:

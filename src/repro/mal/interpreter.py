@@ -14,11 +14,7 @@ delegated to the :class:`~repro.core.recycler.Recycler` passed in.
 
 Threading: one interpreter instance belongs to one session/thread, but
 many interpreters run concurrently over the shared recycler; the pool
-hooks synchronise internally (shard locks, :mod:`repro.core.pool`).
-Large scans may fan out over the shared morsel worker pool
-(:mod:`repro.mal.parallel`) *inside* an operator — below every lock
-tier, with results stitched in input order, so the interpreter and the
-recycler see BATs bit-identical to a serial run.
+hooks synchronise internally (the pool lock, :mod:`repro.core.pool`).
 """
 
 from __future__ import annotations

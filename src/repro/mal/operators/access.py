@@ -4,11 +4,6 @@ Binds resolve catalogue names to persistent column BATs (paper §2.2).  The
 catalogue returns a stable BAT object per column *version*, so bind results
 of unchanged columns match across queries in the recycle pool, while any
 update yields a fresh token (and triggers invalidation).
-
-``sql.bindidx`` may build its join index morsel-parallel (the probe side
-fans out over :mod:`repro.mal.parallel`); the result is stitched in input
-order, so the returned BAT — and hence its lineage token — is identical
-to a serial build.
 """
 
 from __future__ import annotations

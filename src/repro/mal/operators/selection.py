@@ -20,7 +20,6 @@ import numpy as np
 from repro.errors import BatTypeError
 from repro.storage.bat import BAT
 from repro.mal.operators import register
-from repro.mal.parallel import morsel_map
 
 
 def _subset(bat: BAT, mask_or_idx) -> BAT:
@@ -44,18 +43,6 @@ def _range_mask(tail: np.ndarray, lo, hi, lo_incl: bool,
     if hi is not None:
         mask &= (tail <= hi) if hi_incl else (tail < hi)
     return mask
-
-
-def _morsel_mask(fn, tail: np.ndarray) -> np.ndarray:
-    """Evaluate a row-local mask function over *tail*, morsel-parallel.
-
-    Row-local means ``fn(tail[a:b])[i] == fn(tail)[a + i]`` — true for
-    every selection predicate here — so stitching the per-morsel masks
-    back in input order reproduces the serial mask bit for bit (see
-    :mod:`repro.mal.parallel`).
-    """
-    parts = morsel_map(fn, (tail,), len(tail))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @register("algebra.select", kind="select")
@@ -83,10 +70,7 @@ def algebra_select(ctx, bat: BAT, lo, hi, lo_incl: bool = True,
             subset_parent=bat,
             tail_sorted=True,
         )
-    mask = _morsel_mask(
-        lambda t: _range_mask(t, lo, hi, lo_incl, hi_incl), tail
-    )
-    return _subset(bat, mask)
+    return _subset(bat, _range_mask(tail, lo, hi, lo_incl, hi_incl))
 
 
 def _dense_slice(bat: BAT, left: int, right: int):
@@ -151,14 +135,14 @@ def like_mask(tail: np.ndarray, pattern: str) -> np.ndarray:
 def algebra_likeselect(ctx, bat: BAT, pattern: str) -> BAT:
     """SQL LIKE selection on a string tail."""
     tail = bat.tail_values()
-    return _subset(bat, _morsel_mask(lambda t: like_mask(t, pattern), tail))
+    return _subset(bat, like_mask(tail, pattern))
 
 
 @register("algebra.notlikeselect", kind="select")
 def algebra_notlikeselect(ctx, bat: BAT, pattern: str) -> BAT:
     """SQL NOT LIKE selection on a string tail."""
     tail = bat.tail_values()
-    return _subset(bat, ~_morsel_mask(lambda t: like_mask(t, pattern), tail))
+    return _subset(bat, ~like_mask(tail, pattern))
 
 
 @register("algebra.selectNotNil", kind="select")

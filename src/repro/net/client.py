@@ -36,6 +36,7 @@ from __future__ import annotations
 import re
 import socket
 import threading
+import weakref
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InterfaceError, OperationalError, ProgrammingError
@@ -93,7 +94,10 @@ class NetConnection:
         self._closed = False
         self._lock = threading.Lock()
         self.fetch_batch = max(1, fetch_batch)
-        self._cursors: List["NetCursor"] = []
+        #: Open cursors, closed with the connection.  Weak references:
+        #: a cursor dropped by the client must not be kept alive (with
+        #: its buffered rows) by this registry.
+        self._cursors: "weakref.WeakSet[NetCursor]" = weakref.WeakSet()
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout)
@@ -161,7 +165,7 @@ class NetConnection:
     def cursor(self) -> "NetCursor":
         self._check_open()
         cur = NetCursor(self)
-        self._cursors.append(cur)
+        self._cursors.add(cur)
         return cur
 
     def commit(self) -> None:
@@ -176,7 +180,7 @@ class NetConnection:
         """Close the connection (idempotent); open cursors close too."""
         if self._closed:
             return
-        for cur in self._cursors:
+        for cur in list(self._cursors):
             cur.close()
         self._cursors.clear()
         try:

@@ -5,8 +5,8 @@ bridges N socket connections onto it.  The event loop only shuffles
 frames; every query executes on a thread pool via ``run_in_executor``
 through a per-connection :class:`~repro.server.session.Session` opened
 on the existing thread-backed :class:`~repro.server.manager.SessionManager`
-— so the whole three-level locking contract (database → table → pool
-shard) and the shared recycle pool behave exactly as they do for
+— so the whole three-level locking contract (database → table → pool)
+and the shared recycle pool behave exactly as they do for
 embedded multi-threaded clients.
 
 Per connection the server keeps *named prepared statements*: PREPARE
@@ -23,7 +23,7 @@ Backpressure is two semaphores deep:
   the window is full, so a flooding client throttles itself via TCP);
 * a **global admission semaphore** bounds how many queries execute
   concurrently across *all* connections, keeping the thread pool and
-  the pool shards from being convoyed by a thundering herd.
+  the pool lock from being convoyed by a thundering herd.
 
 Responses always return in request order (a writer task drains an
 ordered queue of dispatch futures), and executes on one connection are

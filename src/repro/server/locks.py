@@ -2,7 +2,7 @@
 
 Lock hierarchy (see ``docs/ARCHITECTURE.md`` for the full inventory)::
 
-    database lock  →  table locks (sorted by name)  →  pool shard locks
+    database lock  →  table locks (sorted by name)  →  pool lock
 
 * **Database level** — one phase-fair :class:`ReadWriteLock`.  Only
   *structural* operations take its write side: DDL (``CREATE`` /
@@ -18,14 +18,14 @@ Lock hierarchy (see ``docs/ARCHITECTURE.md`` for the full inventory)::
   stream on ``lineitem`` (they no longer contend at all), and a tight
   update loop on one table cannot lock readers of that table out
   forever.
-* **Shard level** — the recycle pool's per-shard locks
-  (:mod:`repro.core.pool`), ordered by shard index.  Cross-shard pool
-  operations (eviction sweeps, invariant checks, ``reset``, ``close``)
-  take all shard locks in index order — a brief stop-the-world *within*
-  the pool, still below the table level.
+* **Pool level** — the recycle pool's one re-entrant lock
+  (:attr:`repro.core.pool.RecyclePool.lock`): every recycler operation
+  on the pool — lookup, subsumption search, admission, eviction,
+  promotion, invalidation, reset — runs under it, below the table
+  level.
 
 Nothing acquires a higher level while holding a lower one: the levels
-are acquired strictly database → table → shard, so the three tiers
+are acquired strictly database → table → pool, so the three tiers
 cannot deadlock against each other.
 
 Each :class:`ReadWriteLock` is re-entrant per thread for the *read* side
@@ -205,8 +205,8 @@ class TableLockManager:
       never touches the per-table tier.
 
     Table locks are always acquired in sorted-name order, never while
-    holding another table's lock out of order, and never while holding a
-    pool shard lock — the global order is database → table → shard.
+    holding another table's lock out of order, and never while holding
+    the pool lock — the global order is database → table → pool.
     """
 
     def __init__(self):

@@ -8,7 +8,7 @@ template caches and recycler of the owning
 intermediate admitted by one session's invocation is a *global* hit when
 any other session matches it (§3.3's local/global distinction).
 
-Locking contract (three levels, database → table → shard; see
+Locking contract (three levels, database → table → pool; see
 ``docs/ARCHITECTURE.md`` for the full inventory):
 
 * **Queries take the database read side plus the read side of every
@@ -23,12 +23,11 @@ Locking contract (three levels, database → table → shard; see
   plan reading that table — while queries and updates on *other*
   tables run concurrently.  DDL and engine close take the database
   write side, draining everything.
-* **Recycle-pool state sits behind the pool's per-shard locks**
+* **Recycle-pool state sits behind the pool lock**
   (:mod:`repro.core.pool`) — sessions never touch the pool directly;
-  the interpreter enters shard locks only for Algorithm 1 bookkeeping,
-  and cross-shard operations (eviction sweeps, reset, close) briefly
-  take all shards in index order.  Operator execution overlaps freely
-  across sessions.
+  the interpreter takes it only for Algorithm 1 bookkeeping (lookup,
+  subsumption search, admission and the eviction it needs).  Operator
+  execution overlaps freely across sessions.
 
 Sessions themselves are single-threaded (one per thread; they are
 cheap); the shared state they touch is protected by the locks above, so

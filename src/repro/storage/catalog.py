@@ -165,27 +165,13 @@ class Catalog:
             return cached[2]
         fk_vals = fk_tab.column_array(fk.fk_column)
         pk_vals = pk_tab.column_array(fk.pk_column)
-        # Deferred import: repro.mal pulls the interpreter, which imports
-        # this module — at call time both are fully initialised.
-        from repro.mal.parallel import morsel_map
-
         order = np.argsort(pk_vals, kind="stable")
         if len(pk_vals):
-            sorted_pk = pk_vals[order]
-
-            def lookup(chunk: np.ndarray) -> np.ndarray:
-                # Row-local probe: each fk value binary-searches the
-                # (shared, read-only) sorted pk column — safe to fan out
-                # per morsel and stitch back in input order.
-                pos = np.searchsorted(sorted_pk, chunk)
-                pos = np.clip(pos, 0, len(pk_vals) - 1)
-                tgt = order[pos]
-                return np.where(pk_vals[tgt] == chunk, tgt,
-                                -1).astype(np.int64)
-
-            parts = morsel_map(lookup, (fk_vals,), len(fk_vals))
-            target = parts[0] if len(parts) == 1 \
-                else np.concatenate(parts)
+            # Each fk value binary-searches the sorted pk column.
+            pos = np.searchsorted(pk_vals[order], fk_vals)
+            tgt = order[np.clip(pos, 0, len(pk_vals) - 1)]
+            target = np.where(pk_vals[tgt] == fk_vals, tgt,
+                              -1).astype(np.int64)
         else:
             target = np.full(len(fk_vals), -1, dtype=np.int64)
         sources = frozenset({

@@ -25,9 +25,9 @@ into an :class:`IoCost`, and :meth:`SpillStore.round_trip_cost` is what
 against.  Unmeasured I/O costs nothing, so the first victim is demoted
 and pays for the first sample.
 
-Thread safety: the store locks its own books and mutations (promotions
-are shard-local, so two sessions may reach it at once).  A load maps its
-file outside the lock; the caller holds the entry's shard lock.
+Thread safety: the store locks its own books and mutations, so it is
+safe on its own; inside the engine every call already runs under the
+recycle pool's lock.  A load maps its file outside the store's lock.
 """
 
 from __future__ import annotations

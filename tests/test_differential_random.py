@@ -196,15 +196,10 @@ CONFIGS = [
     # Two-tier pool: a tight memory tier forces constant demotion, and
     # re-matches promote — results must still be byte-exact.
     dict(max_bytes=200_000, spill_dir="AUTO", spill_limit_bytes=4_000_000),
-    # Shard-count extremes: the single-shard pool degenerates to the old
-    # global lock; 16 shards cross-checks routing/aggregation with a
-    # bounded pool forcing cross-shard eviction sweeps.
-    dict(pool_shards=1, max_entries=24),
-    dict(pool_shards=16, max_entries=24),
 ]
 
 CONFIG_IDS = ["default", "nosub", "entries24", "bytes200k", "propagate",
-              "spill200k", "shards1cap", "shards16cap"]
+              "spill200k"]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
@@ -311,22 +306,21 @@ def test_drop_table_invalidates_differentially():
 
 
 # ---------------------------------------------------------------------------
-# Sharded pool under real concurrency: serial ≡ 16 threads
+# The shared pool under real concurrency: serial ≡ 16 threads
 # ---------------------------------------------------------------------------
 @pytest.mark.stress
 @pytest.mark.parametrize("config", [
-    dict(pool_shards=16),
-    dict(pool_shards=16, max_entries=32),
-], ids=["shards16", "shards16cap"])
-def test_sharded_pool_serial_vs_16_threads(config):
-    """16 concurrent sessions ≡ the serial run, invariants on all shards.
+    dict(),
+    dict(max_entries=32),
+], ids=["default", "entries32"])
+def test_pool_serial_vs_16_threads(config):
+    """16 concurrent sessions ≡ the serial run, invariants clean.
 
     The same randomized query stream runs serially against a naive
-    database and 16-way concurrent against a sharded recycled one; every
-    result must match row for row, and ``check_invariants()`` — which
-    stop-the-world locks and audits *every* shard's books, routing
-    caches, and leaf/demotable sets — must stay clean mid-flight and
-    after the storm.
+    database and 16-way concurrent against a recycled one; every result
+    must match row for row, and ``check_invariants()`` — which audits
+    the pool's books, indexes and leaf/demotable sets under the pool
+    lock — must stay clean after the storm.
     """
     db_on, db_off = build_pair(seed=47, **config)
     rng = np.random.default_rng(505)
@@ -338,8 +332,7 @@ def test_sharded_pool_serial_vs_16_threads(config):
     for sql, outcome, exp in zip(sqls, result.records, expected):
         assert_same_result(sql, outcome.value, exp)
     db_on.recycler.check_invariants()
-    assert db_on.recycler.pool.n_shards == 16
     if "max_entries" in config:
         assert len(db_on.recycler.pool) <= config["max_entries"]
-    # Cross-session sharing through the sharded pool actually happened.
+    # Cross-session sharing through the pool actually happened.
     assert db_on.recycler.totals.exact_hits > 0

@@ -12,7 +12,6 @@ parents underneath become evictable (see
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import Database
 from repro.core.eviction import LruEviction
@@ -69,7 +68,7 @@ def test_byte_pressure_over_view_frontier_terminates(tmp_path):
     rec.config.max_bytes = 50_000
     inv = _fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)
@@ -90,7 +89,7 @@ def test_byte_pressure_without_spill_falls_back_to_destruction(tmp_path):
     rec.config.max_bytes = 50_000
     inv = _fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)
@@ -165,7 +164,7 @@ def test_stalled_round_flips_to_entry_count_eviction(tmp_path):
         parent = v
     # Demote the carrier: the frontier is now zero-byte resident views
     # over a spilled child.
-    with rec.pool.all_locked():
+    with rec.pool.lock:
         rec.spill.write(carrier.value)
         pool.demote(carrier)
     assert carrier.is_spilled
@@ -178,7 +177,7 @@ def test_stalled_round_flips_to_entry_count_eviction(tmp_path):
     rec.config.max_entries = 1
     inv = _fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             rec._ensure_capacity_locked(inv, 0, incoming_entries=0)
     finally:
         rec.end_invocation(inv)

@@ -1,6 +1,6 @@
-"""Lock-protocol suite: rwlock semantics, per-table tier, shard ordering.
+"""Lock-protocol suite: rwlock semantics, per-table tier, the pool lock.
 
-Covers the three-level locking contract (database → table → shard):
+Covers the three-level locking contract (database → table → pool):
 
 * :class:`ReadWriteLock` — re-entrancy, phase fairness in both
   directions (a waiting writer blocks new readers, so a steady query
@@ -12,13 +12,13 @@ Covers the three-level locking contract (database → table → shard):
   overlap; on the same table they serialise; DDL drains everything;
   table locks are acquired in sorted-name order so crossing lock sets
   cannot deadlock.
-* The sharded pool's ordered multi-shard acquisition — lock sets are
-  ascending by construction, and crossing mutations from many threads
-  neither deadlock nor corrupt the books.
+* The recycle pool's one lock — mutations from many threads neither
+  deadlock nor corrupt the books.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -344,7 +344,7 @@ class TestTableLockManager:
 
 
 # ---------------------------------------------------------------------------
-# Sharded pool: ordered multi-shard acquisition
+# The recycle pool's one lock
 # ---------------------------------------------------------------------------
 def _entry(value, opname, args=()):
     sig = make_signature(opname, args)
@@ -357,20 +357,9 @@ def _entry(value, opname, args=()):
     )
 
 
-class TestShardOrdering:
-    def test_entry_lock_sets_are_ascending(self):
-        pool = RecyclePool(n_shards=8)
-        for i in range(50):
-            base = BAT.from_tail(np.arange(4))
-            e = _entry(BAT.from_tail(np.arange(4)), f"op{i}", (base,))
-            pool.add(e)
-            lock_set = pool._entry_lock_set(e)
-            assert lock_set == sorted(lock_set)
-            assert e.home_idx in lock_set
-            assert e.leaf_idx in lock_set
-
-    def test_concurrent_cross_shard_mutations_stay_consistent(self):
-        pool = RecyclePool(n_shards=8)
+class TestPoolLock:
+    def test_concurrent_mutations_stay_consistent(self):
+        pool = RecyclePool()
         errors = []
 
         def churn(worker_id):
@@ -393,19 +382,18 @@ class TestShardOrdering:
 
         threads = [threading.Thread(target=churn, args=(w,))
                    for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(WAIT * 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the threads finely
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(WAIT * 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "deadlock"
         assert not errors
         assert len(pool) == 0
-        pool.check_invariants()
-
-    def test_single_shard_degenerates_to_global_lock(self):
-        pool = RecyclePool(n_shards=1)
-        e = _entry(BAT.from_tail(np.arange(4)), "solo")
-        pool.add(e)
-        assert pool._entry_lock_set(e) == [0]
         pool.check_invariants()
 
 

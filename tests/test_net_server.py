@@ -4,6 +4,7 @@ stats, backpressure, timeouts, graceful drain, disconnect hygiene."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import socket
 import threading
 import time
@@ -16,7 +17,6 @@ from repro.errors import Error, OperationalError, ProgrammingError
 from repro.net.client import NetConnection
 from repro.net.protocol import (
     PROTOCOL_VERSION,
-    encode_frame,
     recv_message,
     send_message,
 )
@@ -328,6 +328,25 @@ class TestDisconnectHygiene:
         conn.close()
         with pytest.raises(repro.InterfaceError):
             cur.fetchone()
+
+    def test_dropped_cursors_are_not_kept_alive(self, served):
+        # A long-lived connection opening a cursor per request must not
+        # accumulate them (and their buffered rows) until disconnect.
+        conn = repro.connect(url=served.url)
+        try:
+            for i in range(200):
+                cur = conn.cursor()
+                cur.execute("select x from t where x < ?", (i % 50 + 1,))
+                assert len(cur.fetchall()) == i % 50 + 1
+            del cur
+            gc.collect()
+            assert len(conn._cursors) == 0
+            kept = conn.cursor()
+            kept.execute("select count(*) from t")
+        finally:
+            conn.close()
+        with pytest.raises(repro.InterfaceError):
+            kept.fetchone()
 
 
 class TestGracefulDrain:

@@ -59,9 +59,11 @@ class TestPoolBasics:
 
     def test_duplicate_signature_rejected(self):
         pool = RecyclePool()
-        pool.add(entry(("op", ("c", 1)), bat()))
-        with pytest.raises(RecyclerError):
-            pool.add(entry(("op", ("c", 1)), bat()))
+        first = entry(("op", ("c", 1)), bat())
+        assert pool.add(first)
+        assert not pool.add(entry(("op", ("c", 1)), bat()))
+        assert pool.lookup(("op", ("c", 1))) is first and len(pool) == 1
+        pool.check_invariants()
 
     def test_entry_for_token(self):
         pool = RecyclePool()

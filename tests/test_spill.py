@@ -305,7 +305,7 @@ def test_promotion_at_entry_limit_evicts_nothing(tmp_path):
         if e.opname == "algebra.select" and not e.is_spilled
         and e.sig[2][1] == SELECT_BOUNDS[11]
     )
-    with pool.all_locked():
+    with pool.lock:
         db.recycler.spill.write(last.value)
         pool.demote(last)
     # Clamp the entry limit to the current population: a promoted hit
@@ -334,7 +334,7 @@ def test_destroying_persistent_bind_keeps_spilled_dependents(tmp_path):
     # Force-destroy the bind entry the way eviction's destroy path does:
     # its token is stable (catalogue bind cache), so the spilled selects
     # keyed on it must survive and still be matchable afterwards.
-    with pool.all_locked():
+    with pool.lock:
         assert bind.token_is_stable
         pool.remove_set([bind])
     db.recycler.check_invariants()

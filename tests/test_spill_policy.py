@@ -316,7 +316,7 @@ def test_quota_reclaim_drops_resident_images_first(tmp_path):
     need = sum(store.image(t).size for t in rec.pool.resident_images)
     inv = fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             assert rec._reclaim_spill_room(inv, need, set())
         assert inv.stats.evictions == 0
     finally:
@@ -332,7 +332,7 @@ def test_quota_reclaim_drops_resident_images_first(tmp_path):
     store.limit_bytes = store.total_bytes
     inv = fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             assert rec._reclaim_spill_room(inv, 1, set())
         assert inv.stats.evictions >= 1
         assert (rec.totals.spill_evictions - spill_evictions
@@ -365,7 +365,7 @@ def test_cursor_stats_count_disk_tier_evictions(tmp_path):
 @pytest.mark.parametrize("seed", range(8))
 def test_drop_dependent_thread_matches_brute_force(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    db = Database(spill_dir=str(tmp_path / "spill"), pool_shards=4)
+    db = Database(spill_dir=str(tmp_path / "spill"))
     rec, pool = db.recycler, db.recycler.pool
     bats, entries = [], []
     for i in range(40):
@@ -402,7 +402,7 @@ def test_drop_dependent_thread_matches_brute_force(tmp_path, seed):
     evictions = rec.totals.evictions
     inv = fake_invocation(db)
     try:
-        with rec.pool.all_locked():
+        with rec.pool.lock:
             rec._drop_dependent_thread(inv, victim)
         assert inv.stats.evictions == len(doomed)
     finally:
@@ -413,7 +413,7 @@ def test_drop_dependent_thread_matches_brute_force(tmp_path, seed):
     assert victim.sig in survivors and victim.dependents == 0
     assert all(not rec.spill.has(e.result_token) for e in doomed)
     rec.check_invariants()
-    with rec.pool.all_locked():
+    with rec.pool.lock:
         pool.remove_set([victim])
     rec.check_invariants()
 
