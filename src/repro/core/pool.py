@@ -142,10 +142,6 @@ class RecycleEntry:
         return self.global_reuses > 0
 
     @property
-    def is_leaf(self) -> bool:
-        return self.dependents == 0
-
-    @property
     def token_is_stable(self) -> bool:
         """Does this entry's result token survive eviction?
 

@@ -396,16 +396,14 @@ class Cursor:
         return self._rows
 
     def fetchone(self) -> Optional[Tuple]:
-        rows = self._materialised()
-        if self._pos >= len(rows):
-            return None
-        row = rows[self._pos]
-        self._pos += 1
-        return row
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple]:
         rows = self._materialised()
         size = self.arraysize if size is None else size
+        if size < 0:
+            raise ProgrammingError(f"fetchmany size must be >= 0, got {size}")
         chunk = rows[self._pos:self._pos + size]
         self._pos += len(chunk)
         return chunk

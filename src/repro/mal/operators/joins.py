@@ -38,6 +38,11 @@ def _merge_join_indices(lv: np.ndarray, rv: np.ndarray):
     return lidx, ridx
 
 
+def _increasing(values: np.ndarray) -> bool:
+    """True when *values* is strictly increasing: sorted, no duplicates."""
+    return bool(np.all(values[1:] > values[:-1]))
+
+
 @register("algebra.join", kind="join")
 def algebra_join(ctx, l: BAT, r: BAT) -> BAT:
     """Equi-join ``L.tail == R.head`` returning ``[L.head -> R.tail]``."""
@@ -90,9 +95,19 @@ def algebra_semijoin(ctx, l: BAT, r: BAT) -> BAT:
     lh = l.head_values()
     rh = r.head_values()
     mask = np.isin(lh, rh)
+    tails = l.tail_values()[mask]
+    # Both heads sorted and unique (rows of one table) and every R oid
+    # found: lh[mask] would equal R's heads, so share R's array instead of
+    # pooling a copy (operators never write in place; a view is not
+    # shared, as it would pin its whole base buffer).
+    if len(tails) == len(rh) and rh.base is None and rh.dtype == lh.dtype \
+            and (l.head_dense or _increasing(lh)) and _increasing(rh):
+        heads = rh
+    else:
+        heads = lh[mask]
     return BAT.materialized(
-        lh[mask],
-        l.tail_values()[mask],
+        heads,
+        tails,
         sources=l.sources | r.sources,
         subset_parent=l,
         tail_sorted=l.tail_sorted,

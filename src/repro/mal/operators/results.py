@@ -71,19 +71,19 @@ class ResultSet:
             raise InterpreterError(f"result has no column {name!r}")
 
     def rows(self) -> List[Tuple]:
-        """All rows as Python tuples (tests/examples only)."""
-        return [tuple(col[i].item() if hasattr(col[i], "item") else col[i]
-                      for col in self.columns)
-                for i in range(len(self))]
+        """All rows as Python tuples — what both cursors and the server
+        fetch.  Built a column at a time: ``tolist()`` converts each cell
+        exactly as ``.item()`` would (``datetime64[D]`` → ``datetime.date``,
+        object cells as stored), in C instead of a Python call per cell."""
+        return list(zip(*(col.tolist() for col in self.columns)))
 
     def scalar(self) -> Any:
-        """The single value of a 1x1 result."""
+        """The single value of a 1x1 result, converted as by :meth:`rows`."""
         if len(self) != 1 or self.width != 1:
             raise InterpreterError(
                 f"scalar() on a {len(self)}x{self.width} result"
             )
-        value = self.columns[0][0]
-        return value.item() if hasattr(value, "item") else value
+        return self.columns[0].tolist()[0]
 
     def __repr__(self) -> str:
         return f"ResultSet({self.names}, {len(self)} rows)"
@@ -98,9 +98,7 @@ def sql_resultset(ctx, names: Tuple[str, ...], *cols: BAT) -> ResultSet:
 @register("sql.exportValue", recyclable=False, kind="result")
 def sql_export_value(ctx, name: str, value) -> ResultSet:
     """Wrap a scalar into a 1x1 result set."""
-    if value is None:
-        return ResultSet([name], [np.array([np.nan])])
-    return ResultSet([name], [np.array([value])])
+    return sql_scalarrow(ctx, (name,), value)
 
 
 @register("sql.scalarrow", recyclable=False, kind="result")

@@ -312,39 +312,29 @@ class NetCursor:
         return self
 
     # ------------------------------------------------------------------
-    def _pull(self) -> bool:
-        """Fetch the next row batch from the server; False when done."""
-        if self._complete:
-            return False
-        reply = self.connection._request({
-            "type": "fetch", "result_id": self._result_id,
-            "n": self.connection.fetch_batch,
-        })
-        self._rows.extend(tuple(r) for r in reply.get("rows", []))
-        self._complete = reply.get("complete", True)
-        return True
-
     def _have(self, n: Optional[int] = None) -> None:
-        """Ensure *n* more rows are buffered (all rows when None)."""
+        """Pull row batches from the server until *n* more rows are
+        buffered (all rows when None) or the result is complete."""
         if self.description is None:
             raise ProgrammingError("no result set: execute first")
         while not self._complete and (
                 n is None or len(self._rows) - self._pos < n):
-            if not self._pull():
-                break
+            reply = self.connection._request({
+                "type": "fetch", "result_id": self._result_id,
+                "n": self.connection.fetch_batch,
+            })
+            self._rows.extend(tuple(r) for r in reply.get("rows", []))
+            self._complete = reply.get("complete", True)
 
     def fetchone(self) -> Optional[Tuple]:
-        self._check_open()
-        self._have(1)
-        if self._pos >= len(self._rows):
-            return None
-        row = self._rows[self._pos]
-        self._pos += 1
-        return row
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
 
     def fetchmany(self, size: Optional[int] = None) -> List[Tuple]:
         self._check_open()
         size = self.arraysize if size is None else size
+        if size < 0:
+            raise ProgrammingError(f"fetchmany size must be >= 0, got {size}")
         self._have(size)
         chunk = self._rows[self._pos:self._pos + size]
         self._pos += len(chunk)

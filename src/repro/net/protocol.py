@@ -109,9 +109,7 @@ def to_wire(value: Any) -> Any:
         return {"$dt64": str(value)}
     if isinstance(value, np.generic):        # scalar: int64, float64, str_
         return to_wire(value.item())
-    if isinstance(value, datetime.datetime):
-        return {"$dt64": value.isoformat()}
-    if isinstance(value, datetime.date):
+    if isinstance(value, datetime.date):     # datetime.datetime too
         return {"$dt64": value.isoformat()}
     if isinstance(value, (bytes, bytearray)):
         return {"$b64": base64.b64encode(bytes(value)).decode("ascii")}
@@ -126,12 +124,24 @@ def to_wire(value: Any) -> Any:
     )
 
 
+def _datetime_from_wire(text: str) -> Any:
+    """``$dt64`` as an embedded ``.item()`` gives it (a day decodes to
+    ``datetime.date``); nanoseconds and NaT, which Python cannot hold, stay
+    ``numpy.datetime64`` so a bound parameter keeps its truncation check."""
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        value = np.datetime64(text)
+    item = value.item()
+    return item if isinstance(item, datetime.date) else value
+
+
 def from_wire(value: Any) -> Any:
     """Inverse of :func:`to_wire` (tagged dicts back to rich values)."""
     if isinstance(value, dict):
         if len(value) == 1:
             if "$dt64" in value:
-                return np.datetime64(value["$dt64"])
+                return _datetime_from_wire(value["$dt64"])
             if "$b64" in value:
                 return base64.b64decode(value["$b64"])
         return {k: from_wire(v) for k, v in value.items()}

@@ -435,11 +435,9 @@ class ReproServer:
         def work():
             result = conn.session.run_statement(stmt, params)
             value = result.value
-            rows = value.rows() if isinstance(value, ResultSet) else None
-            description = (
-                value.description if isinstance(value, ResultSet) else None
-            )
-            return rows, description, result.stats
+            if isinstance(value, ResultSet):
+                return value.rows(), value.description, result.stats
+            return None, None, result.stats
 
         # Sessions are single-threaded: serialise this connection's
         # executes (the window still pipelines frames over the wire).

@@ -28,7 +28,7 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import BatTypeError, StorageError
+from repro.errors import StorageError
 
 OID_DTYPE = np.int64
 
@@ -283,10 +283,6 @@ class BAT:
         return isinstance(self.head, Dense)
 
     @property
-    def tail_dense(self) -> bool:
-        return isinstance(self.tail, Dense)
-
-    @property
     def hseqbase(self) -> Optional[int]:
         """Start oid of a dense head, or ``None`` for materialised heads."""
         return self.head.start if isinstance(self.head, Dense) else None
@@ -342,14 +338,6 @@ class BAT:
             if isinstance(col, np.ndarray) and col.dtype.hasobject:
                 return False
         return True
-
-    # ------------------------------------------------------------------
-    def require_numeric_tail(self, op: str) -> np.ndarray:
-        """Tail as array, raising :class:`BatTypeError` for non-numeric tails."""
-        tail = self.tail_values()
-        if tail.dtype.kind not in "biufM":
-            raise BatTypeError(f"{op}: expected numeric tail, got {tail.dtype}")
-        return tail
 
     def __repr__(self) -> str:
         kind = "persistent" if self.persistent_name else (

@@ -20,10 +20,13 @@ import pytest
 
 import repro
 from repro import (
+    ExecutionStats,
     InterfaceError,
+    InvocationResult,
     NotSupportedError,
     ProgrammingError,
 )
+from repro.mal.operators.results import ResultSet
 from repro.core.admission import CreditAdmission
 from repro.core.eviction import BenefitEviction
 from repro.sql import planner as planner_module
@@ -370,6 +373,82 @@ class TestFetching:
         assert cur.description is None and cur.rowcount == -1
         with pytest.raises(ProgrammingError):
             cur.fetchall()
+
+
+#: One column per dtype the row builder must convert as ``.item()`` does.
+_DTYPE_COLUMNS = {
+    "int64": np.array([1, -2, 2**62], dtype=np.int64),
+    "uint8": np.array([0, 255, 7], dtype=np.uint8),
+    "bool": np.array([True, False, True]),
+    "float64": np.array([1.5, np.nan, -0.0]),
+    "unicode": np.array(["a", "bc", ""]),
+    "bytes": np.array([b"x", b"yz", b""]),
+    "object": np.array(["s", None, 3], dtype=object),
+    "datetime64[D]": np.array(["1998-12-01", "NaT", "1970-01-01"],
+                              dtype="datetime64[D]"),
+    "datetime64[s]": np.array(["1998-12-01T10:20:30", "NaT",
+                               "1970-01-01T00:00:00"],
+                              dtype="datetime64[s]"),
+    "datetime64[ns]": np.array(["1998-12-01T10:20:30.000000001", "NaT",
+                                "1970-01-01"], dtype="datetime64[ns]"),
+    "timedelta64[D]": np.array([1, -2, 0], dtype="timedelta64[D]"),
+    "timedelta64[ns]": np.array([1, -2, 0], dtype="timedelta64[ns]"),
+}
+
+
+def _item_rows(rs):
+    """Reference row builder: one ``.item()`` call per cell."""
+    return [tuple(col[i].item() if hasattr(col[i], "item") else col[i]
+                  for col in rs.columns)
+            for i in range(len(rs))]
+
+
+def _typed(rows):
+    """Cells as ``(type, repr)``: equal values *and* types, NaN included."""
+    return [[(type(c), repr(c)) for c in row] for row in rows]
+
+
+def _result_sets():
+    names = list(_DTYPE_COLUMNS)
+    cols = list(_DTYPE_COLUMNS.values())
+    yield from (ResultSet([n], [c]) for n, c in _DTYPE_COLUMNS.items())
+    yield ResultSet(names, cols)                           # all at once
+    yield ResultSet(names, [c[:0] for c in cols])          # zero rows
+    yield ResultSet([], [])                                # zero columns
+
+
+class TestRowBuilder:
+    @pytest.mark.parametrize("rs", list(_result_sets()), ids=repr)
+    def test_rows_equal_per_cell_item(self, rs):
+        assert _typed(rs.rows()) == _typed(_item_rows(rs))
+
+    @pytest.mark.parametrize("name", list(_DTYPE_COLUMNS))
+    def test_scalar_equals_item(self, name):
+        rs = ResultSet([name], [_DTYPE_COLUMNS[name][:1]])
+        assert _typed([(rs.scalar(),)]) == _typed(_item_rows(rs))
+
+    @pytest.mark.parametrize("rs", list(_result_sets()), ids=repr)
+    @pytest.mark.parametrize("steps", [
+        ("all",), ("one", "many2", "all"), ("many0", "one", "one", "all"),
+        ("many5", "many5", "one"),
+    ])
+    def test_cursor_fetches_equal_per_cell_item(self, conn, monkeypatch,
+                                                rs, steps):
+        monkeypatch.setattr(
+            conn.session(), "execute",
+            lambda sql, params=None: InvocationResult(rs, ExecutionStats()))
+        cur = conn.cursor().execute("select 1")
+        got = []
+        for step in steps:
+            if step == "one":
+                row = cur.fetchone()
+                got += [] if row is None else [row]
+            elif step == "all":
+                got += cur.fetchall()
+            else:
+                got += cur.fetchmany(int(step[len("many"):]))
+        assert cur.fetchone() is None
+        assert _typed(got) == _typed(_item_rows(rs))
 
 
 class TestClosedHandles:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import datetime
+
 import numpy as np
 import pytest
 
@@ -39,10 +41,19 @@ class TestValueTagging:
         assert to_wire(np.bool_(True)) is True
 
     def test_datetime64_roundtrip(self):
-        d = np.datetime64("1998-12-01")
-        out = from_wire(to_wire(d))
-        assert isinstance(out, np.datetime64)
-        assert out == d
+        # Dates decode to what .item() gives, as an embedded cursor
+        # returns them; values Python cannot hold stay numpy.
+        for value in (np.datetime64("1998-12-01"),
+                      datetime.date(1998, 12, 1),
+                      np.datetime64("1998-12-01T10:20:30"),
+                      datetime.datetime(1998, 12, 1, 10, 20, 30, 5),
+                      np.datetime64("1998-12", "M")):
+            out = from_wire(to_wire(value))
+            want = value.item() if isinstance(value, np.generic) else value
+            assert type(out) is type(want) and out == want
+        ns = np.datetime64("1998-12-01T00:00:00.000000001")
+        out = from_wire(to_wire(ns))
+        assert isinstance(out, np.datetime64) and out == ns
 
     def test_bytes_roundtrip(self):
         assert from_wire(to_wire(b"\x00\xffbin")) == b"\x00\xffbin"

@@ -4,19 +4,24 @@ stats, backpressure, timeouts, graceful drain, disconnect hygiene."""
 from __future__ import annotations
 
 import dataclasses
+import datetime
 import gc
 import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import repro
 from repro import ExecutionStats
 from repro.errors import Error, OperationalError, ProgrammingError
+from repro.net import client as client_module
 from repro.net.client import NetConnection
 from repro.net.protocol import (
+    CODEC_IDS,
     PROTOCOL_VERSION,
+    available_codecs,
     recv_message,
     send_message,
 )
@@ -120,6 +125,57 @@ class TestBasicQueries:
         with repro.connect(url=served.url) as conn:
             got = conn.cursor().execute(sql, (250,)).fetchall()
         assert got == expected
+
+
+@pytest.fixture(params=["embedded", "network"])
+def any_cursor(request, small_db):
+    """A cursor on ``small_db``, once embedded and once over the wire."""
+    if request.param == "embedded":
+        with repro.connect(database=small_db) as conn:
+            yield conn.cursor()
+    else:
+        with serve_in_thread(small_db) as handle, \
+                repro.connect(url=handle.url) as conn:
+            yield conn.cursor()
+
+
+class TestCursorParity:
+    @pytest.mark.parametrize("codec", available_codecs())
+    def test_cell_types_match_embedded(self, codec, monkeypatch):
+        db = repro.Database()
+        db.create_table(
+            "d", {"k": "int64", "day": "datetime64[D]", "v": "float64",
+                  "s": "U4"},
+            {"k": range(6),
+             "day": np.datetime64("1998-11-28")
+             + np.arange(6).astype("timedelta64[D]"),
+             "v": [0.5, 1.5, float("nan"), 3.5, 4.5, 5.5],
+             "s": ["a", "bb", "ccc", "dddd", "", "f"]})
+        sql = "select k, day, v, s from d where day >= ? order by k"
+        params = (datetime.date(1998, 11, 30),)
+        try:
+            with repro.connect(database=db) as emb:
+                want = emb.cursor().execute(sql, params).fetchall()
+            # The client offers only this codec; the server takes it.
+            monkeypatch.setattr(client_module, "available_codecs",
+                                lambda: [codec])
+            with serve_in_thread(db) as handle, \
+                    repro.connect(url=handle.url) as conn:
+                assert conn._codec == CODEC_IDS[codec]
+                got = conn.cursor().execute(sql, params).fetchall()
+        finally:
+            db.close()
+        assert len(want) == 4
+        assert [[(type(c), repr(c)) for c in row] for row in got] == \
+            [[(type(c), repr(c)) for c in row] for row in want]
+
+    def test_negative_fetchmany_size_is_refused(self, any_cursor):
+        cur = any_cursor
+        cur.execute("select x from t where x < 10 order by x")
+        with pytest.raises(ProgrammingError):
+            cur.fetchmany(-1)
+        # The refused call did not move the cursor past any row.
+        assert cur.fetchall() == [(x,) for x in range(10)]
 
 
 class TestNamedPreparedStatements:

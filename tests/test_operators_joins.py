@@ -88,6 +88,19 @@ class TestSemijoinFamily:
         assert list(out.head_values()) == [2, 3]
         assert out.subset_of == l.token
 
+    def test_semijoin_shares_owned_sorted_heads(self):
+        l = dense_bat(np.arange(10) * 1.5)
+        rh = np.array([2, 5, 7], dtype=np.int64)
+        out = algebra_semijoin(None, l, bat(rh, [0, 0, 0]))
+        assert out.head is rh                  # one array, two BATs
+        assert out.owned_nbytes == rh.nbytes + out.tail.nbytes
+        assert list(out.tail_values()) == [3.0, 7.5, 10.5]
+        # A view is not shared: it would pin its whole base buffer.
+        view = np.arange(20, dtype=np.int64)[2:5]
+        out = algebra_semijoin(None, l, bat(view, [0, 0, 0]))
+        assert out.head is not view and out.head.base is None
+        assert list(out.head_values()) == [2, 3, 4]
+
     def test_kdifference_is_complement(self):
         l = bat([1, 2, 3], ["a", "b", "c"])
         r = bat([2], [0])
@@ -142,3 +155,27 @@ def test_semijoin_plus_kdifference_partition(lh, rh):
     rset = set(rh)
     assert all(h in rset for h in semi.head_values())
     assert all(h not in rset for h in anti.head_values())
+
+
+@given(
+    lset=st.sets(st.integers(min_value=0, max_value=30), max_size=25),
+    rset=st.sets(st.integers(min_value=0, max_value=40), max_size=25),
+    dense=st.booleans(),
+)
+@settings(max_examples=80)
+def test_semijoin_sorted_heads_match_isin(lset, rset, dense):
+    # Sorted unique heads may share R's head array; the np.isin mask over
+    # L's heads is the reference the result must equal, dtypes included.
+    if dense:
+        l = dense_bat(np.arange(31) * 10, base=0)
+    else:
+        lh = np.array(sorted(lset), dtype=np.int64)
+        l = bat(lh, lh * 10)
+    r = bat(np.array(sorted(rset), dtype=np.int64), np.zeros(len(rset)))
+    out = algebra_semijoin(None, l, r)
+    mask = np.isin(l.head_values(), r.head_values())
+    heads, tails = l.head_values()[mask], l.tail_values()[mask]
+    assert out.head_values().dtype == heads.dtype
+    assert out.head_values().tolist() == heads.tolist()
+    assert out.tail_values().dtype == tails.dtype
+    assert out.tail_values().tolist() == tails.tolist()
