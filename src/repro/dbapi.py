@@ -23,6 +23,11 @@ recycle pool, so cursors used from many threads get private execution
 state and global cross-session reuse (threadsafety level 2: threads may
 share the module and connections, not cursors).
 
+The PEP 249 contract itself is written once, in :class:`BaseConnection`
+and :class:`BaseCursor`; :class:`Connection`/:class:`Cursor` here and
+:mod:`repro.net.client`'s network classes are sibling leaves that add
+only their transport.
+
 Extensions beyond PEP 249 (all documented in ``docs/API.md``):
 ``Cursor.stats`` / ``Cursor.stats_batch`` (recycler statistics),
 ``Cursor.execute_template`` (named compiled templates),
@@ -58,7 +63,7 @@ from repro.errors import (
     ProgrammingError,
     Warning,
 )
-from repro.mal.interpreter import ExecutionStats, InvocationResult
+from repro.mal.interpreter import ExecutionStats
 from repro.mal.operators.results import ResultSet
 from repro.server.session import Session
 
@@ -138,38 +143,27 @@ def connect(*, database: Optional[Database] = None,
     return Connection(engine, owns_engine=True)
 
 
-class Connection:
-    """A DB-API 2.0 connection: one engine, one session per thread.
+class BaseConnection:
+    """The PEP 249 connection surface both transports share.
 
-    Obtain via :func:`connect`.  All cursors of a connection share its
-    engine's catalogue, template caches and recycle pool; each *thread*
-    executes through its own :class:`~repro.server.session.Session`, so
-    per-session statistics and the local/global hit split (§3.3) stay
-    meaningful under concurrency.
+    A leaf names its cursor class in :attr:`cursor_class` and supplies
+    ``_disconnect()``, the transport's half of :meth:`close`.
+    :attr:`_lock` guards the closed flag (and whatever the leaf adds).
     """
 
-    def __init__(self, database: Database, owns_engine: bool = True):
-        self._db = database
-        self._owns_engine = owns_engine
+    cursor_class: type
+
+    def __init__(self):
         self._closed = False
-        self._tlocal = threading.local()
-        #: ``(owning thread, session)`` pairs — the thread handle lets
-        #: :meth:`session` prune (and close) sessions whose thread died,
-        #: so a thread-per-request server does not accumulate them.
-        self._sessions: List[Tuple[threading.Thread, Session]] = []
         self._lock = threading.Lock()
         #: Live cursors, closed automatically when the connection
         #: closes.  Weak references: a cursor dropped by the client
-        #: must not be kept alive (with its result set) by this
-        #: registry.
-        self._cursors: "weakref.WeakSet[Cursor]" = weakref.WeakSet()
+        #: must not be kept alive (with its rows) by this registry.
+        self._cursors: "weakref.WeakSet[BaseCursor]" = weakref.WeakSet()
 
-    # ------------------------------------------------------------------
-    # PEP 249 surface
-    # ------------------------------------------------------------------
-    def cursor(self) -> "Cursor":
+    def cursor(self) -> "BaseCursor":
         self._check_open()
-        cur = Cursor(self)
+        cur = self.cursor_class(self)
         self._cursors.add(cur)
         return cur
 
@@ -183,20 +177,259 @@ class Connection:
         )
 
     def close(self) -> None:
-        """Close the connection (idempotent).
-
-        Closes every open cursor and every session this connection
-        opened; when the connection owns its engine (built by
-        :func:`connect`), also closes the engine — emptying the recycle
-        pool and deleting the per-run spill directory.
-        """
+        """Close the connection (idempotent); open cursors close too."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            sessions, self._sessions = self._sessions, []
         for cur in list(self._cursors):
             cur.close()
+        self._disconnect()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InterfaceError("connection is closed")
+
+    def __enter__(self) -> "BaseConnection":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: DB-API ``description`` entry: 7-tuple per result column.
+DescriptionRow = Tuple[str, str, None, Optional[int], None, None, None]
+
+
+class BaseCursor:
+    """The PEP 249 cursor contract, written once for both transports.
+
+    Single-threaded by contract (open one per thread; they are cheap).
+    A leaf supplies only how a statement travels and how its rows
+    arrive:
+
+    * ``_send(sql, params)`` runs one SQL statement and returns
+      ``(stats, result)``;
+    * ``_install(result)`` makes a result that carries a result set the
+      current one — :attr:`description`, :attr:`rowcount`, ``_result``
+      (the transport's handle on it), the first rows in ``_rows`` and
+      ``_complete`` — and leaves any other result alone;
+    * ``_pull()`` returns the next rows of an incomplete result set and
+      updates ``_complete``.
+    """
+
+    arraysize = 1
+
+    def __init__(self, connection: BaseConnection):
+        self.connection = connection
+        self._closed = False
+        self._reset()
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def execute(self, sql: str, params: Any = None) -> "BaseCursor":
+        """Execute a (possibly parametrised) statement.
+
+        *params* is a sequence for ``?`` placeholders, a mapping for
+        ``:name`` placeholders.  The statement compiles into a cached
+        template on first execution; repeats — any params — reuse it.
+        """
+        return self._execute(self._send, sql, params)
+
+    def executemany(self, sql: str,
+                    seq_of_params: Sequence[Any]) -> "BaseCursor":
+        """Execute *sql* once per parameter set.
+
+        The template compiles exactly once; every subsequent set binds
+        into the same plan, so the recycler serves the
+        parameter-independent prefix from the pool on every repeat —
+        the paper's heavy multi-user traffic pattern, batched.
+
+        The last set's result set remains fetchable; per-set recycler
+        statistics land in :attr:`stats_batch`.
+        """
+        self._check_open()
+        self._reset()
+        for params in seq_of_params:
+            stats, result = self._send(sql, params)
+            self.stats_batch.append(stats)
+        if self.stats_batch:
+            self.stats = stats
+            self._install(result)
+        return self
+
+    def _execute(self, send, *args) -> "BaseCursor":
+        """Run ``send(*args)`` and make its result the current one."""
+        self._check_open()
+        self._reset()
+        self.stats, result = send(*args)
+        self._install(result)
+        return self
+
+    def _reset(self) -> None:
+        """Drop the previous statement's state before executing anew.
+
+        A failed (or empty-batch) execution must never leave the prior
+        statement's rows fetchable as if they came from the new one.
+        """
+        self._result: Any = None
+        #: Rows received so far; None when there is no result set.
+        self._rows: Optional[List[Tuple]] = None
+        self._pos = 0
+        self._complete = True
+        self.description: Optional[List[DescriptionRow]] = None
+        self.rowcount = -1
+        #: Recycler statistics of the last executed statement.
+        self.stats: Any = None
+        #: Per-parameter-set statistics of the last ``executemany``.
+        self.stats_batch: List[Any] = []
+
+    # ------------------------------------------------------------------
+    # Fetching
+    # ------------------------------------------------------------------
+    def _buffer(self, n: Optional[int]) -> List[Tuple]:
+        """The rows received, holding at least *n* past the position
+        (all of them when None) unless the result set ends first."""
+        self._check_open()
+        if self._rows is None:
+            raise ProgrammingError("no result set: execute first")
+        while not self._complete and (
+                n is None or len(self._rows) - self._pos < n):
+            self._rows += self._pull()
+        return self._rows
+
+    def fetchone(self) -> Optional[Tuple]:
+        rows = self.fetchmany(1)
+        return rows[0] if rows else None
+
+    def fetchmany(self, size: Optional[int] = None) -> List[Tuple]:
+        size = self.arraysize if size is None else size
+        rows = self._buffer(size)           # a negative size pulls nothing
+        if size < 0:
+            raise ProgrammingError(f"fetchmany size must be >= 0, got {size}")
+        chunk = rows[self._pos:self._pos + size]
+        self._pos += len(chunk)
+        return chunk
+
+    def fetchall(self) -> List[Tuple]:
+        rows = self._buffer(None)
+        chunk = rows[self._pos:]
+        self._pos = len(rows)
+        return chunk
+
+    def __iter__(self) -> Iterator[Tuple]:
+        while True:
+            row = self.fetchone()
+            if row is None:
+                return
+            yield row
+
+    # ------------------------------------------------------------------
+    # Misc PEP 249
+    # ------------------------------------------------------------------
+    def setinputsizes(self, sizes) -> None:
+        """No-op (PEP 249 allows this)."""
+
+    def setoutputsize(self, size, column=None) -> None:
+        """No-op (PEP 249 allows this)."""
+
+    def close(self) -> None:
+        self._closed = True
+        self._reset()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise InterfaceError("cursor is closed")
+        self.connection._check_open()
+
+    def __enter__(self) -> "BaseCursor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __repr__(self) -> str:
+        state = "closed" if self._closed else "open"
+        return f"{type(self).__name__}({state}, rowcount={self.rowcount})"
+
+
+class Cursor(BaseCursor):
+    """A DB-API 2.0 cursor over an embedded engine.
+
+    Execution state lives in the calling thread's session.  Beyond PEP
+    249: :attr:`stats` is the last statement's
+    :class:`~repro.mal.interpreter.ExecutionStats` (recycler hits,
+    marked instructions, saved time), :attr:`stats_batch` the per-set
+    statistics of the last :meth:`executemany`, :meth:`execute_template`
+    runs a registered compiled template and :attr:`result` is the raw
+    result set.  Rows are built from it on the first fetch.
+    """
+
+    def _send(self, sql: str, params: Any) -> Tuple[ExecutionStats, Any]:
+        result = self.connection.session().execute(sql, params)
+        return result.stats, result.value
+
+    def execute_template(self, name: str,
+                         params: Optional[Dict[str, Any]] = None
+                         ) -> "Cursor":
+        """Run a registered compiled template (builder API) by name."""
+        def send():
+            result = self.connection.session().run_template(name, params)
+            return result.stats, result.value
+
+        return self._execute(send)
+
+    def _install(self, value: Any) -> None:
+        if isinstance(value, ResultSet):
+            self._result = value
+            self._rows = []
+            self._complete = False
+            self.description = value.description
+            self.rowcount = len(value)
+
+    def _pull(self) -> List[Tuple]:
+        self._complete = True
+        return self._result.rows()
+
+    @property
+    def result(self) -> Optional[ResultSet]:
+        """The last statement's raw :class:`ResultSet` (extension)."""
+        return self._result
+
+
+class Connection(BaseConnection):
+    """A DB-API 2.0 connection: one engine, one session per thread.
+
+    Obtain via :func:`connect`.  All cursors of a connection share its
+    engine's catalogue, template caches and recycle pool; each *thread*
+    executes through its own :class:`~repro.server.session.Session`, so
+    per-session statistics and the local/global hit split (§3.3) stay
+    meaningful under concurrency.  :meth:`close` closes every session
+    this connection opened and, when the connection owns its engine
+    (built by :func:`connect`), the engine too — emptying the recycle
+    pool and deleting the per-run spill directory.
+    """
+
+    cursor_class = Cursor
+
+    def __init__(self, database: Database, owns_engine: bool = True):
+        super().__init__()
+        self._db = database
+        self._owns_engine = owns_engine
+        self._tlocal = threading.local()
+        #: ``(owning thread, session)`` pairs — the thread handle lets
+        #: :meth:`session` prune (and close) sessions whose thread died,
+        #: so a thread-per-request server does not accumulate them.
+        self._sessions: List[Tuple[threading.Thread, Session]] = []
+
+    def _disconnect(self) -> None:
+        with self._lock:
+            sessions, self._sessions = self._sessions, []
         for _thread, session in sessions:
             session.close()
         if self._owns_engine:
@@ -209,10 +442,6 @@ class Connection:
     def database(self) -> Database:
         """The engine underneath (catalogue, recycler, sessions...)."""
         return self._db
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def create_table(self, name: str, columns: Mapping[str, str],
                      data: Mapping[str, Sequence],
@@ -258,200 +487,7 @@ class Connection:
                 stale.close()
         return session
 
-    # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
-    def __enter__(self) -> "Connection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"Connection({self._db!r}, {state})"
-
-
-#: DB-API ``description`` entry: 7-tuple per result column.
-DescriptionRow = Tuple[str, str, None, Optional[int], None, None, None]
-
-
-class Cursor:
-    """A DB-API 2.0 cursor over one connection.
-
-    Single-threaded by contract (open one per thread; they are cheap —
-    execution state lives in the thread's session).  Beyond PEP 249:
-    :attr:`stats` exposes the last statement's
-    :class:`~repro.mal.interpreter.ExecutionStats` (recycler hits,
-    marked instructions, saved time), :attr:`stats_batch` the per-set
-    statistics of the last :meth:`executemany`, and
-    :meth:`execute_template` runs a registered compiled template.
-    """
-
-    arraysize = 1
-
-    def __init__(self, connection: Connection):
-        self.connection = connection
-        self._closed = False
-        self._result: Optional[ResultSet] = None
-        self._rows: Optional[List[Tuple]] = None
-        self._pos = 0
-        self.description: Optional[List[DescriptionRow]] = None
-        self.rowcount = -1
-        #: Recycler statistics of the last executed statement.
-        self.stats: Optional[ExecutionStats] = None
-        #: Per-parameter-set statistics of the last ``executemany``.
-        self.stats_batch: List[ExecutionStats] = []
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def execute(self, sql: str, params: Any = None) -> "Cursor":
-        """Execute a (possibly parametrised) statement.
-
-        *params* is a sequence for ``?`` placeholders, a mapping for
-        ``:name`` placeholders.  The statement compiles into a cached
-        template on first execution; repeats — any params — reuse it.
-        """
-        self._check_open()
-        session = self.connection.session()
-        self._reset()
-        self._install(session.execute(sql, params))
-        return self
-
-    def executemany(self, sql: str,
-                    seq_of_params: Sequence[Any]) -> "Cursor":
-        """Execute *sql* once per parameter set.
-
-        The template compiles exactly once; every subsequent set binds
-        into the same plan, so the recycler serves the
-        parameter-independent prefix from the pool on every repeat —
-        the paper's heavy multi-user traffic pattern, batched.
-
-        The last set's result set remains fetchable; per-set recycler
-        statistics land in :attr:`stats_batch`.
-        """
-        self._check_open()
-        session = self.connection.session()
-        self._reset()
-        result: Optional[InvocationResult] = None
-        for params in seq_of_params:
-            result = session.execute(sql, params)
-            self.stats_batch.append(result.stats)
-        if result is not None:
-            self._install(result)
-        return self
-
-    def execute_template(self, name: str,
-                         params: Optional[Dict[str, Any]] = None
-                         ) -> "Cursor":
-        """Run a registered compiled template (builder API) by name."""
-        self._check_open()
-        session = self.connection.session()
-        self._reset()
-        self._install(session.run_template(name, params))
-        return self
-
-    def _reset(self) -> None:
-        """Drop the previous statement's state before executing anew.
-
-        A failed (or empty-batch) execution must never leave the prior
-        statement's rows fetchable as if they came from the new one.
-        """
-        self._result = None
-        self._rows = None
-        self._pos = 0
-        self.description = None
-        self.rowcount = -1
-        self.stats = None
-        self.stats_batch = []
-
-    def _install(self, result: InvocationResult) -> None:
-        self.stats = result.stats
-        value = result.value
-        if isinstance(value, ResultSet):
-            self._result = value
-            self._rows = None           # materialised lazily
-            self._pos = 0
-            self.description = value.description
-            self.rowcount = len(value)
-        else:
-            self._result = None
-            self._rows = []
-            self._pos = 0
-            self.description = None
-            self.rowcount = -1
-
-    # ------------------------------------------------------------------
-    # Fetching
-    # ------------------------------------------------------------------
-    def _materialised(self) -> List[Tuple]:
-        if self._rows is None:
-            self._check_open()
-            if self._result is None:
-                raise ProgrammingError("no result set: execute first")
-            self._rows = self._result.rows()
-        return self._rows
-
-    def fetchone(self) -> Optional[Tuple]:
-        rows = self.fetchmany(1)
-        return rows[0] if rows else None
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple]:
-        rows = self._materialised()
-        size = self.arraysize if size is None else size
-        if size < 0:
-            raise ProgrammingError(f"fetchmany size must be >= 0, got {size}")
-        chunk = rows[self._pos:self._pos + size]
-        self._pos += len(chunk)
-        return chunk
-
-    def fetchall(self) -> List[Tuple]:
-        rows = self._materialised()
-        chunk = rows[self._pos:]
-        self._pos = len(rows)
-        return chunk
-
-    def __iter__(self) -> Iterator[Tuple]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
-
-    @property
-    def result(self) -> Optional[ResultSet]:
-        """The last statement's raw :class:`ResultSet` (extension)."""
-        return self._result
-
-    # ------------------------------------------------------------------
-    # Misc PEP 249
-    # ------------------------------------------------------------------
-    def setinputsizes(self, sizes) -> None:
-        """No-op (PEP 249 allows this)."""
-
-    def setoutputsize(self, size, column=None) -> None:
-        """No-op (PEP 249 allows this)."""
-
-    def close(self) -> None:
-        self._closed = True
-        self._result = None
-        self._rows = None
-        self.description = None
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def __enter__(self) -> "Cursor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"Cursor({state}, rowcount={self.rowcount})"

@@ -1,11 +1,10 @@
 """The blocking network client: DB-API cursors over a socket.
 
 ``repro.connect(url="repro://host:port")`` lands here and returns a
-:class:`NetConnection` whose cursors mirror the embedded
-:class:`repro.dbapi.Cursor` surface (``execute`` / ``fetchone`` /
-``fetchmany`` / ``fetchall`` / ``description`` / ``rowcount`` /
-iteration / context managers), so moving a client from the embedded
-engine to a server is a one-line change::
+:class:`NetConnection`.  It and its cursors are leaves of the same
+PEP 249 bases as the embedded :class:`repro.dbapi.Connection` and
+:class:`repro.dbapi.Cursor`; they add only the wire, so moving a client
+from the embedded engine to a server is a one-line change::
 
     conn = repro.connect(url="repro://127.0.0.1:6414")
     cur = conn.cursor()
@@ -35,17 +34,14 @@ from __future__ import annotations
 
 import re
 import socket
-import threading
-import weakref
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import InterfaceError, OperationalError, ProgrammingError
+from repro.dbapi import BaseConnection, BaseCursor
+from repro.errors import InterfaceError, OperationalError
 from repro.net.protocol import (
-    CODEC_IDS,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     DEFAULT_PORT,
-    available_codecs,
     raise_wire_error,
     recv_message,
     send_message,
@@ -73,7 +69,48 @@ def connect_url(url: str, **kwargs: Any) -> "NetConnection":
     return NetConnection(host, port, **kwargs)
 
 
-class NetConnection:
+class NetCursor(BaseCursor):
+    """A DB-API cursor executing over the wire.
+
+    Result rows stream server-to-client in batches (``fetch_batch``
+    rows per frame), pulled lazily as the fetch methods consume them;
+    :attr:`stats` is the RESULT frame's statistics dict.
+    """
+
+    def _send(self, sql: str, params: Any,
+              key: str = "sql") -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """One EXECUTE; with *key* ``"name"``, *sql* names a server-side
+        prepared statement instead."""
+        reply = self.connection._request({
+            "type": "execute", key: sql, "params": params,
+            "fetch": self.connection.fetch_batch,
+        })
+        return reply.get("stats"), reply
+
+    def execute_named(self, name: str, params: Any = None) -> "NetCursor":
+        """Execute a server-side named prepared statement."""
+        return self._execute(self._send, name, params, "name")
+
+    def _install(self, reply: Dict[str, Any]) -> None:
+        description = reply.get("description")
+        if description is None:
+            return                            # no result set
+        self.description = [tuple(d) for d in description]
+        self.rowcount = reply.get("rowcount", -1)
+        self._result = reply.get("result_id", 0)
+        self._rows = [tuple(r) for r in reply.get("rows", [])]
+        self._complete = reply.get("complete", True)
+
+    def _pull(self) -> List[Tuple]:
+        reply = self.connection._request({
+            "type": "fetch", "result_id": self._result,
+            "n": self.connection.fetch_batch,
+        })
+        self._complete = reply.get("complete", True)
+        return [tuple(r) for r in reply.get("rows", [])]
+
+
+class NetConnection(BaseConnection):
     """A client connection to a :class:`~repro.net.server.ReproServer`.
 
     Args:
@@ -85,19 +122,16 @@ class NetConnection:
         fetch_batch: rows requested per RESULT/ROWS frame.
     """
 
+    cursor_class = NetCursor
+
     def __init__(self, host: str, port: int, *,
                  auth_token: Optional[str] = None,
                  connect_timeout: float = 10.0,
                  timeout: Optional[float] = 300.0,
                  fetch_batch: int = 1024,
                  client_name: str = "repro-client"):
-        self._closed = False
-        self._lock = threading.Lock()
+        super().__init__()
         self.fetch_batch = max(1, fetch_batch)
-        #: Open cursors, closed with the connection.  Weak references:
-        #: a cursor dropped by the client must not be kept alive (with
-        #: its buffered rows) by this registry.
-        self._cursors: "weakref.WeakSet[NetCursor]" = weakref.WeakSet()
         try:
             self._sock = socket.create_connection(
                 (host, port), timeout=connect_timeout)
@@ -106,10 +140,8 @@ class NetConnection:
                 f"cannot connect to repro://{host}:{port}: {exc}") from exc
         self._sock.settimeout(connect_timeout)
         try:
-            hello = {
-                "type": "hello", "version": PROTOCOL_VERSION,
-                "codecs": available_codecs(), "client": client_name,
-            }
+            hello = {"type": "hello", "version": PROTOCOL_VERSION,
+                     "client": client_name}
             if auth_token is not None:
                 hello["token"] = auth_token
             send_message(self._sock, hello)
@@ -119,11 +151,9 @@ class NetConnection:
             if welcome["type"] != "welcome":
                 raise InterfaceError(
                     f"unexpected handshake reply {welcome['type']!r}")
-            self._codec = CODEC_IDS[welcome.get("codec", "json")]
             self.session_name = welcome.get("session")
         except Exception:
-            self._sock.close()
-            self._closed = True
+            self._teardown()
             raise
         self._sock.settimeout(timeout)
 
@@ -131,11 +161,15 @@ class NetConnection:
     # Wire exchange
     # ------------------------------------------------------------------
     def _request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """One ordered request-response exchange (raises typed errors)."""
+        """One ordered request-response exchange (raises typed errors).
+
+        :attr:`_lock` serialises the exchanges of cursors sharing this
+        connection.
+        """
         with self._lock:
             self._check_open()
             try:
-                send_message(self._sock, message, self._codec)
+                send_message(self._sock, message)
                 reply = recv_message(self._sock,
                                      max_frame=MAX_FRAME_BYTES)
             except (ConnectionError, socket.timeout, OSError) as exc:
@@ -155,47 +189,14 @@ class NetConnection:
         except OSError:
             pass
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("connection is closed")
-
-    # ------------------------------------------------------------------
-    # DB-API surface
-    # ------------------------------------------------------------------
-    def cursor(self) -> "NetCursor":
-        self._check_open()
-        cur = NetCursor(self)
-        self._cursors.add(cur)
-        return cur
-
-    def commit(self) -> None:
-        self._check_open()                    # autocommit engine
-
-    def rollback(self) -> None:
-        from repro.errors import NotSupportedError
-        raise NotSupportedError(
-            "transactions are not supported (autocommit engine)")
-
-    def close(self) -> None:
-        """Close the connection (idempotent); open cursors close too."""
-        if self._closed:
-            return
-        for cur in list(self._cursors):
-            cur.close()
-        self._cursors.clear()
+    def _disconnect(self) -> None:
         try:
             with self._lock:
-                if not self._closed:
-                    send_message(self._sock, {"type": "goodbye"},
-                                 self._codec)
-                    recv_message(self._sock)      # bye
-        except (Exception, socket.timeout):
+                send_message(self._sock, {"type": "goodbye"})
+                recv_message(self._sock)          # bye
+        except Exception:
             pass                              # best effort farewell
         self._teardown()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     # ------------------------------------------------------------------
     # Extensions
@@ -217,166 +218,6 @@ class NetConnection:
         reply = self._request({"type": "stats"})
         return {k: v for k, v in reply.items() if k != "type"}
 
-    def __enter__(self) -> "NetConnection":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
         return f"NetConnection({self.session_name}, {state})"
-
-
-class NetCursor:
-    """A DB-API cursor executing over the wire.
-
-    Matches :class:`repro.dbapi.Cursor` for the query surface; result
-    rows stream server-to-client in batches (`fetch_batch` rows per
-    frame), pulled lazily as the fetch methods consume them.
-    """
-
-    arraysize = 1
-
-    def __init__(self, connection: NetConnection):
-        self.connection = connection
-        self._closed = False
-        self._rows: List[Tuple] = []
-        self._pos = 0
-        self._result_id = 0
-        self._complete = True
-        self.description: Optional[List[Tuple]] = None
-        self.rowcount = -1
-        #: Per-query recycler statistics dict from the RESULT frame.
-        self.stats: Optional[Dict[str, Any]] = None
-        #: Per-parameter-set stats of the last :meth:`executemany`.
-        self.stats_batch: List[Dict[str, Any]] = []
-
-    # ------------------------------------------------------------------
-    def _install(self, reply: Dict[str, Any]) -> None:
-        self.stats = reply.get("stats")
-        description = reply.get("description")
-        self.description = (
-            [tuple(d) for d in description] if description else None
-        )
-        self.rowcount = reply.get("rowcount", -1)
-        self._rows = [tuple(r) for r in reply.get("rows", [])]
-        self._pos = 0
-        self._result_id = reply.get("result_id", 0)
-        self._complete = reply.get("complete", True)
-
-    def _reset(self) -> None:
-        self._rows = []
-        self._pos = 0
-        self._result_id = 0
-        self._complete = True
-        self.description = None
-        self.rowcount = -1
-        self.stats = None
-        self.stats_batch = []
-
-    def execute(self, sql: str, params: Any = None) -> "NetCursor":
-        """Execute SQL (``?`` sequence / ``:name`` mapping params)."""
-        self._check_open()
-        self._reset()
-        self._install(self.connection._request({
-            "type": "execute", "sql": sql, "params": params,
-            "fetch": self.connection.fetch_batch,
-        }))
-        return self
-
-    def executemany(self, sql: str, seq_of_params) -> "NetCursor":
-        self._check_open()
-        self._reset()
-        reply = None
-        for params in seq_of_params:
-            reply = self.connection._request({
-                "type": "execute", "sql": sql, "params": params,
-                "fetch": self.connection.fetch_batch,
-            })
-            self.stats_batch.append(reply.get("stats"))
-        if reply is not None:
-            batch = self.stats_batch
-            self._install(reply)
-            self.stats_batch = batch
-        return self
-
-    def execute_named(self, name: str, params: Any = None) -> "NetCursor":
-        """Execute a server-side named prepared statement."""
-        self._check_open()
-        self._reset()
-        self._install(self.connection._request({
-            "type": "execute", "name": name, "params": params,
-            "fetch": self.connection.fetch_batch,
-        }))
-        return self
-
-    # ------------------------------------------------------------------
-    def _have(self, n: Optional[int] = None) -> None:
-        """Pull row batches from the server until *n* more rows are
-        buffered (all rows when None) or the result is complete."""
-        if self.description is None:
-            raise ProgrammingError("no result set: execute first")
-        while not self._complete and (
-                n is None or len(self._rows) - self._pos < n):
-            reply = self.connection._request({
-                "type": "fetch", "result_id": self._result_id,
-                "n": self.connection.fetch_batch,
-            })
-            self._rows.extend(tuple(r) for r in reply.get("rows", []))
-            self._complete = reply.get("complete", True)
-
-    def fetchone(self) -> Optional[Tuple]:
-        rows = self.fetchmany(1)
-        return rows[0] if rows else None
-
-    def fetchmany(self, size: Optional[int] = None) -> List[Tuple]:
-        self._check_open()
-        size = self.arraysize if size is None else size
-        if size < 0:
-            raise ProgrammingError(f"fetchmany size must be >= 0, got {size}")
-        self._have(size)
-        chunk = self._rows[self._pos:self._pos + size]
-        self._pos += len(chunk)
-        return chunk
-
-    def fetchall(self) -> List[Tuple]:
-        self._check_open()
-        self._have(None)
-        chunk = self._rows[self._pos:]
-        self._pos = len(self._rows)
-        return chunk
-
-    def __iter__(self) -> Iterator[Tuple]:
-        while True:
-            row = self.fetchone()
-            if row is None:
-                return
-            yield row
-
-    # ------------------------------------------------------------------
-    def setinputsizes(self, sizes) -> None:
-        """No-op (PEP 249 allows this)."""
-
-    def setoutputsize(self, size, column=None) -> None:
-        """No-op (PEP 249 allows this)."""
-
-    def close(self) -> None:
-        self._closed = True
-        self._rows = []
-        self.description = None
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise InterfaceError("cursor is closed")
-        self.connection._check_open()
-
-    def __enter__(self) -> "NetCursor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
-        return f"NetCursor({state}, rowcount={self.rowcount})"

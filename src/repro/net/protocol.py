@@ -8,10 +8,9 @@ Every frame on the wire is::
 
 ``length`` is the big-endian byte count of everything after itself
 (codec byte included), so a receiver always knows how much to read
-before touching the payload.  ``codec`` selects the payload encoding:
-``0`` = JSON (always available), ``1`` = msgpack (used only when both
-sides advertised it during the HELLO handshake — the dependency is
-optional and the container may not ship it).  Frames larger than
+before touching the payload.  ``codec`` names the payload encoding and
+is always ``0`` (JSON); a frame carrying any other value is refused
+with :class:`ProtocolError`.  Frames larger than
 :data:`MAX_FRAME_BYTES` are rejected *before* the payload is read, so a
 hostile or corrupt length prefix cannot make either side allocate
 gigabytes.
@@ -49,11 +48,6 @@ from repro.errors import (
 )
 from repro import errors as _errors_module
 
-try:  # optional accelerated codec — never a hard dependency
-    import msgpack as _msgpack
-except ImportError:  # pragma: no cover - environment-dependent
-    _msgpack = None
-
 #: Protocol revision, exchanged in HELLO/WELCOME.
 PROTOCOL_VERSION = 1
 
@@ -63,23 +57,10 @@ DEFAULT_PORT = 6414
 #: Hard ceiling on one frame (length prefix included), both directions.
 MAX_FRAME_BYTES = 16 << 20
 
-#: Payload codecs (the one-byte discriminator after the length prefix).
+#: The payload codec: the one-byte discriminator after the length prefix.
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
 
 _LEN = struct.Struct("!I")
-
-
-def available_codecs() -> list:
-    """Codec names this process can speak, preference order."""
-    names = ["json"]
-    if _msgpack is not None:
-        names.insert(0, "msgpack")
-    return names
-
-
-CODEC_IDS = {"json": CODEC_JSON, "msgpack": CODEC_MSGPACK}
-CODEC_NAMES = {v: k for k, v in CODEC_IDS.items()}
 
 #: Client-originated message types.
 CLIENT_MESSAGES = (
@@ -102,7 +83,7 @@ class ProtocolError(OperationalError):
 # Value tagging (numpy / dates / bytes <-> JSON-safe structures)
 # ----------------------------------------------------------------------
 def to_wire(value: Any) -> Any:
-    """Recursively convert *value* into a JSON/msgpack-safe structure."""
+    """Recursively convert *value* into a JSON-safe structure."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, np.datetime64):
@@ -153,41 +134,25 @@ def from_wire(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # Frame encode / decode
 # ----------------------------------------------------------------------
-def encode_frame(message: Dict[str, Any], codec: int = CODEC_JSON,
-                 *, max_frame: int = MAX_FRAME_BYTES) -> bytes:
+def encode_frame(message: Dict[str, Any], *,
+                 max_frame: int = MAX_FRAME_BYTES) -> bytes:
     """Serialise one message dict into a complete wire frame."""
-    if codec == CODEC_JSON:
-        body = json.dumps(to_wire(message), separators=(",", ":"),
-                          allow_nan=True).encode("utf-8")
-    elif codec == CODEC_MSGPACK:
-        if _msgpack is None:
-            raise ProtocolError("msgpack codec negotiated but unavailable")
-        body = _msgpack.packb(to_wire(message), use_bin_type=True)
-    else:
-        raise ProtocolError(f"unknown codec id {codec}")
+    body = json.dumps(to_wire(message), separators=(",", ":"),
+                      allow_nan=True).encode("utf-8")
     length = len(body) + 1
     if length > max_frame:
         raise ProtocolError(
             f"frame of {length} bytes exceeds the {max_frame}-byte limit"
         )
-    return _LEN.pack(length) + bytes([codec]) + body
+    return _LEN.pack(length) + bytes([CODEC_JSON]) + body
 
 
 def decode_payload(codec: int, body: bytes) -> Dict[str, Any]:
     """Decode one frame payload into its message dict."""
+    if codec != CODEC_JSON:
+        raise ProtocolError(f"unknown codec id {codec}")
     try:
-        if codec == CODEC_JSON:
-            message = json.loads(body.decode("utf-8"))
-        elif codec == CODEC_MSGPACK:
-            if _msgpack is None:
-                raise ProtocolError(
-                    "peer sent msgpack but this side cannot decode it"
-                )
-            message = _msgpack.unpackb(body, raw=False)
-        else:
-            raise ProtocolError(f"unknown codec id {codec}")
-    except ProtocolError:
-        raise
+        message = json.loads(body.decode("utf-8"))
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     message = from_wire(message)
@@ -230,9 +195,8 @@ def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_message(sock: socket.socket, message: Dict[str, Any],
-                 codec: int = CODEC_JSON) -> None:
-    sock.sendall(encode_frame(message, codec))
+def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+    sock.sendall(encode_frame(message))
 
 
 def recv_message(sock: socket.socket, *,
@@ -270,10 +234,9 @@ async def read_message(reader: asyncio.StreamReader, *,
 
 
 async def write_message(writer: asyncio.StreamWriter,
-                        message: Dict[str, Any],
-                        codec: int = CODEC_JSON, *,
+                        message: Dict[str, Any], *,
                         max_frame: int = MAX_FRAME_BYTES) -> None:
-    writer.write(encode_frame(message, codec, max_frame=max_frame))
+    writer.write(encode_frame(message, max_frame=max_frame))
     await writer.drain()
 
 

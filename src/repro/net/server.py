@@ -55,13 +55,9 @@ from repro.errors import (
 )
 from repro.mal.operators.results import ResultSet
 from repro.net.protocol import (
-    CODEC_IDS,
-    CODEC_JSON,
-    CODEC_NAMES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
-    available_codecs,
     error_message,
     read_message,
     write_message,
@@ -85,7 +81,6 @@ class _Connection:
         self.server = server
         self.writer = writer
         self.id = conn_id
-        self.codec = CODEC_JSON
         self.session = None                  # opened after HELLO
         self.prepared: Dict[str, Any] = {}   # name -> PreparedStatement
         self.results: Dict[int, Dict[str, Any]] = {}  # rid -> cursor state
@@ -250,7 +245,7 @@ class ReproServer:
 
     async def _handshake(self, conn: _Connection,
                          reader: asyncio.StreamReader) -> bool:
-        """HELLO/WELCOME exchange: version, codec pick, optional auth."""
+        """HELLO/WELCOME exchange: version check, optional auth."""
         try:
             msg = await asyncio.wait_for(
                 read_message(reader, max_frame=self.max_frame),
@@ -276,17 +271,10 @@ class ReproServer:
             await self._send_raw(conn, error_message(OperationalError(
                 "authentication failed")))
             return False
-        # Codec: first client preference the server also speaks.
-        ours = available_codecs()
-        for name in msg.get("codecs", ["json"]):
-            if name in ours:
-                conn.codec = CODEC_IDS[name]
-                break
         conn.session = self.manager.open_session(
             f"net-{conn.id}-{msg.get('client', 'client')}")
         await self._send_raw(conn, {
             "type": "welcome", "version": PROTOCOL_VERSION,
-            "codec": CODEC_NAMES[conn.codec],
             "session": conn.session.name,
         })
         return True
@@ -295,7 +283,7 @@ class ReproServer:
                         message: Dict[str, Any]) -> None:
         """Direct ordered-bypass write (handshake only)."""
         try:
-            await write_message(conn.writer, message, conn.codec)
+            await write_message(conn.writer, message)
         except (ConnectionError, OSError):
             conn.dead = True
 
@@ -355,15 +343,14 @@ class ReproServer:
             if conn.dead:
                 continue                      # still await tasks above
             try:
-                await write_message(conn.writer, response, conn.codec,
+                await write_message(conn.writer, response,
                                     max_frame=self.max_frame)
             except ProtocolError as exc:
                 # The response itself cannot be framed (e.g. a result
                 # batch bigger than max_frame): degrade to a typed
                 # error so the client is told instead of hung.
                 try:
-                    await write_message(conn.writer, error_message(exc),
-                                        conn.codec)
+                    await write_message(conn.writer, error_message(exc))
                 except (ConnectionError, OSError):
                     conn.dead = True
             except (ConnectionError, OSError):

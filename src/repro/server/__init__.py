@@ -12,19 +12,14 @@ share one recycle pool:
 * :class:`~repro.server.locks.ReadWriteLock` — the query/update
   serialisation primitive of the concurrency contract.
 
-Locking protocol (coarse, two levels):
-
-1. **Database read-write lock** — every query invocation runs under the
-   shared (read) side; DML/DDL take the exclusive (write) side.  A query
-   therefore sees a consistent snapshot of column versions for its whole
-   plan, and update invalidation never interleaves with a running plan.
-2. **Recycler pool lock** — one re-entrant mutex inside
-   :class:`~repro.core.recycler.Recycler` guards all pool state
-   (lookup, admission, eviction, demotion/promotion and the spill
-   store of the two-tier pool, invalidation, statistics).  Operator
-   execution happens *outside* this lock: the interpreter only enters it
-   for the ``recycleEntry``/``recycleExit`` bookkeeping of Algorithm 1,
-   so concurrent sessions overlap their actual query work.
+Locking protocol: three levels, always acquired database → table →
+pool.  The database read-write lock is taken exclusively only by DDL and
+``Database.close()``; one read-write lock per table is read by a query
+for every table its plan binds and written by DML on the table it
+mutates; the recycle pool's one re-entrant lock
+(:attr:`repro.core.pool.RecyclePool.lock`) is held only for Algorithm
+1's bookkeeping, never around operator execution.
+:mod:`repro.server.locks` has the details.
 
 The full walk-through, with the paper-section map, lives in
 ``docs/ARCHITECTURE.md``.

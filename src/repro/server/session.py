@@ -41,6 +41,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
+from repro.errors import InterfaceError
 from repro.mal.interpreter import (
     ExecutionStats,
     Interpreter,
@@ -149,7 +150,7 @@ class Session:
 
     def _check_open(self) -> None:
         if self.closed:
-            raise RuntimeError(f"{self.name} is closed")
+            raise InterfaceError(f"{self.name} is closed")
 
     def __enter__(self) -> "Session":
         return self

@@ -27,6 +27,7 @@ from repro import (
     ProgrammingError,
 )
 from repro.mal.operators.results import ResultSet
+from repro.mal.program import Const, ProgramBuilder
 from repro.core.admission import CreditAdmission
 from repro.core.eviction import BenefitEviction
 from repro.sql import planner as planner_module
@@ -363,6 +364,21 @@ class TestFetching:
         cur = conn.cursor()
         with pytest.raises(ProgrammingError):
             cur.fetchone()
+
+    def test_template_without_result_set_has_nothing_to_fetch(self, conn):
+        """A template whose result is a bare scalar produces no result
+        set, so every fetch is a ProgrammingError (PEP 249)."""
+        b = ProgramBuilder("bare_count")
+        col = b.emit("sql.bind", Const("sales"), Const("amount"))
+        b.set_result(b.emit("aggr.count1", col))
+        conn.database.register_template(b.build())
+        cur = conn.cursor().execute_template("bare_count")
+        assert cur.stats is not None and cur.result is None
+        assert cur.description is None and cur.rowcount == -1
+        for fetch in (cur.fetchone, cur.fetchmany, cur.fetchall,
+                      lambda: list(cur)):
+            with pytest.raises(ProgrammingError):
+                fetch()
 
     def test_failed_execute_clears_previous_result(self, conn):
         cur = conn.cursor()

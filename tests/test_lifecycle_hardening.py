@@ -132,6 +132,19 @@ class TestConnectionCursorLifecycle:
         assert len(conn._cursors) <= 1
         conn.close()
 
+    def test_closed_session_raises_a_dbapi_error(self, db):
+        """``except repro.Error`` catches everything, a closed session
+        included."""
+        session = db.session("done")
+        session.close()
+        stmt = db.prepare("select count(*) from t")
+        for run in (lambda: session.execute("select count(*) from t"),
+                    lambda: session.run_statement(stmt),
+                    lambda: session.run_template("anything")):
+            with pytest.raises(repro.Error, match="closed") as caught:
+                run()
+            assert caught.type is repro.InterfaceError
+
     def test_session_close_midquery_from_other_thread(self, db):
         """Closing a session while another thread executes on it must
         not corrupt engine state: the in-flight query completes (or
@@ -145,7 +158,7 @@ class TestConnectionCursorLifecycle:
                     r = session.execute(
                         "select count(*) from t where x >= ?", (i,))
                     results.append(r.value.rows()[0][0])
-            except RuntimeError as exc:      # session closed mid-loop
+            except repro.InterfaceError as exc:  # session closed mid-loop
                 errors.append(str(exc))
 
         t = threading.Thread(target=run)

@@ -33,8 +33,7 @@ def served():
 def raw_conn(handle, do_hello=True) -> socket.socket:
     sock = socket.create_connection((handle.host, handle.port), timeout=5)
     if do_hello:
-        send_message(sock, {"type": "hello", "version": PROTOCOL_VERSION,
-                            "codecs": ["json"]})
+        send_message(sock, {"type": "hello", "version": PROTOCOL_VERSION})
         reply = recv_message(sock)
         assert reply["type"] == "welcome"
     return sock
@@ -160,8 +159,7 @@ class TestBadMessages:
 
     def test_wrong_protocol_version(self, served):
         sock = raw_conn(served, do_hello=False)
-        send_message(sock, {"type": "hello", "version": 999,
-                            "codecs": ["json"]})
+        send_message(sock, {"type": "hello", "version": 999})
         expect_error_or_close(sock, match="version")
         sock.close()
         server_is_healthy(served)

@@ -6,26 +6,32 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import gc
+import itertools
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import repro
-from repro import ExecutionStats
-from repro.errors import Error, OperationalError, ProgrammingError
-from repro.net import client as client_module
-from repro.net.client import NetConnection
+from repro import ExecutionStats, InvocationResult
+from repro.dbapi import BaseCursor, Cursor
+from repro.errors import (
+    Error,
+    InterfaceError,
+    OperationalError,
+    ProgrammingError,
+)
+from repro.net.client import NetConnection, NetCursor
 from repro.net.protocol import (
-    CODEC_IDS,
     PROTOCOL_VERSION,
-    available_codecs,
     recv_message,
     send_message,
 )
-from repro.net.server import serve_in_thread
+from repro.net.server import MAX_PENDING_RESULTS, serve_in_thread
+from repro.server.session import Session
 
 
 @pytest.fixture
@@ -93,6 +99,18 @@ class TestBasicQueries:
                 assert len(cur.fetchmany(70)) == 60
                 assert cur.fetchmany(70) == []
 
+    def test_ninth_pending_result_evicts_the_oldest(self, served):
+        sql = "select x from t where x < 5 order by x"
+        with repro.connect(url=served.url, fetch_batch=2) as conn:
+            cursors = [conn.cursor().execute(sql)
+                       for _ in range(MAX_PENDING_RESULTS + 1)]
+            for cur in cursors[1:]:
+                assert cur.fetchall() == [(x,) for x in range(5)]
+            # The oldest keeps its first frame, then has nothing to pull.
+            assert cursors[0].fetchmany(2) == [(0,), (1,)]
+            with pytest.raises(ProgrammingError, match="no fetchable"):
+                cursors[0].fetchone()
+
     def test_iteration_and_description(self, served):
         with repro.connect(url=served.url) as conn:
             cur = conn.cursor()
@@ -117,14 +135,10 @@ class TestBasicQueries:
             cur.execute("select count(*) from t")
             assert cur.fetchone() == (2000,)
 
-    def test_dbapi_parity_with_embedded(self, small_db, served):
-        sql = "select g, count(*) as n from t where x >= ? group by g " \
-              "order by g"
-        with repro.connect(database=small_db) as emb:
-            expected = emb.cursor().execute(sql, (250,)).fetchall()
-        with repro.connect(url=served.url) as conn:
-            got = conn.cursor().execute(sql, (250,)).fetchall()
-        assert got == expected
+
+#: Rows per frame on the network cursor: every contract case below
+#: crosses ``fetch`` frames.
+PARITY_FETCH_BATCH = 7
 
 
 @pytest.fixture(params=["embedded", "network"])
@@ -135,39 +149,149 @@ def any_cursor(request, small_db):
             yield conn.cursor()
     else:
         with serve_in_thread(small_db) as handle, \
-                repro.connect(url=handle.url) as conn:
+                repro.connect(url=handle.url,
+                              fetch_batch=PARITY_FETCH_BATCH) as conn:
             yield conn.cursor()
 
 
+@pytest.fixture
+def dated(small_db):
+    """Table ``d`` in ``small_db``: one column per wire cell type."""
+    small_db.create_table(
+        "d", {"k": "int64", "day": "datetime64[D]", "v": "float64",
+              "s": "U4"},
+        {"k": range(6),
+         "day": np.datetime64("1998-11-28")
+         + np.arange(6).astype("timedelta64[D]"),
+         "v": [0.5, 1.5, float("nan"), 3.5, 4.5, 5.5],
+         "s": ["a", "bb", "ccc", "dddd", "", "f"]})
+
+
+def _typed(rows):
+    """Cells as ``(type, repr)``: equal values *and* types, NaN included."""
+    return [[(type(c), repr(c)) for c in row] for row in rows]
+
+
 class TestCursorParity:
-    @pytest.mark.parametrize("codec", available_codecs())
-    def test_cell_types_match_embedded(self, codec, monkeypatch):
-        db = repro.Database()
-        db.create_table(
-            "d", {"k": "int64", "day": "datetime64[D]", "v": "float64",
-                  "s": "U4"},
-            {"k": range(6),
-             "day": np.datetime64("1998-11-28")
-             + np.arange(6).astype("timedelta64[D]"),
-             "v": [0.5, 1.5, float("nan"), 3.5, 4.5, 5.5],
-             "s": ["a", "bb", "ccc", "dddd", "", "f"]})
-        sql = "select k, day, v, s from d where day >= ? order by k"
-        params = (datetime.date(1998, 11, 30),)
-        try:
-            with repro.connect(database=db) as emb:
-                want = emb.cursor().execute(sql, params).fetchall()
-            # The client offers only this codec; the server takes it.
-            monkeypatch.setattr(client_module, "available_codecs",
-                                lambda: [codec])
-            with serve_in_thread(db) as handle, \
-                    repro.connect(url=handle.url) as conn:
-                assert conn._codec == CODEC_IDS[codec]
-                got = conn.cursor().execute(sql, params).fetchall()
-        finally:
-            db.close()
-        assert len(want) == 4
-        assert [[(type(c), repr(c)) for c in row] for row in got] == \
-            [[(type(c), repr(c)) for c in row] for row in want]
+    """One cursor contract, run on both transports."""
+
+    def test_dbapi_parity_with_embedded(self, any_cursor):
+        sql = "select g, count(*) as n from t where x >= ? group by g " \
+              "order by g"
+        counts = Counter(x % 7 for x in range(250, 2000))
+        assert any_cursor.execute(sql, (250,)).fetchall() == \
+            sorted(counts.items())
+
+    def test_fetch_before_execute(self, any_cursor):
+        for fetch in (any_cursor.fetchone, any_cursor.fetchmany,
+                      any_cursor.fetchall, lambda: list(any_cursor)):
+            with pytest.raises(ProgrammingError, match="no result set"):
+                fetch()
+
+    def test_execute_without_result_set_has_nothing_to_fetch(
+            self, any_cursor, monkeypatch):
+        # A statement whose value is a bare scalar, on either side of
+        # the wire (the server runs statements through run_statement).
+        scalar = InvocationResult(42, ExecutionStats())
+        monkeypatch.setattr(Session, "execute",
+                            lambda self, sql, params=None: scalar)
+        monkeypatch.setattr(Session, "run_statement",
+                            lambda self, stmt, params=None: scalar)
+        cur = any_cursor.execute("select count(*) from t")
+        assert cur.stats is not None
+        assert cur.description is None and cur.rowcount == -1
+        for fetch in (cur.fetchone, cur.fetchmany, cur.fetchall,
+                      lambda: list(cur)):
+            with pytest.raises(ProgrammingError):
+                fetch()
+
+    def test_empty_result(self, any_cursor):
+        cur = any_cursor.execute("select x, g from t where x < 0")
+        assert cur.description == [
+            ("x", "INTEGER", None, 8, None, None, None),
+            ("g", "INTEGER", None, 8, None, None, None)]
+        assert cur.rowcount == 0
+        assert cur.fetchone() is None
+        assert cur.fetchmany(5) == [] and cur.fetchall() == []
+
+    def test_cell_types(self, any_cursor, dated):
+        cur = any_cursor.execute(
+            "select k, day, v, s from d where day >= ? order by k",
+            (datetime.date(1998, 11, 30),))
+        want = [(k, datetime.date(1998, 11, 28) + datetime.timedelta(k), v, s)
+                for k, v, s in [(2, float("nan"), "ccc"), (3, 3.5, "dddd"),
+                                (4, 4.5, ""), (5, 5.5, "f")]]
+        assert _typed(cur.fetchall()) == _typed(want)
+
+    def test_executemany(self, any_cursor):
+        cur = any_cursor
+        sql = "select x from t where x < ? order by x"
+        cur.executemany(sql, [(10,), (20,), (30,)])
+        assert len(cur.stats_batch) == 3 and cur.stats is cur.stats_batch[-1]
+        assert cur.rowcount == 30
+        assert cur.fetchall() == [(x,) for x in range(30)]
+        # No parameter sets: nothing ran, and nothing is left over.
+        cur.executemany(sql, [])
+        assert cur.stats_batch == [] and cur.stats is None
+        assert cur.description is None and cur.rowcount == -1
+        with pytest.raises(ProgrammingError):
+            cur.fetchone()
+
+    def test_closed_cursor(self, any_cursor):
+        cur = any_cursor.execute("select x from t where x < 20")
+        cur.close()
+        cur.close()                         # idempotent
+        for call in (cur.fetchone, cur.fetchmany, cur.fetchall,
+                     lambda: cur.execute("select count(*) from t"),
+                     lambda: cur.executemany("select count(*) from t",
+                                             [()])):
+            with pytest.raises(InterfaceError, match="closed"):
+                call()
+
+    def test_failed_execute_clears_previous_rows(self, any_cursor):
+        cur = any_cursor.execute("select x from t where x < 20")
+        cur.fetchone()
+        with pytest.raises(ProgrammingError):
+            cur.execute("select nope from t")
+        assert cur.description is None and cur.rowcount == -1
+        assert cur.stats is None
+        with pytest.raises(ProgrammingError, match="no result set"):
+            cur.fetchall()
+        assert cur.execute("select count(*) from t").fetchone() == (2000,)
+
+    def test_wrong_arity(self, any_cursor):
+        sql = "select count(*) from t where x >= ?"
+        for params in ((1, 2), None, {"lo": 1}):
+            with pytest.raises(ProgrammingError):
+                any_cursor.execute(sql, params)
+
+    def test_partial_iteration_then_fetchall(self, any_cursor):
+        cur = any_cursor.execute("select x from t where x < 20 order by x")
+        assert list(itertools.islice(cur, 9)) == [(x,) for x in range(9)]
+        assert cur.fetchmany(2) == [(9,), (10,)]
+        assert cur.fetchall() == [(x,) for x in range(11, 20)]
+        assert list(cur) == [] and cur.fetchone() is None
+
+    def test_arraysize(self, any_cursor):
+        cur = any_cursor.execute("select x from t where x < 20 order by x")
+        assert cur.arraysize == 1
+        assert cur.fetchmany() == [(0,)]
+        cur.arraysize = 8
+        assert cur.fetchmany() == [(x,) for x in range(1, 9)]
+        assert cur.fetchmany(0) == []
+        assert len(cur.fetchmany()) == 8 and len(cur.fetchmany()) == 3
+
+    def test_named_and_date_parameters(self, any_cursor, dated):
+        cur = any_cursor
+        assert cur.execute("select count(*) from t where x >= :lo and "
+                           "x < :hi", {"lo": 10, "hi": 30}).fetchone() \
+            == (20,)
+        for day in (datetime.date(1998, 12, 1), np.datetime64("1998-12-01"),
+                    datetime.datetime(1998, 12, 1)):
+            assert cur.execute("select count(*) from d where day >= ?",
+                               (day,)).fetchone() == (3,)
+            assert cur.execute("select count(*) from d where day >= :day",
+                               {"day": day}).fetchone() == (3,)
 
     def test_negative_fetchmany_size_is_refused(self, any_cursor):
         cur = any_cursor
@@ -176,6 +300,58 @@ class TestCursorParity:
             cur.fetchmany(-1)
         # The refused call did not move the cursor past any row.
         assert cur.fetchall() == [(x,) for x in range(10)]
+
+
+#: What an outside tracer wraps on each cursor leaf, by attribute name.
+TRACED = [(Cursor, "execute"), (Cursor, "fetchall"),
+          (NetCursor, "execute_named"), (NetCursor, "fetchall")]
+
+
+def test_leaves_can_be_wrapped_one_class_at_a_time(small_db, served):
+    """Wrap each leaf's traced methods the way an outside tracer does
+    (``getattr``/``setattr`` per class, undone in reverse): a call on
+    one leaf never runs the other leaf's wrapper, wrappers never nest,
+    and afterwards every attribute is its original function again."""
+    for owner, attr in TRACED:
+        assert getattr(owner, attr).__qualname__.split(".")[0] in (
+            BaseCursor.__name__, owner.__name__)
+    originals = [getattr(owner, attr) for owner, attr in TRACED]
+    own = [attr in vars(owner) for owner, attr in TRACED]
+    calls, depth, undo = [], [0], []
+
+    def wrap(owner, attr, fn):
+        def wrapper(self, *args, **kwargs):
+            calls.append((owner.__name__, attr, type(self).__name__,
+                          depth[0]))
+            depth[0] += 1
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    try:
+        for owner, attr in TRACED:
+            original = getattr(owner, attr)
+            setattr(owner, attr, wrap(owner, attr, original))
+            undo.append(lambda o=owner, a=attr, f=original: setattr(o, a, f))
+        with repro.connect(database=small_db) as conn:
+            conn.cursor().execute("select count(*) from t").fetchall()
+        with repro.connect(url=served.url) as conn:
+            conn.prepare("cnt", "select count(*) from t")
+            conn.cursor().execute_named("cnt").fetchall()
+        assert calls == [
+            ("Cursor", "execute", "Cursor", 0),
+            ("Cursor", "fetchall", "Cursor", 0),
+            ("NetCursor", "execute_named", "NetCursor", 0),
+            ("NetCursor", "fetchall", "NetCursor", 0)]
+    finally:
+        while undo:
+            undo.pop()()
+        assert [getattr(o, a) for o, a in TRACED] == originals
+        for (owner, attr), was_own in zip(TRACED, own):
+            if not was_own:                 # drop the restored copies
+                delattr(owner, attr)
 
 
 class TestNamedPreparedStatements:
@@ -335,8 +511,7 @@ class TestDisconnectHygiene:
         sock = socket.create_connection(
             (served.host, served.port), timeout=5)
         send_message(sock, {"type": "hello",
-                            "version": PROTOCOL_VERSION,
-                            "codecs": ["json"]})
+                            "version": PROTOCOL_VERSION})
         assert recv_message(sock)["type"] == "welcome"
         assert wait_until(
             lambda: served.server.manager.session_count == 1)
@@ -355,8 +530,7 @@ class TestDisconnectHygiene:
         sock = socket.create_connection(
             (served.host, served.port), timeout=5)
         send_message(sock, {"type": "hello",
-                            "version": PROTOCOL_VERSION,
-                            "codecs": ["json"]})
+                            "version": PROTOCOL_VERSION})
         recv_message(sock)
         send_message(sock, {"type": "execute",
                             "sql": "select count(*) from t"})
