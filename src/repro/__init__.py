@@ -68,7 +68,7 @@ from repro.net import (
     serve_in_thread,
 )
 from repro.rel.builder import QueryBuilder
-from repro.server import ReadWriteLock, Session, SessionManager
+from repro.server import ReadWriteLock, Session
 from repro.storage import BAT, Catalog, SpillStore
 
 __version__ = "2.0.0"
@@ -97,7 +97,6 @@ __all__ = [
     "PreparedTemplate",
     "CompileCacheStats",
     "Session",
-    "SessionManager",
     "ReadWriteLock",
     "Recycler",
     "RecyclerConfig",

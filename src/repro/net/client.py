@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.dbapi import BaseConnection, BaseCursor
 from repro.errors import InterfaceError, OperationalError
 from repro.net.protocol import (
+    DEFAULT_FETCH_BATCH,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     DEFAULT_PORT,
@@ -128,7 +129,7 @@ class NetConnection(BaseConnection):
                  auth_token: Optional[str] = None,
                  connect_timeout: float = 10.0,
                  timeout: Optional[float] = 300.0,
-                 fetch_batch: int = 1024,
+                 fetch_batch: int = DEFAULT_FETCH_BATCH,
                  client_name: str = "repro-client"):
         super().__init__()
         self.fetch_batch = max(1, fetch_batch)

@@ -57,6 +57,9 @@ DEFAULT_PORT = 6414
 #: Hard ceiling on one frame (length prefix included), both directions.
 MAX_FRAME_BYTES = 16 << 20
 
+#: Rows per RESULT/ROWS frame when a request names no ``fetch``/``n``.
+DEFAULT_FETCH_BATCH = 1024
+
 #: The payload codec: the one-byte discriminator after the length prefix.
 CODEC_JSON = 0
 

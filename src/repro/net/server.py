@@ -1,13 +1,13 @@
 """The network front door: an asyncio wire server over the engine.
 
 One :class:`ReproServer` owns one :class:`~repro.db.Database` and
-bridges N socket connections onto it.  The event loop only shuffles
-frames; every query executes on a thread pool via ``run_in_executor``
-through a per-connection :class:`~repro.server.session.Session` opened
-on the existing thread-backed :class:`~repro.server.manager.SessionManager`
-— so the whole three-level locking contract (database → table → pool)
-and the shared recycle pool behave exactly as they do for
-embedded multi-threaded clients.
+bridges N socket connections onto it.  Each connection is one
+coroutine: read a frame, run it, write the reply, repeat.  Queries
+execute on a thread pool via ``run_in_executor`` through the
+connection's own :class:`~repro.server.session.Session`, so the
+three-level locking contract (database → table → pool) and the shared
+recycle pool behave exactly as they do for embedded multi-threaded
+clients.
 
 Per connection the server keeps *named prepared statements*: PREPARE
 stores a :class:`~repro.db.PreparedStatement` under a client-chosen
@@ -16,26 +16,22 @@ into the statement's compiled plan — zero parse/plan work on repeats,
 one recycler lineage shared with every other client running the same
 template (the paper's multi-user traffic pattern, §3.3/§7.3).
 
-Backpressure is two semaphores deep:
+Backpressure needs no machinery: a connection runs one frame at a time
+and reads the next only after answering, so a flooding client throttles
+itself via TCP; ``max_inflight`` is the number of engine threads, the
+one cap on concurrently executing queries.  Replies come back in request
+order because there is nothing to reorder.
 
-* a **per-connection window** bounds how many frames one client may
-  have in flight (the reader stops pulling frames off the socket when
-  the window is full, so a flooding client throttles itself via TCP);
-* a **global admission semaphore** bounds how many queries execute
-  concurrently across *all* connections, keeping the thread pool and
-  the pool lock from being convoyed by a thundering herd.
-
-Responses always return in request order (a writer task drains an
-ordered queue of dispatch futures), and executes on one connection are
-serialised — sessions are single-threaded by contract.
+The server holds no lock of its own: the open sessions, the connections
+and every per-connection table are touched only on the event loop
+(executor futures run their done-callbacks there too).
 
 Graceful drain (:meth:`ReproServer.shutdown`, or SIGTERM under
-:func:`serve_forever`): stop accepting, cancel idle reads, let every
-in-flight query finish and its response flush, close each session
-through the manager, then tear down the executor.  A client vanishing
-mid-EXECUTE takes the same path: the query completes on its thread
-(releasing table locks normally), the response write fails silently,
-and the session closes — nothing leaks.
+:func:`serve_forever`): stop accepting, cancel every pending read, let
+every running query finish and its reply flush, close each session,
+then tear down the executor.  A client vanishing mid-EXECUTE takes the
+same path: the query completes on its thread (releasing table locks
+normally), the reply write fails, and the session closes.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ from repro.errors import (
 )
 from repro.mal.operators.results import ResultSet
 from repro.net.protocol import (
+    DEFAULT_FETCH_BATCH,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -62,7 +59,7 @@ from repro.net.protocol import (
     read_message,
     write_message,
 )
-from repro.server.manager import SessionManager
+from repro.server.session import Session
 
 log = logging.getLogger("repro.net")
 
@@ -74,26 +71,20 @@ MAX_PENDING_RESULTS = 8
 
 
 class _Connection:
-    """Per-socket server state (event-loop confined unless noted)."""
+    """Per-socket server state (event-loop confined)."""
 
-    def __init__(self, server: "ReproServer", writer: asyncio.StreamWriter,
-                 conn_id: int):
-        self.server = server
+    def __init__(self, reader: asyncio.StreamReader,
+                 writer: asyncio.StreamWriter, conn_id: int):
+        self.reader = reader
         self.writer = writer
         self.id = conn_id
-        self.session = None                  # opened after HELLO
+        self.task = asyncio.current_task()
+        self.session: Optional[Session] = None      # opened after HELLO
         self.prepared: Dict[str, Any] = {}   # name -> PreparedStatement
         self.results: Dict[int, Dict[str, Any]] = {}  # rid -> cursor state
         self._next_rid = 1
-        self.closing = False
-        self.dead = False                    # write side failed
-        #: Serialises query execution on this connection's session.
-        self.exec_lock = asyncio.Lock()
-        #: Ordered response queue; maxsize is the in-flight window.
-        self.outbox: asyncio.Queue = asyncio.Queue(
-            maxsize=server.window)
+        #: The pending frame read, which drain cancels.
         self.read_task: Optional[asyncio.Task] = None
-        self.queries = 0
 
     def new_result(self, rows, batch: int) -> Dict[str, Any]:
         """Register a result set, returning the RESULT message fields."""
@@ -108,6 +99,15 @@ class _Connection:
         return out
 
 
+def _row_count(msg: Dict[str, Any], field: str) -> int:
+    """A client-sent row count: an int ≥ 1, or the default when absent."""
+    n = msg.get(field, DEFAULT_FETCH_BATCH)
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ProgrammingError(
+            f"{field!r} must be a positive row count, not {n!r}")
+    return n
+
+
 class ReproServer:
     """An asyncio TCP server speaking the repro wire protocol.
 
@@ -116,8 +116,8 @@ class ReproServer:
             ``owns_db=True`` — then :meth:`shutdown` closes it too).
         host/port: bind address; port 0 asks the OS for a free port
             (read the result from :attr:`port` after :meth:`start`).
-        max_inflight: global cap on concurrently *executing* queries.
-        window: per-connection in-flight frame window.
+        max_inflight: engine threads, i.e. the cap on concurrently
+            *executing* queries across all connections.
         idle_timeout: seconds a connection may sit between frames
             before the server closes it (None = forever).
         query_timeout: seconds one query may execute before the client
@@ -125,50 +125,50 @@ class ReproServer:
             (the engine thread cannot be interrupted, so its session is
             reaped only once the query finishes; None = no limit).
         auth_token: when set, HELLO frames must carry it.
-        fetch_batch: default rows per RESULT/ROWS frame.
-        max_frame: per-frame byte ceiling, both directions.
+        max_frame: byte ceiling on frames the server reads and writes.
     """
 
     def __init__(self, db: Database, host: str = "127.0.0.1",
                  port: int = 0, *,
                  max_inflight: int = 16,
-                 window: int = 8,
                  idle_timeout: Optional[float] = None,
                  query_timeout: Optional[float] = None,
                  auth_token: Optional[str] = None,
-                 fetch_batch: int = 1024,
                  max_frame: int = MAX_FRAME_BYTES,
                  owns_db: bool = False):
         self.db = db
         self.host = host
         self.port = port
-        self.window = max(1, window)
         self.idle_timeout = idle_timeout
         self.query_timeout = query_timeout
         self.auth_token = auth_token
-        self.fetch_batch = max(1, fetch_batch)
         self.max_frame = max_frame
         self.owns_db = owns_db
-        self.manager = SessionManager(db)
-        self._admission = asyncio.Semaphore(max(1, max_inflight))
         self._executor = ThreadPoolExecutor(
-            max_workers=max(2, max_inflight),
+            max_workers=max(1, max_inflight),
             thread_name_prefix="repro-net")
         self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._conns: set = set()
-        self._handlers: set = set()
+        self._sessions: set = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._conn_ids = iter(range(1, 1 << 62))
         self.connections_served = 0
         self.queries_served = 0
 
+    @property
+    def session_count(self) -> int:
+        """Open sessions, including ones a timed-out query still holds."""
+        return len(self._sessions)
+
+    def _close_session(self, session: Session) -> None:
+        self._sessions.discard(session)
+        session.close()
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "ReproServer":
-        self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
@@ -184,19 +184,20 @@ class ReproServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Kick idle connections out of their blocking reads; in-flight
-        # dispatches are NOT cancelled — each handler's cleanup waits
-        # for them and flushes their responses before closing.
-        for conn in list(self._conns):
-            conn.closing = True
-            if conn.read_task is not None and not conn.read_task.done():
+        # Kick every connection out of its wait for a client before
+        # waiting on anything; a running query is not cancelled — its
+        # connection answers it, then sees the drain and ends.
+        for conn in self._conns:
+            if conn.read_task is not None:
                 conn.read_task.cancel()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers),
-                                 return_exceptions=True)
-        self.manager.close_all()
+        await asyncio.gather(*[conn.task for conn in self._conns],
+                             return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
         self._executor.shutdown(wait=True)
+        # Sessions of timed-out queries whose threads just finished.
+        for session in list(self._sessions):
+            self._close_session(session)
         if self.owns_db:
             self.db.close()
         self._stopped.set()
@@ -205,159 +206,116 @@ class ReproServer:
         await self._stopped.wait()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # One connection: handshake, then read → dispatch → write
     # ------------------------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._handlers.add(task)
-        conn = _Connection(self, writer, next(self._conn_ids))
+        conn = _Connection(reader, writer, next(self._conn_ids))
         self._conns.add(conn)
         self.connections_served += 1
-        writer_task: Optional[asyncio.Task] = None
         try:
-            if self._draining:
-                return
-            if not await self._handshake(conn, reader):
-                return
-            writer_task = asyncio.create_task(self._writer_loop(conn))
-            await self._reader_loop(conn, reader)
+            if await self._handshake(conn):
+                await self._serve(conn)
         except Exception:                     # pragma: no cover - guard
             log.exception("connection %d handler failed", conn.id)
         finally:
-            conn.closing = True
-            # Drain the outbox: every dispatched query finishes and its
-            # response flushes (or is discarded on a dead socket).
-            if writer_task is not None:
-                await conn.outbox.put(None)
-                await writer_task
             if conn.session is not None:
-                self.manager.close_session(conn.session)
-            conn.prepared.clear()
-            conn.results.clear()
+                self._close_session(conn.session)
             self._conns.discard(conn)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-            self._handlers.discard(task)
 
-    async def _handshake(self, conn: _Connection,
-                         reader: asyncio.StreamReader) -> bool:
+    async def _handshake(self, conn: _Connection) -> bool:
         """HELLO/WELCOME exchange: version check, optional auth."""
-        try:
-            msg = await asyncio.wait_for(
-                read_message(reader, max_frame=self.max_frame),
-                timeout=self.idle_timeout or 30.0)
-        except asyncio.TimeoutError:
-            return False
-        except ProtocolError as exc:
-            await self._send_raw(conn, error_message(exc))
-            return False
+        msg = await self._read(conn, self.idle_timeout or 30.0)
         if msg is None:
             return False
-        if msg.get("type") != "hello":
-            await self._send_raw(conn, error_message(ProtocolError(
-                "expected a hello frame first")))
-            return False
-        if msg.get("version") != PROTOCOL_VERSION:
-            await self._send_raw(conn, error_message(InterfaceError(
+        if msg["type"] != "hello":
+            error = ProtocolError("expected a hello frame first")
+        elif msg.get("version") != PROTOCOL_VERSION:
+            error = InterfaceError(
                 f"protocol version {msg.get('version')!r} unsupported "
-                f"(server speaks {PROTOCOL_VERSION})")))
-            return False
-        if self.auth_token is not None and \
+                f"(server speaks {PROTOCOL_VERSION})")
+        elif self.auth_token is not None and \
                 msg.get("token") != self.auth_token:
-            await self._send_raw(conn, error_message(OperationalError(
-                "authentication failed")))
-            return False
-        conn.session = self.manager.open_session(
-            f"net-{conn.id}-{msg.get('client', 'client')}")
-        await self._send_raw(conn, {
-            "type": "welcome", "version": PROTOCOL_VERSION,
-            "session": conn.session.name,
-        })
-        return True
+            error = OperationalError("authentication failed")
+        else:
+            conn.session = self.db.session(
+                f"net-{conn.id}-{msg.get('client', 'client')}")
+            self._sessions.add(conn.session)
+            return await self._write(conn, {
+                "type": "welcome", "version": PROTOCOL_VERSION,
+                "session": conn.session.name,
+            })
+        await self._write(conn, error_message(error))
+        return False
 
-    async def _send_raw(self, conn: _Connection,
-                        message: Dict[str, Any]) -> None:
-        """Direct ordered-bypass write (handshake only)."""
-        try:
-            await write_message(conn.writer, message)
-        except (ConnectionError, OSError):
-            conn.dead = True
-
-    async def _reader_loop(self, conn: _Connection,
-                           reader: asyncio.StreamReader) -> None:
-        while not (conn.closing or self._draining):
-            conn.read_task = asyncio.ensure_future(
-                read_message(reader, max_frame=self.max_frame))
-            try:
-                if self.idle_timeout is not None:
-                    msg = await asyncio.wait_for(
-                        asyncio.shield(conn.read_task), self.idle_timeout)
-                else:
-                    msg = await conn.read_task
-            except asyncio.TimeoutError:
-                conn.read_task.cancel()
-                await self._enqueue_ready(conn, error_message(
-                    OperationalError(
-                        f"idle timeout ({self.idle_timeout}s) — "
-                        "closing connection")))
-                break
-            except asyncio.CancelledError:
-                if self._draining or conn.closing:
-                    break                     # drain kicked us out
-                raise
-            except ProtocolError as exc:
-                await self._enqueue_ready(conn, error_message(exc))
-                break
-            if msg is None:                   # clean client EOF
-                break
-            if msg["type"] == "goodbye":
-                await self._enqueue_ready(conn, {"type": "bye"})
-                break
-            task = asyncio.create_task(self._dispatch(conn, msg))
-            # Window backpressure: blocks when this client already has
-            # `window` frames in flight, which stops the socket reads.
-            await conn.outbox.put(task)
-
-    async def _enqueue_ready(self, conn: _Connection,
-                             message: Dict[str, Any]) -> None:
-        fut = self._loop.create_future()
-        fut.set_result(message)
-        await conn.outbox.put(fut)
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        """Flush responses in request order; sentinel ``None`` ends it."""
-        while True:
-            item = await conn.outbox.get()
-            if item is None:
+    async def _serve(self, conn: _Connection) -> None:
+        """Answer frames one at a time until EOF, goodbye, drain or a
+        timed-out query (which takes ``conn.session`` away)."""
+        while conn.session is not None:
+            msg = await self._read(conn, self.idle_timeout)
+            if msg is None:
                 return
+            if msg["type"] == "goodbye":
+                await self._write(conn, {"type": "bye"})
+                return
+            if not await self._write(conn, await self._dispatch(conn, msg)):
+                return
+
+    async def _read(self, conn: _Connection,
+                    timeout: Optional[float]) -> Optional[Dict[str, Any]]:
+        """The next frame, or None when the connection should end.
+
+        None covers EOF, a reset, a drain, a timeout and a bad frame;
+        the last two are answered with a typed error first.  The pending
+        read is registered as ``conn.read_task`` so drain can cancel it.
+        """
+        if self._draining:
+            return None
+        read = conn.read_task = asyncio.ensure_future(
+            read_message(conn.reader, max_frame=self.max_frame))
+        try:
+            done, _ = await asyncio.wait((read,), timeout=timeout)
+        finally:
+            conn.read_task = None
+            read.cancel()                     # no-op once the read is done
+        if read.cancelled():                  # drain kicked us out
+            return None
+        if not done:
+            error: Exception = OperationalError(
+                f"idle timeout ({timeout}s) — closing connection")
+        else:
             try:
-                response = await item
-            except asyncio.CancelledError:
-                continue
-            except Exception as exc:          # pragma: no cover - guard
-                response = error_message(exc)
-            if conn.dead:
-                continue                      # still await tasks above
+                return read.result()
+            except ProtocolError as exc:
+                error = exc
+            except ConnectionError:           # reset by the client
+                return None
+        await self._write(conn, error_message(error))
+        return None
+
+    async def _write(self, conn: _Connection,
+                     message: Dict[str, Any]) -> bool:
+        """Send one reply; False once the socket is gone."""
+        try:
             try:
-                await write_message(conn.writer, response,
+                await write_message(conn.writer, message,
                                     max_frame=self.max_frame)
             except ProtocolError as exc:
-                # The response itself cannot be framed (e.g. a result
-                # batch bigger than max_frame): degrade to a typed
-                # error so the client is told instead of hung.
-                try:
-                    await write_message(conn.writer, error_message(exc))
-                except (ConnectionError, OSError):
-                    conn.dead = True
-            except (ConnectionError, OSError):
-                conn.dead = True
+                # The reply itself cannot be framed (e.g. a result batch
+                # bigger than max_frame): degrade to a typed error so
+                # the client is told instead of hung.
+                await write_message(conn.writer, error_message(exc))
+        except (ConnectionError, OSError):
+            return False
+        return True
 
     # ------------------------------------------------------------------
-    # Message dispatch (runs as one task per frame; never raises)
+    # Message dispatch (never raises)
     # ------------------------------------------------------------------
     async def _dispatch(self, conn: _Connection,
                         msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -403,7 +361,7 @@ class ReproServer:
     async def _on_execute(self, conn: _Connection,
                           msg: Dict[str, Any]) -> Dict[str, Any]:
         params = msg.get("params")
-        batch = int(msg.get("fetch", self.fetch_batch))
+        batch = _row_count(msg, "fetch")
         name = msg.get("name")
         if name is not None:
             stmt = conn.prepared.get(name)
@@ -418,44 +376,30 @@ class ReproServer:
                     "execute needs either a prepared-statement name "
                     "or sql text")
             stmt = self.db.prepare(sql)
+        session = conn.session
 
         def work():
-            result = conn.session.run_statement(stmt, params)
+            result = session.run_statement(stmt, params)
             value = result.value
             if isinstance(value, ResultSet):
                 return value.rows(), value.description, result.stats
             return None, None, result.stats
 
-        # Sessions are single-threaded: serialise this connection's
-        # executes (the window still pipelines frames over the wire).
-        async with conn.exec_lock:
-            if conn.session is None or conn.session.closed:
-                raise InterfaceError("session is closed")
-            async with self._admission:       # global backpressure
-                fut = self._loop.run_in_executor(self._executor, work)
-                if self.query_timeout is not None:
-                    try:
-                        rows, description, stats = await asyncio.wait_for(
-                            asyncio.shield(fut), self.query_timeout)
-                    except asyncio.TimeoutError:
-                        # The engine thread cannot be interrupted: mark
-                        # the connection for closure and reap the
-                        # session when the straggler finishes (it holds
-                        # table locks until then, releasing normally).
-                        conn.closing = True
-                        session = conn.session
-                        conn.session = None
-                        fut.add_done_callback(
-                            lambda _f: self.manager.close_session(session))
-                        if conn.read_task is not None and \
-                                not conn.read_task.done():
-                            conn.read_task.cancel()
-                        raise OperationalError(
-                            f"query exceeded the {self.query_timeout}s "
-                            "server limit; connection closed") from None
-                else:
-                    rows, description, stats = await fut
-        conn.queries += 1
+        fut = asyncio.get_running_loop().run_in_executor(
+            self._executor, work)
+        try:
+            rows, description, stats = await asyncio.wait_for(
+                asyncio.shield(fut), self.query_timeout)
+        except asyncio.TimeoutError:
+            # The engine thread cannot be interrupted: end the
+            # connection and reap the session when the straggler
+            # finishes (it holds table locks until then, releasing
+            # normally).
+            conn.session = None
+            fut.add_done_callback(lambda _f: self._close_session(session))
+            raise OperationalError(
+                f"query exceeded the {self.query_timeout}s "
+                "server limit; connection closed") from None
         self.queries_served += 1
         response: Dict[str, Any] = {
             "type": "result",
@@ -476,9 +420,9 @@ class ReproServer:
         if state is None:
             raise ProgrammingError(
                 f"no fetchable result set #{rid!r} on this connection")
-        n = int(msg.get("n", self.fetch_batch))
+        n = _row_count(msg, "n")
         pos = state["pos"]
-        chunk = state["rows"][pos:pos + max(1, n)]
+        chunk = state["rows"][pos:pos + n]
         state["pos"] = pos + len(chunk)
         complete = state["pos"] >= len(state["rows"])
         if complete:
@@ -493,7 +437,7 @@ class ReproServer:
         payload: Dict[str, Any] = {
             "type": "stats_result",
             "server": {
-                "sessions": self.manager.session_count,
+                "sessions": self.session_count,
                 "connections_served": self.connections_served,
                 "queries_served": self.queries_served,
                 "draining": self._draining,

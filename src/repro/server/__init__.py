@@ -7,8 +7,6 @@ share one recycle pool:
 * :class:`~repro.server.session.Session` — one client connection: its own
   interpreter and execution stack over the shared catalogue and recycler,
   plus per-session statistics.
-* :class:`~repro.server.manager.SessionManager` — the thread-safe
-  registry of open sessions the network server keeps.
 * :class:`~repro.server.locks.ReadWriteLock` — the query/update
   serialisation primitive of the concurrency contract.
 
@@ -27,10 +25,8 @@ The full walk-through, with the paper-section map, lives in
 
 from repro.server.locks import ReadWriteLock
 from repro.server.session import Session
-from repro.server.manager import SessionManager
 
 __all__ = [
     "ReadWriteLock",
     "Session",
-    "SessionManager",
 ]

@@ -1,5 +1,5 @@
 """Regression tests for connection/session lifecycle hardening:
-double-close, dead-thread pruning, manager bookkeeping, cursor
+double-close, dead-thread pruning, workload-session cleanup, cursor
 auto-close, context-manager parity (the disconnect-path audit)."""
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 
 import repro
 from repro.bench import run_workload
-from repro.server.manager import SessionManager
 
 
 @pytest.fixture
@@ -23,46 +22,7 @@ def db():
     engine.close()
 
 
-class TestSessionManagerBookkeeping:
-    def test_close_session_removes_from_registry(self, db):
-        mgr = SessionManager(db)
-        s = mgr.open_session("a")
-        assert mgr.session_count == 1
-        mgr.close_session(s)
-        assert mgr.session_count == 0
-        assert s.closed
-
-    def test_close_session_is_idempotent(self, db):
-        mgr = SessionManager(db)
-        s = mgr.open_session("a")
-        mgr.close_session(s)
-        mgr.close_session(s)                 # no error, still zero
-        assert mgr.session_count == 0
-
-    def test_close_session_races_close_all(self, db):
-        mgr = SessionManager(db)
-        sessions = [mgr.open_session(f"s{i}") for i in range(20)]
-        barrier = threading.Barrier(3)
-
-        def one_by_one():
-            barrier.wait()
-            for s in sessions[:10]:
-                mgr.close_session(s)
-
-        def all_at_once():
-            barrier.wait()
-            mgr.close_all()
-
-        threads = [threading.Thread(target=one_by_one),
-                   threading.Thread(target=all_at_once)]
-        for t in threads:
-            t.start()
-        barrier.wait()
-        for t in threads:
-            t.join()
-        assert mgr.session_count == 0
-        assert all(s.closed for s in sessions)
-
+class TestRunWorkload:
     def test_run_workload_leaves_no_sessions_behind(self, db):
         opened, open_session = [], db.session
         db.session = lambda name=None: (

@@ -149,6 +149,42 @@ class TestBadMessages:
         sock.close()
         server_is_healthy(served)
 
+    @pytest.mark.parametrize("fetch", [-3, 0, "abc", 2.5, True, None])
+    def test_execute_row_count_must_be_positive_integer(self, served, fetch):
+        sock = raw_conn(served)
+        send_message(sock, {"type": "execute", "sql": "select x from t",
+                            "fetch": fetch})
+        reply = recv_message(sock)
+        assert reply["type"] == "error", reply
+        assert reply["error"] == "ProgrammingError"
+        sock.close()
+        server_is_healthy(served)
+
+    @pytest.mark.parametrize("n", [-3, 0, "abc", 2.5])
+    def test_fetch_row_count_must_be_positive_integer(self, served, n):
+        sock = raw_conn(served)
+        send_message(sock, {"type": "execute", "sql": "select x from t",
+                            "fetch": 2})
+        first = recv_message(sock)
+        assert first["type"] == "result" and not first["complete"]
+        rid = first["result_id"]
+        send_message(sock, {"type": "fetch", "result_id": rid, "n": n})
+        reply = recv_message(sock)
+        assert reply["type"] == "error", reply
+        assert reply["error"] == "ProgrammingError"
+        # The refused frame moved nothing; no "n" takes the default.
+        send_message(sock, {"type": "fetch", "result_id": rid})
+        rest = recv_message(sock)
+        assert len(rest["rows"]) == 498 and rest["complete"]
+        sock.close()
+
+    def test_missing_row_count_takes_the_default(self, served):
+        sock = raw_conn(served)
+        send_message(sock, {"type": "execute", "sql": "select x from t"})
+        reply = recv_message(sock)
+        assert len(reply["rows"]) == 500 and reply["complete"]
+        sock.close()
+
     def test_no_hello_first(self, served):
         sock = raw_conn(served, do_hello=False)
         send_message(sock, {"type": "execute",
@@ -222,7 +258,7 @@ class TestFuzzedFrames:
 
         deadline = time.time() + 10
         while time.time() < deadline:
-            if served.server.manager.session_count == 0:
+            if served.server.session_count == 0:
                 break
             time.sleep(0.05)
-        assert served.server.manager.session_count == 0
+        assert served.server.session_count == 0

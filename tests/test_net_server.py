@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.net.client import NetConnection, NetCursor
 from repro.net.protocol import (
     PROTOCOL_VERSION,
+    encode_frame,
     recv_message,
     send_message,
 )
@@ -59,6 +60,25 @@ def wait_until(predicate, timeout=10.0, interval=0.02):
     return False
 
 
+def slow_first_statement(monkeypatch, seconds):
+    """Make the first statement any session runs take *seconds* longer."""
+    original, calls = Session.run_statement, itertools.count()
+
+    def run_statement(self, stmt, params=None):
+        if next(calls) == 0:
+            time.sleep(seconds)
+        return original(self, stmt, params)
+
+    monkeypatch.setattr(Session, "run_statement", run_statement)
+
+
+def raw_hello(handle) -> socket.socket:
+    sock = socket.create_connection((handle.host, handle.port), timeout=5)
+    send_message(sock, {"type": "hello", "version": PROTOCOL_VERSION})
+    assert recv_message(sock)["type"] == "welcome"
+    return sock
+
+
 class TestBasicQueries:
     def test_execute_and_fetch(self, served):
         with repro.connect(url=served.url) as conn:
@@ -81,7 +101,7 @@ class TestBasicQueries:
             assert cur.stats["template"].startswith("sql:select count")
 
     def test_row_batching_streams_everything(self, small_db):
-        with serve_in_thread(small_db, fetch_batch=64) as handle:
+        with serve_in_thread(small_db) as handle:
             with repro.connect(url=handle.url, fetch_batch=64) as conn:
                 cur = conn.cursor()
                 cur.execute("select x from t where x < 1000")
@@ -91,7 +111,7 @@ class TestBasicQueries:
                 assert cur.rowcount == 1000
 
     def test_fetchmany_across_batches(self, small_db):
-        with serve_in_thread(small_db, fetch_batch=50) as handle:
+        with serve_in_thread(small_db) as handle:
             with repro.connect(url=handle.url, fetch_batch=50) as conn:
                 cur = conn.cursor()
                 cur.execute("select x from t where x < 130")
@@ -443,7 +463,7 @@ class TestConcurrentClients:
         assert errors == []
         assert sum(hits) > 0            # cross-client recycler reuse
         assert wait_until(
-            lambda: served.server.manager.session_count == 0)
+            lambda: served.server.session_count == 0)
 
     def test_concurrent_bad_sql_gets_typed_errors_everywhere(self, served):
         outcomes = []
@@ -483,11 +503,52 @@ class TestTimeoutsAndBackpressure:
                 cur.execute("select count(*) from t")
                 cur.execute("select count(*) from t")
             assert wait_until(
-                lambda: handle.server.manager.session_count == 0)
+                lambda: handle.server.session_count == 0)
 
-    def test_tiny_admission_window_still_serves_everyone(self, small_db):
-        with serve_in_thread(small_db, max_inflight=1,
-                             window=1) as handle:
+    def test_idle_timer_does_not_run_during_the_clients_query(
+            self, small_db, monkeypatch):
+        slow_first_statement(monkeypatch, 0.8)
+        with serve_in_thread(small_db, idle_timeout=0.3) as handle, \
+                repro.connect(url=handle.url) as conn:
+            cur = conn.cursor()
+            assert cur.execute("select count(*) from t").fetchone() == \
+                (2000,)
+            assert cur.execute("select count(*) from t where x >= ?",
+                               (1905,)).fetchone() == (95,)
+
+    def test_query_timeout_is_typed_and_reaps_the_session(
+            self, small_db, monkeypatch):
+        slow_first_statement(monkeypatch, 1.5)
+        with serve_in_thread(small_db, query_timeout=0.3) as handle:
+            conn = repro.connect(url=handle.url)
+            cur = conn.cursor()
+            t0 = time.monotonic()
+            with pytest.raises(OperationalError, match="server limit"):
+                cur.execute("select count(*) from t")
+            assert time.monotonic() - t0 < 1.0   # not after the straggler
+            assert handle.server.session_count == 1  # the straggler's
+            with pytest.raises(OperationalError):     # connection closed
+                cur.execute("select count(*) from t")
+            conn.close()
+            assert wait_until(lambda: handle.server.session_count == 0)
+            with repro.connect(url=handle.url) as other:
+                assert other.cursor().execute(
+                    "select count(*) from t").fetchone() == (2000,)
+
+    def test_back_to_back_frames_are_answered_in_order(self, served):
+        sock = raw_hello(served)
+        try:
+            sock.sendall(b"".join(encode_frame({
+                "type": "execute",
+                "sql": "select count(*) from t where x >= ?",
+                "params": [lo]}) for lo in (0, 100, 200)))
+            assert [recv_message(sock)["rows"] for _ in range(3)] == \
+                [[[2000]], [[1900]], [[1800]]]
+        finally:
+            sock.close()
+
+    def test_one_engine_thread_still_serves_everyone(self, small_db):
+        with serve_in_thread(small_db, max_inflight=1) as handle:
             results = []
 
             def client():
@@ -508,35 +569,27 @@ class TestTimeoutsAndBackpressure:
 
 class TestDisconnectHygiene:
     def test_abrupt_disconnect_leaks_no_session(self, served):
-        sock = socket.create_connection(
-            (served.host, served.port), timeout=5)
-        send_message(sock, {"type": "hello",
-                            "version": PROTOCOL_VERSION})
-        assert recv_message(sock)["type"] == "welcome"
+        sock = raw_hello(served)
         assert wait_until(
-            lambda: served.server.manager.session_count == 1)
+            lambda: served.server.session_count == 1)
         # Vanish mid-EXECUTE: fire the query and slam the socket.
         send_message(sock, {"type": "execute",
                             "sql": "select sum(x) from t where x >= ?",
                             "params": [0]})
         sock.close()
         assert wait_until(
-            lambda: served.server.manager.session_count == 0)
+            lambda: served.server.session_count == 0)
 
     def test_disconnect_does_not_wedge_table_locks(self, served,
                                                    small_db):
         # After an abrupt disconnect, DML on the same table (which
         # takes the table write lock) must still proceed.
-        sock = socket.create_connection(
-            (served.host, served.port), timeout=5)
-        send_message(sock, {"type": "hello",
-                            "version": PROTOCOL_VERSION})
-        recv_message(sock)
+        sock = raw_hello(served)
         send_message(sock, {"type": "execute",
                             "sql": "select count(*) from t"})
         sock.close()
         assert wait_until(
-            lambda: served.server.manager.session_count == 0)
+            lambda: served.server.session_count == 0)
         small_db.insert("t", {"x": [99999], "g": [0]})
         with repro.connect(url=served.url) as conn:
             cur = conn.cursor()
@@ -612,7 +665,7 @@ class TestGracefulDrain:
             t.join(timeout=30)
         assert crashes == []
         assert len(completed) > 0        # in-flight queries finished
-        assert handle.server.manager.session_count == 0
+        assert handle.server.session_count == 0
         # New connections are refused once drained.
         with pytest.raises(Error):
             NetConnection(handle.host, handle.port, connect_timeout=2)
@@ -626,7 +679,21 @@ class TestGracefulDrain:
         t0 = time.time()
         handle.shutdown()
         assert time.time() - t0 < 10
-        assert handle.server.manager.session_count == 0
+        assert handle.server.session_count == 0
+
+    def test_drain_does_not_wait_for_a_client_that_never_says_hello(
+            self, small_db):
+        handle = serve_in_thread(small_db)
+        sock = socket.create_connection((handle.host, handle.port),
+                                        timeout=5)
+        try:
+            assert wait_until(
+                lambda: handle.server.connections_served == 1)
+            t0 = time.monotonic()
+            handle.shutdown()
+            assert time.monotonic() - t0 < 5
+        finally:
+            sock.close()
 
     def test_shutdown_is_idempotent(self, small_db):
         handle = serve_in_thread(small_db)
@@ -661,8 +728,7 @@ class TestConnectUrlFrontDoor:
 
 def test_oversized_result_rejected_cleanly(small_db):
     """A result too big for one frame is a typed error, not a hang."""
-    with serve_in_thread(small_db, max_frame=8192,
-                         fetch_batch=100_000) as handle:
+    with serve_in_thread(small_db, max_frame=8192) as handle:
         with NetConnection(handle.host, handle.port,
                            fetch_batch=100_000) as conn:
             cur = conn.cursor()
