@@ -230,6 +230,12 @@ def test_interleaved_updates_differential(config):
             for _ in range(int(rng.integers(1, 4))):
                 gen_update(rng, db_on, db_off)
             db_on.recycler.check_invariants()
+            # No pooled entry may carry a source version behind the
+            # catalogue: the DML just invalidated them all.
+            for entry in db_on.recycler.pool.entries():
+                for table, column, version in entry.value.sources:
+                    current = db_on.catalog.table(table).versions[column]
+                    assert version == current, (entry.opname, table, column)
         expected.append(db_off.execute(sqls[i]).value)
 
     result = run_workload(db_on, [(s, None) for s in sqls],

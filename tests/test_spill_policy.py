@@ -491,3 +491,25 @@ def test_short_and_missing_files_recompute(tmp_path):
     rec.check_invariants()
     assert_matches_naive(db, make_naive(), SELECT_BOUNDS[:12])
     rec.check_invariants()
+
+
+def test_bad_image_of_covering_select_recomputes(tmp_path):
+    """A covering select whose image is gone: the narrower statement
+    executes instead of being subsumed, and the answer is still right."""
+    db = make_db(tmp_path, subsumption=True)
+    rec, store = db.recycler, db.recycler.spill
+    for lo in SELECT_BOUNDS[:12]:
+        db.execute(query(lo))
+    victim = spilled_selects(db)[0]
+    lo = victim.sig[2][1]
+    os.remove(store._path(victim.result_token))
+
+    r = db.execute(query(lo + 1))
+    want = make_naive().execute(query(lo + 1)).value.rows()[0]
+    got = r.value.rows()[0]
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-9)
+    assert rec.totals.spill_errors == 1
+    assert r.stats.subsumed_hits == 0
+    assert rec.pool.lookup(victim.sig) is not victim
+    rec.check_invariants()

@@ -178,6 +178,54 @@ class TestEndToEndSubsumption:
         v = db.catalog.table("t").column_array("v")
         assert r.value.scalar() == int(((v >= 20.0) & (v <= 60.0)).sum())
 
+    def filter_template(self, db, name, add_filter):
+        q = db.builder(name)
+        arg = q.param("arg")
+        q.scan("t")
+        add_filter(q, arg)
+        q.select_scalar("n", q.agg_scalar("count"))
+        return db.register_template(q.build())
+
+    def test_equality_and_in_subsumed_from_covering_range(self):
+        db = self.make_db()
+        self.count_template(db)
+        self.filter_template(db, "eq",
+                             lambda q, arg: q.filter_eq("t", "v", arg))
+        self.filter_template(db, "inq",
+                             lambda q, arg: q.filter_in("t", "v", arg))
+        v = db.catalog.table("t").column_array("v")
+        inside = [float(x) for x in v[(v > 20.0) & (v < 50.0)][:3]]
+        db.run_template("rq", {"lo": 10.0, "hi": 60.0})
+
+        r = db.run_template("eq", {"arg": inside[0]})
+        assert r.stats.subsumed_hits == 1
+        assert r.value.scalar() == int((v == inside[0]).sum())
+        r = db.run_template("inq", {"arg": tuple(inside)})
+        assert r.stats.subsumed_hits == 1
+        assert r.value.scalar() == int(np.isin(v, inside).sum())
+
+    def test_smallest_covering_range_is_reused(self):
+        db = self.make_db()
+        self.count_template(db)
+        db.run_template("rq", {"lo": 0.0, "hi": 90.0})
+        db.run_template("rq", {"lo": 10.0, "hi": 60.0})   # now pooled too
+
+        def pooled_select(lo, hi):
+            entry, = [e for e in db.recycler.pool.entries()
+                      if e.opname == "algebra.select"
+                      and e.sig[2:4] == (("c", lo), ("c", hi))]
+            return entry
+
+        wide, narrow = pooled_select(0.0, 90.0), pooled_select(10.0, 60.0)
+        wide_before = wide.subsumed_reuses
+        narrow_before = narrow.subsumed_reuses
+        r = db.run_template("rq", {"lo": 20.0, "hi": 50.0})
+        assert r.stats.subsumed_hits == 1
+        assert narrow.subsumed_reuses == narrow_before + 1
+        assert wide.subsumed_reuses == wide_before
+        v = db.catalog.table("t").column_array("v")
+        assert r.value.scalar() == int(((v >= 20.0) & (v <= 50.0)).sum())
+
     def test_subsumed_result_admitted_for_exact_reuse(self):
         db = self.make_db()
         self.count_template(db)
