@@ -1,36 +1,23 @@
-"""Update-to-invalidation mapping (paper §6.4).
+"""Update synchronisation entry point (paper §6.4).
 
 The paper's implemented granularity: inserting or deleting rows affects
 every cached column of the changed table; an in-place column update affects
-only the columns directly touched.  This module turns a committed
-:class:`~repro.storage.deltas.TableDelta` into the column set the recycler
-must invalidate.
+only the columns directly touched.  :class:`~repro.storage.table.Table`
+encodes that rule once, in the column versions it bumps; the recycler
+drops every entry derived from a version that is no longer current
+(:meth:`~repro.core.recycler.Recycler.on_update`).
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.storage.catalog import Catalog
 from repro.storage.deltas import TableDelta
 
 
-def affected_columns(catalog: Catalog, delta: TableDelta) -> List[str]:
-    """Columns of ``delta.table`` whose cached derivations are stale."""
-    table = catalog.table(delta.table)
-    if delta.renumbered or delta.insert_start is not None:
-        # Row insert/delete: every column of the table is affected.
-        return table.column_names
-    # Pure in-place update: only the columns carried in the delta.
-    return [c for c in delta.inserted if table.has_column(c)]
-
-
 def synchronize(recycler, catalog: Catalog, delta: TableDelta) -> int:
-    """Apply the recycler's update synchronisation for one delta.
+    """Apply the recycler's update synchronisation for one committed delta.
 
-    Returns the number of invalidated pool entries.  Honour's the
+    Returns the number of invalidated pool entries.  Honours the
     recycler's ``propagate_selects`` configuration (§6.3 extension).
     """
-    columns = affected_columns(catalog, delta)
-    return recycler.on_update(delta.table, columns, catalog=catalog,
-                              delta=delta)
+    return recycler.on_update(delta.table, catalog, delta)

@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RecyclerError
 from repro.storage.bat import BAT
-from repro.storage.spill import SpillStore, SpilledStub
+from repro.storage.spill import SpillStore
 
 Signature = Tuple  # (opname, arg_id, arg_id, ...)
 
@@ -501,32 +501,6 @@ class RecyclePool:
             else:
                 out = list(members.values())
         out.sort(key=_BY_SEQ)
-        return out
-
-    def stale_entries(self, stale_columns: Set[Tuple[str, str]],
-                      current_versions: Optional[Set[Tuple[str, str, int]]]
-                      = None) -> List[RecycleEntry]:
-        """Entries derived from any ``(table, column)`` in *stale_columns*.
-
-        With *current_versions* given, entries already anchored at the
-        current column version (e.g. just refreshed by delta propagation,
-        §6.3) are not considered stale.
-
-        Spilled entries participate through their stubs' ``sources`` —
-        an intermediate on disk goes just as stale as one in memory.
-        """
-        out = []
-        for e in self.entries():
-            value = e.value
-            if not isinstance(value, (BAT, SpilledStub)):
-                continue
-            for (t, c, v) in value.sources:
-                if (t, c) not in stale_columns:
-                    continue
-                if current_versions and (t, c, v) in current_versions:
-                    continue
-                out.append(e)
-                break
         return out
 
     def check_invariants(self) -> None:

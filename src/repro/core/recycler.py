@@ -4,15 +4,18 @@ The :class:`Recycler` is attached to an interpreter and wraps every marked
 instruction:
 
 * ``recycle_entry`` — exact-match lookup in the pool, then (on miss) the
-  subsumption search of §5; a hit brings the pooled intermediate to the
-  execution stack and skips execution.
+  subsumption driver of §5, which runs the instruction's own operator over
+  pooled results that contain its answer; a hit brings the (pooled or
+  narrowed) intermediate to the execution stack and skips execution.
 * ``recycle_exit`` — offers a freshly computed result to the pool under
   the admission policy, cleaning the cache first when a resource limit
   (bytes and/or entries) would be exceeded.
 
-Update synchronisation (§6.4) enters through :meth:`on_update`: immediate,
-column-wise invalidation, with optional delta propagation for eligible
-select intermediates (the §6.3 design, see :mod:`repro.core.propagation`).
+Update synchronisation (§6.4) enters through :meth:`on_update`, after DML
+and after ``DROP TABLE`` alike: an entry is stale when one of its sources
+names a column version that is no longer the catalogue's current one.
+Optional delta propagation refreshes eligible select intermediates first
+(the §6.3 design, see :mod:`repro.core.propagation`).
 
 Two-tier pool: with ``spill_dir`` configured, eviction under *memory*
 pressure **demotes** a victim to a disk-backed
@@ -30,8 +33,8 @@ delta propagation, ``recycle_reset``/``close``, ``check_invariants`` —
 runs under the one :attr:`RecyclePool.lock <repro.core.pool.RecyclePool.lock>`.
 The same lock guards the lifetime totals, the admission policy's state,
 the in-flight invocation registry and each invocation's touched set.
-Only the subsumption *materialise* phase (running the narrowing operator
-over pooled, immutable BATs) and operator execution run outside it.
+Only operator execution runs outside it — the instruction's own, and the
+same operator run by the subsumption driver over pooled, immutable BATs.
 Hits, admissions, evictions and demotions are booked once, on the
 running invocation's :class:`~repro.mal.interpreter.ExecutionStats`, and
 folded into the lifetime totals when the invocation ends.  Eviction —
@@ -57,13 +60,13 @@ from repro.core.pool import (
     Signature,
     make_signature,
 )
+from repro.core.propagation import propagate_append
 from repro.core.subsumption import (
-    Range,
-    SubsumptionOutcome,
     covers,
     find_combined_cover,
     like_subsumes,
     select_entry_range,
+    select_target,
     split_target_into_segments,
 )
 from repro.errors import SpillError
@@ -168,23 +171,6 @@ class Invocation:
         self.touched: Set[Signature] = set()
 
 
-@dataclass
-class _Reuse:
-    value: Any
-
-
-class _Flag:
-    """Mutable bool threaded through the subsumption materialise phase."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = False
-
-    def set(self):
-        self.value = True
-
-
 class Recycler:
     """The recycle-pool manager bolted onto the MAL interpreter."""
 
@@ -248,42 +234,22 @@ class Recycler:
                 self.totals.add(invocation.stats)
 
     def recycle_entry(self, inv: Invocation, instr: Instr, opdef,
-                      args: Tuple) -> Optional[_Reuse]:
+                      args: Tuple) -> Optional[BAT]:
         """Pool lookup (exact, then subsumption).  None means: execute."""
         sig = make_signature(instr.opname, args)
         with self.pool.lock:
             entry = self.pool.lookup(sig)
             if entry is not None:
-                # A disk-tier hit is promoted before serving; a corrupt
-                # spill entry is dropped and the instruction falls through
-                # to the subsumption search / genuine execution.
-                promoted = entry.is_spilled
-                value = (self._promote_entry(inv, entry) if promoted
-                         else entry.value)
+                # A corrupt spill image drops the entry, and the
+                # instruction falls through to subsumption / execution.
+                value, promoted = self._resident(inv, entry)
                 if value is not None:
-                    return self._serve_exact(inv, entry, opdef, value,
-                                             promoted)
-
+                    self._book_exact(inv, entry, opdef, promoted)
+                    return value
         if (self.config.subsumption
                 and instr.opname in self.SUBSUMABLE_OPS
                 and isinstance(args[0], BAT)):
-            outcome, promoted_any = self._try_subsume(inv, instr.opname,
-                                                      args)
-            if outcome is not None:
-                inv.stats.subsumed_hits += 1
-                if promoted_any:
-                    inv.stats.promoted_hits += 1
-                with self.pool.lock:
-                    if outcome.kind == "combined":
-                        self.totals.combined_hits += 1
-                    for used in outcome.used_entries:
-                        self._record_reuse(inv, used, subsumed=True)
-                        inv.touched.add(used.sig)
-                # The (cheaper) subsumed result is admitted under the
-                # original signature so future instances match exactly.
-                self._admit(inv, instr, opdef, sig, args, outcome.value,
-                            elapsed=outcome.algo_seconds)
-                return _Reuse(outcome.value)
+            return self._subsume(inv, instr, opdef, sig, args)
         return None
 
     def recycle_exit(self, inv: Invocation, instr: Instr, opdef,
@@ -295,10 +261,10 @@ class Recycler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _serve_exact(self, inv: Invocation, entry: RecycleEntry, opdef,
-                     value: Any, promoted: bool) -> _Reuse:
-        """Book an exact hit (resident or just-promoted) and serve it.
-        Caller holds the pool lock."""
+    def _book_exact(self, inv: Invocation, entry: RecycleEntry, opdef,
+                    promoted: bool) -> None:
+        """Book an exact hit (resident or just-promoted).  Caller holds
+        the pool lock."""
         # A promoted hit is cheaper than recomputation but not free:
         # credit the recorded cost minus the measured reload cost.
         saved = entry.cost
@@ -318,7 +284,6 @@ class Recycler:
             if opdef.kind != "bind":
                 inv.stats.global_hits_nonbind += 1
         inv.touched.add(entry.sig)
-        return _Reuse(value)
 
     def _record_reuse(self, inv: Invocation, entry: RecycleEntry,
                       subsumed: bool = False,
@@ -430,19 +395,20 @@ class Recycler:
                 self._ensure_capacity_locked(inv, 0, incoming_entries=0)
             return value
 
-    def _resident_value(self, inv: Invocation, entry: RecycleEntry,
-                        promoted: Optional[_Flag] = None) -> Optional[BAT]:
-        """The entry's BAT, promoting it first when spilled."""
-        if not entry.is_spilled:
-            value = entry.value
-            if isinstance(value, BAT):
-                return value
-            # demoted between plan and use — fall through to the promote
-            # path, which revalidates under the pool lock
+    def _resident(self, inv: Invocation, entry: RecycleEntry
+                  ) -> Tuple[Optional[BAT], bool]:
+        """The entry's BAT, and whether it had to be promoted first.
+
+        The BAT is None when the spill image is bad (the entry is then
+        dropped).  A spilled entry holds a stub, not a BAT — also when it
+        was demoted between the subsumption search and this read; the
+        promotion revalidates under the pool lock.
+        """
+        value = entry.value
+        if isinstance(value, BAT):
+            return value, False
         value = self._promote_entry(inv, entry)
-        if value is not None and promoted is not None:
-            promoted.set()
-        return value
+        return value, value is not None
 
     def _count_evicted(self, inv: Invocation,
                        victims: Sequence[RecycleEntry]) -> None:
@@ -644,92 +610,92 @@ class Recycler:
     # ------------------------------------------------------------------
     # Subsumption (paper §5)
     # ------------------------------------------------------------------
-    def _try_subsume(self, inv: Invocation, opname: str, args: Tuple
-                     ) -> Tuple[Optional[SubsumptionOutcome], bool]:
-        """Subsumption search + materialisation.
+    def _subsume(self, inv: Invocation, instr: Instr, opdef,
+                 sig: Signature, args: Tuple) -> Optional[BAT]:
+        """Answer the instruction from pooled results that contain its
+        answer: run its own operator over each covering BAT instead of
+        the operand.
 
-        The *search* (candidate scan, cover selection) runs under the
-        pool lock and puts the chosen entries in the invocation's touched
-        set (protected from eviction).  The *materialisation* (running
-        the narrowing operator over pooled values) runs outside it:
-        pooled BATs are immutable, and a concurrently demoted/evicted
-        piece is detected by :meth:`_resident_value`, falling back to
-        genuine execution.
-
-        Returns ``(outcome, promoted_any)``.
+        The search (:meth:`_cover`) runs under the pool lock and protects
+        the chosen entries; the operator runs outside it, since pooled
+        BATs are immutable.  A cover whose spill image is bad falls back
+        to execution.  Search plus materialisation time is booked once
+        per attempt, hit or not.
         """
         operand: BAT = args[0]
         t0 = inv.clock()
-        promoted = _Flag()
-        outcome: Optional[SubsumptionOutcome] = None
-        if opname == "algebra.select":
-            target = Range(args[1], args[2], bool(args[3]), bool(args[4]))
-            outcome = self._subsume_range(inv, operand, target, opname,
-                                          promoted=promoted)
-        elif opname == "algebra.uselect":
-            target = Range.point(args[1])
-            outcome = self._subsume_range(inv, operand, target,
-                                          "algebra.uselect",
-                                          point_value=args[1],
-                                          promoted=promoted)
-        elif opname == "algebra.inselect":
-            values = list(args[1])
-            if values:
-                target = Range(min(values), max(values), True, True)
-                outcome = self._subsume_range(inv, operand, target,
-                                              "algebra.inselect",
-                                              in_values=tuple(args[1]),
-                                              promoted=promoted)
-        elif opname == "algebra.likeselect":
-            outcome = self._subsume_like(inv, operand, args[1], promoted)
-        elif opname == "algebra.semijoin":
-            outcome = self._subsume_semijoin(inv, operand, args[1],
-                                             promoted)
+        with self.pool.lock:
+            cover, combined = self._cover(inv, instr.opname, operand, args)
+        value, promoted_any = None, False
+        if cover:
+            value, promoted_any = self._run_cover(inv, opdef, operand,
+                                                  cover)
         algo_time = inv.clock() - t0
         with self.pool.lock:
             self.totals.subsumption_algo_time += algo_time
             self.totals.subsumption_algo_calls += 1
-        if outcome is not None:
-            outcome.algo_seconds = algo_time
-        return outcome, promoted.value
+            if value is None:
+                return None
+            if combined:
+                self.totals.combined_hits += 1
+            for entry, _piece_args in cover:
+                self._record_reuse(inv, entry, subsumed=True)
+        inv.stats.subsumed_hits += 1
+        if promoted_any:
+            inv.stats.promoted_hits += 1
+        # The (cheaper) subsumed result is admitted under the original
+        # signature so future instances match exactly.
+        self._admit(inv, instr, opdef, sig, args, value, elapsed=algo_time)
+        return value
 
-    def _range_candidates(self, operand: BAT):
-        out = []
-        for entry in self.pool.candidates("algebra.select", operand.token):
-            rng = select_entry_range(entry)
-            if rng is not None:
-                out.append((rng, entry))
-        return out
-
-    def _subsume_range(self, inv: Invocation, operand: BAT, target: Range,
-                       opname: str, point_value=None,
-                       in_values: Optional[Tuple] = None,
-                       promoted: Optional[_Flag] = None
-                       ) -> Optional[SubsumptionOutcome]:
-        from repro.mal.operators.selection import (
-            algebra_inselect,
-            algebra_select,
-            algebra_uselect,
-        )
-
-        # --- search phase: under the pool lock ---
-        single: Optional[RecycleEntry] = None
-        segments = None
-        with self.pool.lock:
-            candidates = self._range_candidates(operand)
-            singles = [
-                (rng, e) for rng, e in candidates if covers(rng, target)
-            ]
+    def _cover(self, inv: Invocation, opname: str, operand: BAT,
+               args: Tuple) -> Tuple[List[Tuple[RecycleEntry, Tuple]], bool]:
+        """The pooled entries to answer the instruction from, each with
+        the arguments to run its operator with over that entry's BAT, and
+        whether the cover is a combined one (§5.2).  Empty when nothing
+        covers.  The chosen entries join the touched set.  Caller holds
+        the pool lock.
+        """
+        token = operand.token
+        cover: List[Tuple[RecycleEntry, Tuple]] = []
+        combined = False
+        if opname == "algebra.likeselect":
+            # The first pooled pattern, in bucket order, that subsumes.
+            for entry in self.pool.candidates(opname, token):
+                if like_subsumes(entry.sig[2][1], args[1]):
+                    cover = [(entry, args[1:])]
+                    break
+        elif opname == "algebra.semijoin":
+            # The smallest pooled semijoin whose filter is a lineage
+            # superset of ours.
+            best = None
+            for entry in self.pool.candidates(opname, token):
+                kind, filter_token = entry.sig[2]
+                if kind == "b" and args[1].row_subset_of(filter_token) \
+                        and (best is None or entry.tuples < best.tuples):
+                    best = entry
+            if best is not None:
+                cover = [(best, args[1:])]
+        else:
+            # Range, equality and IN-list selections all subsume from
+            # pooled range selects.  No target: an empty IN-list.
+            target = select_target(opname, args)
+            ranged = []
+            if target is not None:
+                for entry in self.pool.candidates("algebra.select", token):
+                    rng = select_entry_range(entry)
+                    if rng is not None:
+                        ranged.append((rng, entry))
+            singles = [e for rng, e in ranged if covers(rng, target)]
             if singles:
-                # Cost model: smallest intermediate wins (§5.1).
-                _rng, single = min(singles, key=lambda it: it[1].tuples)
-                inv.touched.add(single.sig)
+                # Cost model: the smallest intermediate wins (§5.1).
+                cover = [(min(singles, key=lambda e: e.tuples), args[1:])]
             elif (self.config.combined_subsumption
                     and opname == "algebra.select"):
                 search_start = inv.clock()
                 chosen = find_combined_cover(
                     target,
-                    candidates,
+                    ranged,
                     base_cost=float(len(operand)),
                     overhead=self.config.overhead_tuples,
                 )
@@ -737,175 +703,88 @@ class Recycler:
                                                      - search_start)
                 self.totals.combined_search_calls += 1
                 if chosen is not None and len(chosen) >= 2:
-                    segments = split_target_into_segments(target, chosen)
-                    # Protect every chosen piece before the first
-                    # promotion — a promotion re-balances capacity and
-                    # must not demote or destroy a sibling piece we are
-                    # about to read.
-                    inv.touched.update(e.sig for _seg, e in segments)
+                    combined = True
+                    cover = [
+                        (entry, (seg.lo, seg.hi, seg.lo_incl, seg.hi_incl))
+                        for seg, entry in split_target_into_segments(
+                            target, chosen)
+                    ]
+        # Protect every piece before the first promotion: a promotion
+        # re-balances capacity and must not demote or destroy a sibling
+        # piece about to be read.
+        inv.touched.update(entry.sig for entry, _piece_args in cover)
+        return cover, combined
 
-        # --- materialise phase: outside the pool lock ---
-        if single is not None:
-            source = self._resident_value(inv, single, promoted)
-            if source is None:
-                return None  # corrupt spill entry dropped; execute normally
-            if point_value is not None:
-                result = algebra_uselect(None, source, point_value)
-            elif in_values is not None:
-                result = algebra_inselect(None, source, in_values)
-            else:
-                result = algebra_select(None, source, target.lo, target.hi,
-                                        target.lo_incl, target.hi_incl)
-            result = self._rebase(result, operand)
-            return SubsumptionOutcome(result, [single], "select")
+    def _run_cover(self, inv: Invocation, opdef, operand: BAT,
+                   cover: List[Tuple[RecycleEntry, Tuple]]
+                   ) -> Tuple[Optional[BAT], bool]:
+        """Run the instruction's operator over each covering BAT.
 
-        if not segments:
-            return None
-        heads: List[np.ndarray] = []
-        tails: List[np.ndarray] = []
-        used: List[RecycleEntry] = []
-        for seg, entry in segments:
-            source = self._resident_value(inv, entry, promoted)
+        Returns the result (None when a spill image is bad) and whether
+        any piece had to be promoted.  One piece is re-anchored at the
+        operand; several (disjoint segments of a combined cover) are
+        concatenated into one materialised BAT.
+        """
+        pieces, promoted_any = [], False
+        for entry, piece_args in cover:
+            source, promoted = self._resident(inv, entry)
             if source is None:
-                return None  # corrupt piece; fall back to execution
-            piece = algebra_select(None, source, seg.lo, seg.hi,
-                                   seg.lo_incl, seg.hi_incl)
-            heads.append(piece.head_values())
-            tails.append(piece.tail_values())
-            used.append(entry)
-        result = BAT.materialized(
-            np.concatenate(heads) if heads else np.empty(0, np.int64),
-            np.concatenate(tails) if tails else np.empty(0),
+                return None, promoted_any
+            promoted_any = promoted_any or promoted
+            pieces.append(opdef.fn(None, source, *piece_args))
+        if len(pieces) == 1:
+            # The logical operand is the original BAT: downstream
+            # subsumption must see the result as a subset of *that*.
+            result = pieces[0]
+            result.subset_of = operand.token
+            if operand.token not in result.subset_chain:
+                result.subset_chain = result.subset_chain + (operand.token,)
+            return result, promoted_any
+        return BAT.materialized(
+            np.concatenate([piece.head_values() for piece in pieces]),
+            np.concatenate([piece.tail_values() for piece in pieces]),
             sources=operand.sources,
             subset_parent=operand,
-        )
-        return SubsumptionOutcome(result, used, "combined")
-
-    def _subsume_like(self, inv: Invocation, operand: BAT,
-                      pattern: str, promoted: Optional[_Flag] = None
-                      ) -> Optional[SubsumptionOutcome]:
-        from repro.mal.operators.selection import algebra_likeselect
-
-        with self.pool.lock:
-            matches = []
-            for entry in self.pool.candidates("algebra.likeselect",
-                                              operand.token):
-                try:
-                    cached_pattern = entry.sig[2][1]
-                except (IndexError, TypeError):
-                    continue
-                if like_subsumes(cached_pattern, pattern):
-                    matches.append(entry)
-        for entry in matches:
-            with self.pool.lock:
-                inv.touched.add(entry.sig)
-            source = self._resident_value(inv, entry, promoted)
-            if source is None:
-                continue  # corrupt spill entry dropped; try the next
-            result = algebra_likeselect(None, source, pattern)
-            result = self._rebase(result, operand)
-            return SubsumptionOutcome(result, [entry], "like")
-        return None
-
-    def _subsume_semijoin(self, inv: Invocation, operand: BAT,
-                          filt: BAT, promoted: Optional[_Flag] = None
-                          ) -> Optional[SubsumptionOutcome]:
-        from repro.mal.operators.joins import algebra_semijoin
-
-        best = None
-        with self.pool.lock:
-            for entry in self.pool.candidates("algebra.semijoin",
-                                              operand.token):
-                try:
-                    v_id = entry.sig[2]
-                except IndexError:
-                    continue
-                if v_id[0] != "b":
-                    continue
-                if filt.row_subset_of(v_id[1]):
-                    if best is None or entry.tuples < best.tuples:
-                        best = entry
-            if best is None:
-                return None
-            inv.touched.add(best.sig)
-        source = self._resident_value(inv, best, promoted)
-        if source is None:
-            return None  # corrupt spill entry dropped; execute normally
-        result = algebra_semijoin(None, source, filt)
-        result = self._rebase(result, operand)
-        return SubsumptionOutcome(result, [best], "semijoin")
-
-    @staticmethod
-    def _rebase(result: BAT, operand: BAT) -> BAT:
-        """Re-anchor subset lineage at the original operand.
-
-        A subsumed execution computes over a pooled intermediate, but the
-        logical operand is the original BAT; downstream subsumption checks
-        must see the result as a subset of *that*.  (The chain through the
-        pooled intermediate already contains the operand, so this is just
-        a normalisation of ``subset_of``.)
-        """
-        result.subset_of = operand.token
-        if operand.token not in result.subset_chain:
-            result.subset_chain = result.subset_chain + (operand.token,)
-        return result
+        ), promoted_any
 
     # ------------------------------------------------------------------
     # Update synchronisation (paper §6) and whole-pool operations
     # ------------------------------------------------------------------
-    def on_update(self, table: str, columns: Sequence[str],
-                  catalog=None, delta=None) -> int:
-        """Synchronise the pool after a committed update.
+    def on_update(self, table: str, catalog, delta=None) -> int:
+        """Synchronise the pool after DML on, or the drop of, *table*.
 
-        Default mode (the paper's §6.4): immediate column-wise
-        invalidation.  With ``propagate_selects`` enabled and an
-        append-only delta available, eligible select intermediates are
-        refreshed in place instead (§6.3).  Runs under the pool lock — the
-        caller already holds the table's write lock, so no new derivation
-        from this table can race the sweep (see
-        :mod:`repro.server.locks`).
+        With ``propagate_selects`` enabled and an append-only *delta*,
+        eligible select intermediates are refreshed in place first
+        (§6.3).  Then every entry with a source ``(table, column,
+        version)`` whose version is not the catalogue's current one goes
+        (§6.4); a dropped table has no current version.  The table
+        decides which versions a change bumps (all columns on insert and
+        delete, one on an update), so the rule needs no delta.  Spilled
+        entries take part through their stubs' ``sources``.  Stale sets
+        are dependency-closed: dependents inherit their producers'
+        sources.  Runs under the pool lock — the caller holds the table's
+        write lock (or the DDL lock), so no new derivation from this
+        table can race the sweep (see :mod:`repro.server.locks`).
+        Returns the number of invalidated entries.
         """
         with self.pool.lock:
-            if (self.config.propagate_selects and catalog is not None
-                    and delta is not None and delta.append_only):
-                from repro.core.propagation import propagate_append
-
+            if (self.config.propagate_selects and delta is not None
+                    and delta.append_only):
                 self.totals.propagated += propagate_append(self, catalog,
                                                            delta)
-            stale_columns = {(table, c) for c in columns}
-            current_versions = None
-            if catalog is not None and catalog.has_table(table):
-                tab = catalog.table(table)
-                current_versions = {
-                    (table, c, tab.versions[c]) for c in columns
-                }
-            return self._invalidate(
-                self.pool.stale_entries(stale_columns, current_versions))
-
-    def on_drop_table(self, table: str) -> int:
-        """Drop every entry derived from *table* (§6.3 DDL handling).
-
-        Dependent intermediates must go at once: dependents of a stale
-        entry inherit its sources, so the stale set is dependency-closed.
-        The caller holds the database DDL lock.
-        """
-        with self.pool.lock:
-            table_cols = {
-                (table, c)
-                for e in self.pool.entries()
-                for (t, c, _v) in getattr(e.value, "sources", frozenset())
-                if t == table
-            }
-            return self._invalidate(self.pool.stale_entries(table_cols))
-
-    def _invalidate(self, stale: List[RecycleEntry]) -> int:
-        """Remove a dependency-closed stale set and book it.  Caller
-        holds the pool lock."""
-        removed = self.pool.remove_set(stale)
-        for entry in stale:
-            self.admission.on_evict(entry)
-        self.totals.invalidations += removed
-        return removed
+            current = (catalog.table(table).versions
+                       if catalog.has_table(table) else {})
+            stale = []
+            for entry in self.pool.entries():
+                for t, c, v in entry.value.sources:
+                    if t == table and current.get(c) != v:
+                        stale.append(entry)
+                        break
+            removed = self.pool.remove_set(stale)
+            for entry in stale:
+                self.admission.on_evict(entry)
+            self.totals.invalidations += removed
+            return removed
 
     def recycle_reset(self) -> int:
         """Drop the whole pool (the paper's ``RecycleReset``)."""
@@ -930,22 +809,3 @@ class Recycler:
     def check_invariants(self) -> None:
         """Verify pool accounting from scratch (tests/debug)."""
         self.pool.check_invariants()
-
-    # ------------------------------------------------------------------
-    @property
-    def memory_used(self) -> int:
-        """Memory-tier bytes (resident entries only)."""
-        return self.pool.total_bytes
-
-    @property
-    def spilled_bytes(self) -> int:
-        """Disk-tier bytes (logical size of spilled entries)."""
-        return self.pool.spilled_bytes
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.pool)
-
-    @property
-    def spilled_entry_count(self) -> int:
-        return self.pool.spilled_count

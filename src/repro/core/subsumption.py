@@ -23,9 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-
 from repro.core.pool import RecycleEntry
-from repro.storage.bat import BAT
 
 
 @dataclass(frozen=True)
@@ -185,14 +183,15 @@ def select_entry_range(entry: RecycleEntry) -> Optional[Range]:
     return Range(lo, hi, lo_incl, hi_incl)
 
 
-@dataclass
-class SubsumptionOutcome:
-    """A successful subsumed execution."""
-
-    value: BAT
-    used_entries: List[RecycleEntry]
-    kind: str                 # 'select' | 'combined' | 'uselect' | ...
-    algo_seconds: float = 0.0  # time spent deciding (Fig 15 bottom)
+def select_target(opname: str, args: Sequence[Any]) -> Optional[Range]:
+    """The range a range, equality or IN-list selection asks for, from
+    its resolved arguments; None for an empty IN-list."""
+    if opname == "algebra.select":
+        return Range(args[1], args[2], bool(args[3]), bool(args[4]))
+    if opname == "algebra.uselect":
+        return Range.point(args[1])
+    values = list(args[1])
+    return Range(min(values), max(values), True, True) if values else None
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ under the shared side of a readers-writer lock, DML/DDL under the
 exclusive side (so a plan always sees a consistent snapshot of column
 versions), template caches are mutex-guarded, and the recycler core has
 its own pool lock.  :meth:`Database.session` opens a
-:class:`~repro.server.session.Session` with its own interpreter over the
-shared catalogue and recycle pool;
+:class:`~repro.server.session.Session`, which keeps its own statistics
+and runs on the engine's one interpreter, catalogue and recycle pool;
 :func:`repro.bench.harness.run_workload` drives a whole workload across
 many such sessions.
 """
@@ -212,15 +212,8 @@ class PreparedStatement:
         """Template parameter bindings for one execution.
 
         Placeholder statements take a sequence (qmark) or mapping
-        (named).  On a placeholder-free statement a mapping is applied as
-        raw template-parameter overrides — the pre-DB-API calling
-        convention, kept for compatibility.
+        (named); a placeholder-free statement takes none.
         """
-        if self.paramstyle is None and isinstance(params, Mapping) \
-                and params:
-            values = bind_slot_values(self.slots, None, None)
-            compiled = self._ensure_compiled(values)
-            return Database.bind_literals(compiled, values, dict(params))
         values = bind_slot_values(self.slots, self.paramstyle, params)
         compiled = self._ensure_compiled(values)
         return Database.bind_literals(compiled, values)
@@ -234,23 +227,19 @@ class PreparedStatement:
         return self._compiled.program
 
     # ------------------------------------------------------------------
-    def run(self, params: Any = None,
-            interpreter: Optional[Interpreter] = None) -> InvocationResult:
+    def run(self, params: Any = None) -> InvocationResult:
         """One compile→bind→run invocation of this statement.
 
         The single execution pipeline every front door funnels into:
         :meth:`Database.execute`, :meth:`Database.run_template` (via
         :class:`PreparedTemplate`), builder programs, and the DB-API
         cursors through their sessions.  Compilation happens on the
-        first bind only; *interpreter* selects whose execution state the
-        invocation uses (a session's, or the engine's default), and the
-        run holds the engine's read lock for the whole invocation.
+        first bind only; every invocation runs on the engine's one
+        interpreter and holds the engine's read lock throughout.
         """
         bound = self.bind(params)
-        interp = interpreter if interpreter is not None \
-            else self.db.interpreter
         with self.db.query_locked(self.program):
-            return interp.run(self.program, bound)
+            return self.db.interpreter.run(self.program, bound)
 
     def __repr__(self) -> str:
         return (
@@ -469,7 +458,7 @@ class Database:
             self.catalog.drop_table(name)
             if self.recycler is not None:
                 # Dependent intermediates must go at once (§6.3 DDL).
-                self.recycler.on_drop_table(name)
+                self.recycler.on_update(name, self.catalog)
 
     def add_foreign_key(self, name: str, fk_table: str, fk_column: str,
                         pk_table: str, pk_column: str) -> None:
@@ -656,9 +645,7 @@ class Database:
         return stmt
 
     @staticmethod
-    def bind_literals(compiled, literals: List[Any],
-                      params: Optional[Dict[str, Any]] = None
-                      ) -> Dict[str, Any]:
+    def bind_literals(compiled, literals: List[Any]) -> Dict[str, Any]:
         """Bind one SQL instance's literals to its template's parameters.
 
         Arity mismatches raise :class:`~repro.errors.ProgrammingError`:
@@ -689,16 +676,13 @@ class Database:
                         "the template's IN-list arity is fixed"
                     )
                 bound[name] = values
-        if params:
-            bound.update(params)
         return bound
 
     def execute(self, sql: str, params: Any = None) -> InvocationResult:
         """Compile (with template caching) and run a SQL statement.
 
-        *params* may be a DB-API parameter set (sequence for ``?``,
-        mapping for ``:name``) or, on a placeholder-free statement, a
-        mapping of raw template-parameter overrides.
+        *params* is a DB-API parameter set: a sequence for ``?``, a
+        mapping for ``:name``, nothing on a placeholder-free statement.
         Literal constants are factored out into template parameters; the
         same query shape with different constants reuses the compiled
         template — and, through the recycler, its intermediates.
@@ -711,8 +695,8 @@ class Database:
     def session(self, name: Optional[str] = None) -> "Session":  # noqa: F821
         """Open a :class:`~repro.server.session.Session` on this database.
 
-        Each session owns its interpreter (and execution stacks) but
-        shares the catalogue, the template caches and the recycle pool.
+        Each session keeps its own statistics and shares the catalogue,
+        the template caches, the interpreter and the recycle pool.
         """
         from repro.server.session import Session
 
@@ -769,13 +753,13 @@ class Database:
     @property
     def pool_bytes(self) -> int:
         """Memory-tier pool bytes (resident entries)."""
-        return self.recycler.memory_used if self.recycler else 0
+        return self.recycler.pool.total_bytes if self.recycler else 0
 
     @property
     def pool_spilled_bytes(self) -> int:
         """Disk-tier pool bytes (spilled entries)."""
-        return self.recycler.spilled_bytes if self.recycler else 0
+        return self.recycler.pool.spilled_bytes if self.recycler else 0
 
     @property
     def pool_entries(self) -> int:
-        return self.recycler.entry_count if self.recycler else 0
+        return len(self.recycler.pool) if self.recycler else 0

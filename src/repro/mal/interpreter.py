@@ -12,9 +12,10 @@ two recycler hooks of Algorithm 1:
 The interpreter itself stays policy-free: everything recycling-related is
 delegated to the :class:`~repro.core.recycler.Recycler` passed in.
 
-Threading: one interpreter instance belongs to one session/thread, but
-many interpreters run concurrently over the shared recycler; the pool
-hooks synchronise internally (the pool lock, :mod:`repro.core.pool`).
+Threading: an interpreter keeps no per-run state (each :meth:`run` has
+its own stack), so one instance per engine serves every session and
+thread at once; the recycler hooks synchronise internally (the pool lock,
+:mod:`repro.core.pool`).
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ class Interpreter:
             stats.n_marked_nonbind += 1
         reused = self.recycler.recycle_entry(invocation, instr, opdef, args)
         if reused is not None:
-            return reused.value
+            return reused
 
         t0 = self.clock()
         value = opdef.fn(self, *args)

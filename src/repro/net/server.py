@@ -452,11 +452,11 @@ class ReproServer:
         }
         recycler = db.recycler
         if recycler is not None:
-            pool_bytes, pool_entries = recycler.pool.usage()
+            pool = recycler.pool
             payload["pool"] = {
-                "bytes": pool_bytes,
-                "entries": pool_entries,
-                "spilled_bytes": recycler.spilled_bytes,
+                "bytes": pool.total_bytes,
+                "entries": len(pool),
+                "spilled_bytes": pool.spilled_bytes,
             }
             totals = recycler.totals
             payload["recycler"] = {

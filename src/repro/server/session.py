@@ -1,10 +1,11 @@
-"""Sessions: per-client interpreters over one shared recycle pool.
+"""Sessions: per-client statistics over one shared engine and recycle pool.
 
 A :class:`Session` is what one connected client gets in a multi-session
-deployment: its own :class:`~repro.mal.interpreter.Interpreter` (hence its
-own execution stacks and invocation state) over the *shared* catalogue,
-template caches and recycler of the owning
-:class:`~repro.db.Database`.  Cross-session reuse is the whole point: an
+deployment: its own statement and hit counters over the *shared*
+catalogue, template caches, interpreter and recycler of the owning
+:class:`~repro.db.Database`.  The interpreter keeps no per-run state —
+each invocation has its own stack — so every session runs on the
+engine's one instance.  Cross-session reuse is the whole point: an
 intermediate admitted by one session's invocation is a *global* hit when
 any other session matches it (§3.3's local/global distinction).
 
@@ -42,11 +43,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 from repro.errors import InterfaceError
-from repro.mal.interpreter import (
-    ExecutionStats,
-    Interpreter,
-    InvocationResult,
-)
+from repro.mal.interpreter import ExecutionStats, InvocationResult
 from repro.mal.program import MalProgram
 
 if TYPE_CHECKING:
@@ -54,7 +51,7 @@ if TYPE_CHECKING:
 
 
 class Session:
-    """One client session: private interpreter, shared pool.
+    """One client session: private statistics, shared engine and pool.
 
     Obtain via :meth:`repro.db.Database.session`; usable directly from
     one thread at a time (sessions are cheap — open one per thread), and
@@ -69,9 +66,6 @@ class Session:
         self.db = db
         self.id = session_id
         self.name = name or f"session-{session_id}"
-        self.interpreter = Interpreter(
-            db.catalog, recycler=db.recycler, clock=db.clock
-        )
         #: Statements completed / failed, and the sum of every completed
         #: invocation's record.
         self.queries = 0
@@ -88,12 +82,11 @@ class Session:
         """Drive one prepared statement through the shared pipeline.
 
         Both session entry points end here: the statement's
-        :meth:`~repro.db.PreparedStatement.run` executes on *this*
-        session's interpreter (private execution state), and the
+        :meth:`~repro.db.PreparedStatement.run` executes it, and the
         session's totals add the invocation's record.
         """
         try:
-            result = stmt.run(params, interpreter=self.interpreter)
+            result = stmt.run(params)
         except Exception:
             self.errors += 1
             raise
@@ -113,11 +106,11 @@ class Session:
         """Compile (against the shared template cache) and run SQL.
 
         *params* follows the DB-API convention: a sequence binds ``?``
-        placeholders, a mapping binds ``:name`` placeholders — and, on a
-        placeholder-free statement, a mapping is applied as raw
-        template-parameter overrides (the historical calling style).
-        Placeholder statements bind into the cached template without
-        re-compiling, so repeats hit the recycler.
+        placeholders, a mapping binds ``:name`` placeholders; any
+        parameters on a placeholder-free statement raise
+        :class:`~repro.errors.ProgrammingError`.  Placeholder statements
+        bind into the cached template without re-compiling, so repeats
+        hit the recycler.
         """
         self._check_open()
         return self._run_statement(self.db.prepare(sql), params)
@@ -129,8 +122,7 @@ class Session:
         :class:`~repro.db.PreparedStatement` handle — the network
         server's named prepared statements use it so repeat EXECUTEs
         bind straight into the statement's compiled plan (zero
-        parse/plan work) while execution state and statistics stay
-        per-session.
+        parse/plan work) while statistics stay per-session.
         """
         self._check_open()
         return self._run_statement(stmt, params)

@@ -4,15 +4,14 @@ This package is the MonetDB-kernel analogue of the reproduction.  Data is
 stored column-wise in Binary Association Tables (:class:`~repro.storage.bat.BAT`),
 binary tables mapping a head of object identifiers (oids) to a tail of
 values.  Tables are collections of equally long columns registered in a
-:class:`~repro.storage.catalog.Catalog`; updates flow through per-table
-delta structures (:mod:`repro.storage.deltas`).
+:class:`~repro.storage.catalog.Catalog`; every update returns a
+:class:`~repro.storage.deltas.TableDelta` describing its net effect.
 """
 
 from repro.storage.bat import BAT, Dense, OID_DTYPE, column_length, column_values
 from repro.storage.catalog import Catalog, ColumnDef, TableDef
 from repro.storage.spill import SpillStore, SpilledStub
 from repro.storage.table import Table
-from repro.storage.deltas import DeltaStore
 
 __all__ = [
     "BAT",
@@ -24,7 +23,6 @@ __all__ = [
     "ColumnDef",
     "TableDef",
     "Table",
-    "DeltaStore",
     "SpillStore",
     "SpilledStub",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import CatalogError
 from repro.storage.bat import BAT, Dense
-from repro.storage.deltas import DeltaStore, TableDelta
+from repro.storage.deltas import TableDelta
 from repro.storage.table import Table
 
 
@@ -61,7 +61,6 @@ class Catalog:
         # Same token-splitting hazard as Table._bind_lock: two concurrent
         # readers must not both rebuild the index with fresh tokens.
         self._idx_lock = threading.RLock()
-        self.deltas = DeltaStore()
 
     # ------------------------------------------------------------------
     # Tables
@@ -189,20 +188,14 @@ class Catalog:
         return bat
 
     # ------------------------------------------------------------------
-    # Update entry points (record deltas for the recycler)
+    # Update entry points (each returns its delta for the recycler)
     # ------------------------------------------------------------------
     def insert(self, table: str, rows: Mapping[str, Sequence]) -> TableDelta:
-        delta = self.table(table).insert(rows)
-        self.deltas.record(delta)
-        return delta
+        return self.table(table).insert(rows)
 
     def delete_oids(self, table: str, oids: Sequence[int]) -> TableDelta:
-        delta = self.table(table).delete_oids(oids)
-        self.deltas.record(delta)
-        return delta
+        return self.table(table).delete_oids(oids)
 
     def update_column(self, table: str, column: str, oids: Sequence[int],
                       values: Sequence) -> TableDelta:
-        delta = self.table(table).update_column(column, oids, values)
-        self.deltas.record(delta)
-        return delta
+        return self.table(table).update_column(column, oids, values)

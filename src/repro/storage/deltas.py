@@ -5,19 +5,18 @@ and deletes are collected and merged into the base columns at commit.  The
 recycler consumes these deltas in two ways:
 
 * **Immediate invalidation** (the mode the paper evaluates, §6.4): the
-  recycler only needs to know *which columns changed*; the catalogue bumps
-  column versions and the recycler drops dependent intermediates.
+  recycler needs no delta at all; the table bumps column versions and
+  the recycler drops intermediates derived from versions no longer
+  current.
 * **Delta propagation** (the design of §6.3, implemented here as an
   extension): propagation needs the actual inserted rows / deleted oids,
-  which :class:`TableDelta` records for the most recent update batch.
+  which the :class:`TableDelta` each update returns records.
 """
 
 from __future__ import annotations
 
-import threading
-
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -58,48 +57,3 @@ class TableDelta:
     def append_only(self) -> bool:
         """True when the batch only appended rows (propagation-friendly)."""
         return self.n_deleted == 0 and not self.renumbered
-
-
-class DeltaStore:
-    """Keeps the most recent :class:`TableDelta` per table plus a log.
-
-    The store is deliberately small: the recycler's propagation path only
-    ever looks at the latest unconsumed delta; older deltas matter only for
-    the audit log used in tests.
-    """
-
-    def __init__(self, max_log: int = 64):
-        self._latest: Dict[str, TableDelta] = {}
-        self._log: List[TableDelta] = []
-        self._max_log = max_log
-        # DML on distinct tables runs concurrently under the per-table
-        # lock tier, but all of it records here — guard the books.
-        self._lock = threading.Lock()
-
-    def record(self, delta: TableDelta) -> None:
-        """Register a committed update batch."""
-        with self._lock:
-            self._latest[delta.table] = delta
-            self._log.append(delta)
-            if len(self._log) > self._max_log:
-                del self._log[: len(self._log) - self._max_log]
-
-    def latest(self, table: str) -> Optional[TableDelta]:
-        """The most recent delta for *table*, or None."""
-        with self._lock:
-            return self._latest.get(table)
-
-    def consume(self, table: str) -> Optional[TableDelta]:
-        """Pop the most recent delta for *table* (propagation consumed it)."""
-        with self._lock:
-            return self._latest.pop(table, None)
-
-    def log(self) -> List[TableDelta]:
-        """Recent deltas, oldest first (bounded)."""
-        with self._lock:
-            return list(self._log)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._latest.clear()
-            self._log.clear()

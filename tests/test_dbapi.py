@@ -162,8 +162,9 @@ class TestParamstyles:
 
     def test_params_on_placeholder_free_statement(self, conn):
         cur = conn.cursor()
-        with pytest.raises(ProgrammingError):
-            cur.execute("select count(*) from sales", (1,))
+        for params in ((1,), {"p0": 1}):
+            with pytest.raises(ProgrammingError):
+                cur.execute("select count(*) from sales", params)
 
     def test_limit_placeholder_rejected(self, conn):
         cur = conn.cursor()

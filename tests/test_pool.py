@@ -155,21 +155,3 @@ class TestDependencies:
         assert len(removed) == 2
         assert pool.total_bytes == 0
         assert parent.dependents == 0
-
-
-class TestStaleEntries:
-    def test_matches_on_table_column(self):
-        pool = RecyclePool()
-        src = frozenset({("orders", "o_orderdate", 0)})
-        e1 = entry(("a",), bat(sources=src))
-        e2 = entry(("b",), bat(sources=frozenset({("nation", "n_name", 0)})))
-        pool.add(e1)
-        pool.add(e2)
-        stale = pool.stale_entries({("orders", "o_orderdate")})
-        assert stale == [e1]
-
-    def test_version_ignored_in_staleness(self):
-        pool = RecyclePool()
-        e = entry(("a",), bat(sources=frozenset({("t", "c", 7)})))
-        pool.add(e)
-        assert pool.stale_entries({("t", "c")}) == [e]

@@ -212,7 +212,7 @@ def test_eviction_demotes_and_match_promotes(tmp_path):
     overflow_pool(db)
     totals = db.recycler.totals
     assert totals.demotions > 0
-    assert db.recycler.spilled_entry_count > 0
+    assert db.recycler.pool.spilled_count > 0
     assert db.pool_spilled_bytes > 0
     assert db.pool_bytes <= 400_000
     db.recycler.check_invariants()
@@ -254,7 +254,7 @@ def test_invalidation_deletes_spilled_files(tmp_path):
     # Inserting into t staleness-invalidates every cached intermediate of
     # the table — spilled ones included, and their files with them.
     db.insert("t", {"x": np.array([17]), "v": np.array([0.25])})
-    assert db.recycler.spilled_entry_count == 0
+    assert db.recycler.pool.spilled_count == 0
     assert db.pool_spilled_bytes == 0
     assert len(store) == 0
     assert [n for n in os.listdir(store.directory)
@@ -327,7 +327,7 @@ def test_destroying_persistent_bind_keeps_spilled_dependents(tmp_path):
     db = make_db(tmp_path, max_bytes=400_000)
     overflow_pool(db)
     pool = db.recycler.pool
-    spilled_before = db.recycler.spilled_entry_count
+    spilled_before = db.recycler.pool.spilled_count
     assert spilled_before > 0
     bind = next(e for e in pool.entries() if e.opname == "sql.bind")
     assert bind.dependents > 0
@@ -338,7 +338,7 @@ def test_destroying_persistent_bind_keeps_spilled_dependents(tmp_path):
         assert bind.token_is_stable
         pool.remove_set([bind])
     db.recycler.check_invariants()
-    assert db.recycler.spilled_entry_count == spilled_before
+    assert db.recycler.pool.spilled_count == spilled_before
     r = db.execute(f"select count(*) from t where x >= {SELECT_BOUNDS[0]}")
     assert r.stats.promoted_hits > 0  # spilled select still matched
     db.recycler.check_invariants()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import CatalogError, StorageError, UpdateError
 from repro.storage.catalog import Catalog, ColumnDef, TableDef
-from repro.storage.deltas import DeltaStore, TableDelta
+from repro.storage.deltas import TableDelta
 from repro.storage.table import Table
 
 
@@ -158,21 +158,7 @@ class TestJoinIndex:
             cat.bind_idx("pk", "x")
 
 
-class TestDeltaStore:
-    def test_latest_and_consume(self):
-        store = DeltaStore()
-        d1 = TableDelta("t", insert_start=0, inserted={"a": np.arange(2)})
-        store.record(d1)
-        assert store.latest("t") is d1
-        assert store.consume("t") is d1
-        assert store.latest("t") is None
-
-    def test_log_bounded(self):
-        store = DeltaStore(max_log=3)
-        for i in range(5):
-            store.record(TableDelta(f"t{i}"))
-        assert len(store.log()) == 3
-
+class TestTableDelta:
     def test_append_only_detection(self):
         assert TableDelta("t", insert_start=0,
                           inserted={"a": np.arange(1)}).append_only
@@ -180,8 +166,8 @@ class TestDeltaStore:
             "t", deleted_oids=np.array([1]), renumbered=True
         ).append_only
 
-    def test_catalog_records_deltas(self):
+    def test_catalog_insert_returns_delta(self):
         cat = make_catalog()
-        cat.insert("t", {"k": [77], "v": [7.7]})
-        delta = cat.deltas.latest("t")
-        assert delta is not None and delta.n_inserted == 1
+        delta = cat.insert("t", {"k": [77], "v": [7.7]})
+        assert delta.table == "t" and delta.n_inserted == 1
+        assert delta.append_only
