@@ -9,8 +9,10 @@ from repro.core.pool import (
     arg_identity,
     make_signature,
 )
+from repro.core.recycler import Recycler
 from repro.errors import RecyclerError
 from repro.storage.bat import BAT, Dense
+from repro.storage.catalog import Catalog, ColumnDef, TableDef
 
 
 def bat(n=4, sources=frozenset()):
@@ -155,3 +157,40 @@ class TestDependencies:
         assert len(removed) == 2
         assert pool.total_bytes == 0
         assert parent.dependents == 0
+
+
+def two_table_catalog():
+    cat = Catalog()
+    cat.create_table(TableDef("orders", [ColumnDef("o_orderdate", "int64")]),
+                     {"o_orderdate": np.arange(4)})
+    cat.create_table(TableDef("nation", [ColumnDef("n_name", "int64")]),
+                     {"n_name": np.arange(4)})
+    return cat
+
+
+class TestStaleEntries:
+    """Staleness is ``Recycler.on_update``'s rule over the pool's sources."""
+
+    def test_matches_on_table_column(self):
+        cat = two_table_catalog()
+        rec = Recycler()
+        orders = cat.table("orders").source_key("o_orderdate")
+        nation = cat.table("nation").source_key("n_name")
+        e1 = entry(("a",), bat(sources=frozenset({orders})))
+        e2 = entry(("b",), bat(sources=frozenset({nation})))
+        rec.pool.add(e1)
+        rec.pool.add(e2)
+        cat.insert("orders", {"o_orderdate": [9]})
+        assert rec.on_update("orders", cat) == 1
+        assert rec.pool.entries() == [e2]
+
+    def test_version_ignored_in_staleness(self):
+        # A dropped table has no current version: any version is stale.
+        cat = two_table_catalog()
+        rec = Recycler()
+        src = frozenset({("orders", "o_orderdate", 7)})
+        e = entry(("a",), bat(sources=src))
+        rec.pool.add(e)
+        cat.drop_table("orders")
+        assert rec.on_update("orders", cat) == 1
+        assert len(rec.pool) == 0
