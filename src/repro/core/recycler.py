@@ -87,8 +87,7 @@ class RecyclerConfig:
     """Tunables of the recycler (§3.2, §4).
 
     ``max_bytes``/``max_entries`` of None mean unlimited (the paper's
-    KEEPALL/unlimited baseline).  ``overhead_tuples`` is the ``ov`` term of
-    the combined-subsumption cost model (§5.2).
+    KEEPALL/unlimited baseline).
 
     ``spill_dir`` enables the two-tier pool: eviction victims whose
     benefit exceeds the measured cost of a disk round trip are demoted to
@@ -101,7 +100,6 @@ class RecyclerConfig:
     subsumption: bool = True
     combined_subsumption: bool = True
     propagate_selects: bool = False
-    overhead_tuples: float = 0.0
     spill_dir: Optional[str] = None
     spill_limit_bytes: Optional[int] = None
 
@@ -697,7 +695,6 @@ class Recycler:
                     target,
                     ranged,
                     base_cost=float(len(operand)),
-                    overhead=self.config.overhead_tuples,
                 )
                 self.totals.combined_search_time += (inv.clock()
                                                      - search_start)

@@ -201,16 +201,15 @@ def find_combined_cover(
     target: Range,
     pieces: Sequence[Tuple[Range, RecycleEntry]],
     base_cost: float,
-    overhead: float = 0.0,
     max_pieces: int = 12,
     max_partials: int = 256,
 ) -> Optional[List[Tuple[Range, RecycleEntry]]]:
     """Algorithm 2: cheapest set of pooled ranges covering *target*.
 
     Partial solutions grow one connecting piece at a time; candidates whose
-    estimated cost (sum of piece sizes + overhead) already exceeds the best
-    known solution — initially the cost of computing from the base operand
-    — are pruned.  Returns None when recomputing from base is cheaper.
+    estimated cost (sum of piece sizes; the §5.2 ``ov`` term is 0) already
+    exceeds the best known solution — initially the cost of computing from
+    the base operand — are pruned.  Returns None when recomputing from base is cheaper.
     """
     relevant = [
         (rng, e) for rng, e in pieces if connects(rng, target)
@@ -219,7 +218,7 @@ def find_combined_cover(
         return None
 
     def cost(sol: Tuple[int, ...]) -> float:
-        return sum(relevant[i][1].tuples for i in sol) + overhead
+        return sum(relevant[i][1].tuples for i in sol)
 
     best_cost = base_cost
     best: Optional[Tuple[int, ...]] = None

@@ -12,12 +12,15 @@ surface, this facade is the *engine* underneath::
 ``Database`` remains fully usable directly, but clients should normally
 reach it through :func:`repro.connect`.
 
-Queries compile once into parametrised *templates* (literals factored out,
-§2.2) cached by normalised text, so repeated queries — even with different
+Queries compile once into parametrised *templates* (every literal factored
+out, LIMIT/OFFSET and substring bounds included, §2.2) cached by normalised
+text and the literals' kinds, so repeated queries — even with different
 constants — re-execute the same plan and exercise the recycler.  DB-API
 placeholders (``?`` / ``:name``) normalise to the same template key, so a
 prepared statement executed with fresh parameters binds straight into the
-cached template's parameters: :class:`PreparedStatement`.
+cached template's parameters: :class:`PreparedStatement`.  A DROP TABLE
+makes every plan compiled before it stale (see
+:attr:`~repro.storage.catalog.Catalog.schema_version`).
 
 Concurrency: the facade is safe to share between threads.  Queries run
 under the shared side of a readers-writer lock, DML/DDL under the
@@ -91,40 +94,14 @@ class CompileCacheStats:
         return self.hits / self.total if self.total else 0.0
 
 
-def baked_free_positions(compiled) -> set:
-    """Literal reading-order positions a compiled plan parametrises.
-
-    Positions outside this set (LIMIT, OFFSET, substring bounds) are
-    *baked into* the plan at compile time: instances differing there
-    need different plans.
-    """
-    free = set()
-    for name in compiled.program.params:
-        if name.startswith("p") and name[1:].isdigit():
-            free.add(int(name[1:]))
-    for name, default in compiled.default_params.items():
-        if isinstance(default, tuple):
-            idx = int(name[1:])
-            free.update(range(idx, idx + len(default)))
-    return free
-
-
-def _baked_values(compiled, values: List[Any]) -> Tuple:
-    """The literal values a plan bakes in (its cache discriminator)."""
-    free = baked_free_positions(compiled)
-    return tuple(
-        (i, v) for i, v in enumerate(values) if i not in free
-    )
-
-
 def _kind_signature(values: List[Any]) -> Tuple[str, ...]:
     """Kind (num/str/date) of every literal value, in reading order.
 
-    Plans are cached per kind signature as well as per baked values: a
-    plan compiled around one kind of values (and whose pool entries
-    carry bounds of that kind) must never serve a bind of another kind
-    — each signature gets its own variant, exactly as each
-    baked-literal tuple does.
+    Plans are cached per normalised key *and* kind signature: a plan
+    compiled around one kind of values (and whose pool entries carry
+    bounds of that kind) must never serve a bind of another kind — a
+    new signature compiles, and the planner rejects a kind its columns
+    cannot compare with.
     """
     from repro.sql.params import coerce_value
 
@@ -137,11 +114,14 @@ class PreparedStatement:
     Obtained via :meth:`Database.prepare` (cursors do this implicitly and
     cache by statement text).  The statement is tokenised once; the
     template key is the literal-blanked token stream, so placeholders and
-    inline constants alias to the same cached plan.  Compilation happens
+    inline constants alias to the same cached plan.  Placeholders may
+    stand wherever a literal may, LIMIT/OFFSET and substring bounds
+    included: every literal is a template parameter.  Compilation happens
     on the first :meth:`bind` (the first parameter set supplies the
     default literal values the planner wants); every later bind only maps
     values onto the existing template's parameters — the recycler sees
-    the same plan and serves the repeat from the pool.
+    the same plan and serves the repeat from the pool.  A bind whose
+    literal kinds differ, or one after a DROP TABLE, compiles afresh.
 
     Thread-safe: binding mutates nothing but the idempotent compiled
     reference (the shared SQL cache resolves compile races first-wins).
@@ -163,20 +143,21 @@ class PreparedStatement:
     def _ensure_compiled(self, values: List[Any]):
         """Compile (or fetch) the template, using *values* as defaults.
 
-        Plans are cached per *baked* literal values, not just per
-        normalised key: LIMIT/OFFSET and substring bounds are compiled
-        into the plan, so instances of one key that differ in those
-        positions must not share a plan (they would silently return the
-        first compilation's results).
+        Plans are cached per normalised key and kind signature, and
+        serve only while the catalogue's schema version is the one they
+        were planned at.
         """
         sig = _kind_signature(values)
-        if self._compiled is not None and self._compiled.kind_sig == sig:
+        compiled = self._compiled
+        if compiled is not None and compiled.kind_sig == sig and \
+                compiled.schema_version == self.db.catalog.schema_version:
             # Memoised fast path: one counter bump is the only shared
             # state touched (the slow paths below count inside the lock
             # sections they already hold).
-            self.db._note_compile(hit=True)
-            return self._compiled
-        compiled = self.db._cached_template(self.key, values, sig)
+            with self.db._cache_lock:
+                self.db._compile_hits += 1
+            return compiled
+        compiled = self.db._cached_template(self.key, sig)
         if compiled is None:
             from repro.sql.planner import compile_tokens
 
@@ -185,27 +166,10 @@ class PreparedStatement:
             # concurrent DDL cannot mutate table definitions mid-plan.
             with self.db.locks.database.read_locked():
                 fresh = compile_tokens(self.db.catalog, tokens, self.key)
-            compiled = self.db._cache_template(self.key, fresh, values,
-                                               sig)
-        self._check_placeholder_positions(compiled)
+            fresh.kind_sig = sig
+            compiled = self.db._cache_template(self.key, fresh)
         self._compiled = compiled
         return compiled
-
-    def _check_placeholder_positions(self, compiled) -> None:
-        """Reject placeholders the template cannot actually parametrise.
-
-        LIMIT/OFFSET and substring bounds are compiled into the plan, so
-        a placeholder there would silently pin the first bound value for
-        every later execution — fail loudly instead.
-        """
-        allowed = baked_free_positions(compiled)
-        for position, (kind, _) in enumerate(self.slots):
-            if kind != "inline" and position not in allowed:
-                raise ProgrammingError(
-                    "placeholder binds to a non-parametrised position "
-                    f"(literal #{position}); LIMIT, OFFSET and substring "
-                    "bounds are compiled into the template"
-                )
 
     # ------------------------------------------------------------------
     def bind(self, params: Any = None) -> Dict[str, Any]:
@@ -215,8 +179,7 @@ class PreparedStatement:
         (named); a placeholder-free statement takes none.
         """
         values = bind_slot_values(self.slots, self.paramstyle, params)
-        compiled = self._ensure_compiled(values)
-        return Database.bind_literals(compiled, values)
+        return self._ensure_compiled(values).bind(values)
 
     @property
     def program(self) -> MalProgram:
@@ -349,9 +312,9 @@ class Database:
                                        clock=clock)
         self.clock = clock
         self._templates: Dict[str, MalProgram] = {}
-        #: normalised key -> list of plan variants (one per distinct
-        #: baked-literal tuple; see :meth:`_cached_template`).
-        self._sql_cache: Dict[str, List[Any]] = {}
+        #: (normalised key, literal kinds) -> compiled plan (see
+        #: :meth:`_cached_template`).
+        self._sql_cache: Dict[Tuple[str, Tuple[str, ...]], Any] = {}
         self._prepared: "OrderedDict[str, PreparedStatement]" = \
             OrderedDict()
         #: Guards the template/SQL/prepared caches (compile races resolve
@@ -395,8 +358,8 @@ class Database:
         instructions and cached on the program (plans are immutable
         after compilation).  A ``bindidx`` also reads the primary-key
         side of its join index, so that table joins the set; foreign
-        keys are declared before such a plan can compile and are never
-        retracted, so the cached set cannot go stale.
+        keys are declared before such a plan can compile and go only
+        with a dropped table, which retires the plan itself.
         """
         refs = getattr(program, "_bind_refs", None)
         if refs is None:
@@ -419,20 +382,15 @@ class Database:
         return refs
 
     @contextlib.contextmanager
-    def query_locked(self, program: Optional[MalProgram] = None):
+    def query_locked(self, program: MalProgram):
         """Context manager for running one query invocation.
 
         Takes the database read lock plus the read lock of every table
-        the plan binds (sorted-name order; all tables when no *program*
-        is given), and re-checks the closed flag inside, closing the
-        window where close() completes between a caller's early
-        _check_open and its lock acquisition (the torn-down engine must
-        not execute)."""
-        if program is not None:
-            tables = self._bind_tables(program)
-        else:
-            tables = self.catalog.table_names()
-        with self.locks.query_locked(tables):
+        the plan binds (sorted-name order), and re-checks the closed
+        flag inside, closing the window where close() completes between
+        a caller's early _check_open and its lock acquisition (the
+        torn-down engine must not execute)."""
+        with self.locks.query_locked(self._bind_tables(program)):
             self._check_open()
             yield
 
@@ -440,19 +398,16 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
     def create_table(self, name: str, columns: Mapping[str, str],
-                     data: Mapping[str, Sequence],
-                     primary_key: Optional[str] = None):
+                     data: Mapping[str, Sequence]):
         """Create a table from ``{column: dtype}`` plus column-wise data."""
         self._check_open()
-        tdef = TableDef(
-            name,
-            [ColumnDef(c, dt) for c, dt in columns.items()],
-            primary_key=primary_key,
-        )
+        tdef = TableDef(name, [ColumnDef(c, dt) for c, dt in columns.items()])
         with self.locks.ddl_locked():
             return self.catalog.create_table(tdef, data)
 
     def drop_table(self, name: str) -> None:
+        """Drop *name* and its foreign keys; every plan compiled before
+        this is stale from now on (the catalogue's schema version)."""
         self._check_open()
         with self.locks.ddl_locked():
             self.catalog.drop_table(name)
@@ -540,69 +495,37 @@ class Database:
     # ------------------------------------------------------------------
     # SQL
     # ------------------------------------------------------------------
-    def _cached_template(self, key: str, values: List[Any],
+    def _cached_template(self, key: str,
                          sig: Tuple[str, ...]) -> Optional[Any]:
-        """The cached plan for *key* matching *values*' baked literals
-        and kind signature.
+        """The plan of *key* for literals of kinds *sig*, unless it was
+        planned before the latest DROP TABLE.
 
-        One normalised key usually holds exactly one plan; keys with
-        non-parametrised literal positions (LIMIT/OFFSET/substring
-        bounds) hold one *variant* per distinct baked-value tuple, and
-        value-kind changes (a string where the compiling instance had a
-        number) select their own variant too — an instance never
-        silently runs a plan compiled for different baked constants or
-        differently-typed values.
+        Every literal is a template parameter, so one plan per key and
+        kinds serves every instance; a kind change (a string where the
+        compiling instance had a number) compiles its own plan.
         """
         with self._cache_lock:
-            variants = self._sql_cache.get(key)
-            if variants:
-                for compiled in variants:
-                    if compiled.kind_sig == sig and \
-                            _baked_values(compiled, values) == \
-                            compiled.baked_values:
-                        self._compile_hits += 1
-                        return compiled
-            return None
+            compiled = self._sql_cache.get((key, sig))
+            if compiled is None or \
+                    compiled.schema_version != self.catalog.schema_version:
+                return None
+            self._compile_hits += 1
+            return compiled
 
-    #: Bound on plan variants kept per normalised key.  Only statements
-    #: with *baked* literal positions (LIMIT/OFFSET/substring bounds)
-    #: ever grow past one variant; inline-literal paging loops would
-    #: otherwise accumulate a plan per distinct page bound.
-    VARIANTS_PER_KEY = 32
-
-    def _cache_template(self, key: str, compiled, values: List[Any],
-                        sig: Tuple[str, ...]):
-        """First-wins insert of a plan variant under its discriminators."""
-        compiled.baked_values = _baked_values(compiled, values)
-        compiled.kind_sig = sig
+    def _cache_template(self, key: str, compiled):
+        """First-wins insert of a plan under ``(key, compiled.kind_sig)``;
+        a plan of a newer schema version replaces a stale one."""
         with self._cache_lock:
             # The caller did real parse/plan work to get here (even if a
             # concurrent compile won the insert race): count the miss
             # under the lock already being taken for the insert.
             self._compile_misses += 1
-            variants = self._sql_cache.setdefault(key, [])
-            for existing in variants:
-                if existing.kind_sig == sig and \
-                        existing.baked_values == compiled.baked_values:
-                    return existing
-            variants.append(compiled)
-            if len(variants) > self.VARIANTS_PER_KEY:
-                variants.pop(0)             # FIFO; recompiles are cheap
-            return compiled
-
-    def _note_compile(self, hit: bool) -> None:
-        """Counter bump for the memoised statement fast path.
-
-        The variant-cache paths count inside :meth:`_cached_template` /
-        :meth:`_cache_template` (under the lock they already hold); only
-        the fast path — no other shared state touched — pays this one
-        acquisition.
-        """
-        with self._cache_lock:
-            if hit:
-                self._compile_hits += 1
-            else:
-                self._compile_misses += 1
+            slot = (key, compiled.kind_sig)
+            cached = self._sql_cache.get(slot)
+            if cached is None or \
+                    cached.schema_version < compiled.schema_version:
+                self._sql_cache[slot] = cached = compiled
+            return cached
 
     @property
     def compile_cache_stats(self) -> CompileCacheStats:
@@ -643,40 +566,6 @@ class Database:
                 while len(self._prepared) > self.PREPARED_CACHE_SIZE:
                     self._prepared.popitem(last=False)
         return stmt
-
-    @staticmethod
-    def bind_literals(compiled, literals: List[Any]) -> Dict[str, Any]:
-        """Bind one SQL instance's literals to its template's parameters.
-
-        Arity mismatches raise :class:`~repro.errors.ProgrammingError`:
-        a template compiled from ``k`` literals must be bound with
-        exactly the literals its parameters reference — IN-lists
-        included — never a silent partial slice.
-        """
-        bound = {}
-        for name in compiled.program.params:
-            if name.startswith("p") and name[1:].isdigit():
-                idx = int(name[1:])
-                if idx >= len(literals):
-                    raise ProgrammingError(
-                        f"template parameter {name} needs literal "
-                        f"#{idx} but only {len(literals)} literal(s) "
-                        "were supplied"
-                    )
-                bound[name] = literals[idx]
-        # IN-lists bind the whole tuple to the first literal's parameter.
-        for name, default in compiled.default_params.items():
-            if isinstance(default, tuple) and name in bound:
-                idx = int(name[1:])
-                values = tuple(literals[idx:idx + len(default)])
-                if len(values) != len(default):
-                    raise ProgrammingError(
-                        f"IN-list parameter {name} expects "
-                        f"{len(default)} value(s), got {len(values)}: "
-                        "the template's IN-list arity is fixed"
-                    )
-                bound[name] = values
-        return bound
 
     def execute(self, sql: str, params: Any = None) -> InvocationResult:
         """Compile (with template caching) and run a SQL statement.

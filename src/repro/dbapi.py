@@ -444,12 +444,10 @@ class Connection(BaseConnection):
         return self._db
 
     def create_table(self, name: str, columns: Mapping[str, str],
-                     data: Mapping[str, Sequence],
-                     primary_key: Optional[str] = None):
+                     data: Mapping[str, Sequence]):
         """DDL passthrough (the SQL dialect is query-only)."""
         self._check_open()
-        return self._db.create_table(name, columns, data,
-                                     primary_key=primary_key)
+        return self._db.create_table(name, columns, data)
 
     def insert(self, table: str, rows: Mapping[str, Sequence]) -> None:
         """DML passthrough, with §6 update synchronisation."""

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from repro.errors import InterpreterError
+from repro.errors import InterpreterError, ProgrammingError
 from repro.storage.bat import BAT
 from repro.mal.operators import register
 
@@ -164,10 +164,18 @@ def batmtime_year(ctx, bat: BAT) -> BAT:
 @register("batstr.substr", kind="calc")
 def batstr_substr(ctx, bat: BAT, start: int, length: int) -> BAT:
     """SUBSTRING over a string tail (*start* is 1-based, per SQL)."""
+    for bound in (start, length):
+        # Template parameters: a client may bind anything here.
+        if isinstance(bound, bool) or \
+                not isinstance(bound, (int, np.integer)):
+            raise ProgrammingError(
+                f"substring bounds must be integers, got {bound!r}")
+    if length < 0:
+        raise ProgrammingError(f"substring length {length} is negative")
     tail = bat.tail_values()
     if tail.dtype.kind not in "US":
         raise InterpreterError(f"batstr.substr: expected strings, got {tail.dtype}")
-    if start == 1:
+    if start == 1 and length:           # "U0" would mean "unsized"
         out = tail.astype(f"U{length}")
     else:
         out = np.array([s[start - 1:start - 1 + length] for s in tail])

@@ -141,17 +141,3 @@ def algebra_kunique(ctx, bat: BAT) -> BAT:
         sources=bat.sources,
         subset_parent=bat,
     )
-
-
-@register("algebra.tunique", kind="join")
-def algebra_tunique(ctx, bat: BAT) -> BAT:
-    """Distinct tail values with a fresh dense head."""
-    from repro.storage.bat import Dense
-
-    uniq = np.unique(bat.tail_values())
-    return BAT.materialized(
-        Dense(0, len(uniq)),
-        uniq,
-        sources=bat.sources,
-        tail_sorted=True,
-    )

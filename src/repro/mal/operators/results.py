@@ -1,7 +1,8 @@
 """Result-set construction: the final step of every query plan.
 
 ``sql.resultset`` gathers positionally aligned output columns into a
-:class:`ResultSet`; ``sql.exportValue`` wraps a single scalar.  Neither is
+:class:`ResultSet`; ``sql.exportValue`` wraps a single scalar, and
+``sql.slice`` applies LIMIT/OFFSET to such a one-row result.  None is
 recyclable — they are per-invocation artefacts, not relational
 intermediates (§3.1).
 """
@@ -15,6 +16,7 @@ import numpy as np
 from repro.errors import InterpreterError
 from repro.storage.bat import BAT
 from repro.mal.operators import register
+from repro.mal.operators.sorting import window
 
 
 #: numpy dtype kind -> DB-API type code string (see ``docs/API.md``).
@@ -108,3 +110,10 @@ def sql_scalarrow(ctx, names: Tuple[str, ...], *values) -> ResultSet:
         np.array([np.nan]) if v is None else np.array([v]) for v in values
     ]
     return ResultSet(list(names), cols)
+
+
+@register("sql.slice", recyclable=False, kind="result")
+def sql_slice(ctx, result: ResultSet, offset: int, count) -> ResultSet:
+    """LIMIT/OFFSET over a finished result (a global aggregate's row)."""
+    rows = window(offset, count)
+    return ResultSet(result.names, [c[rows] for c in result.columns])

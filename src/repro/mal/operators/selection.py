@@ -145,25 +145,6 @@ def algebra_notlikeselect(ctx, bat: BAT, pattern: str) -> BAT:
     return _subset(bat, ~like_mask(tail, pattern))
 
 
-@register("algebra.selectNotNil", kind="select")
-def algebra_select_not_nil(ctx, bat: BAT) -> BAT:
-    """Drop nil tails (NaN for floats, NaT for datetimes)."""
-    tail = bat.tail_values()
-    if tail.dtype.kind == "f":
-        mask = ~np.isnan(tail)
-    elif tail.dtype.kind == "M":
-        mask = ~np.isnat(tail)
-    else:
-        return BAT.view(
-            bat.head,
-            bat.tail,
-            sources=bat.sources,
-            subset_parent=bat,
-            tail_sorted=bat.tail_sorted,
-        )
-    return _subset(bat, mask)
-
-
 @register("algebra.selecttrue", kind="select")
 def algebra_selecttrue(ctx, mask_bat: BAT) -> BAT:
     """Keep rows whose (boolean) tail is true — companion of ``batcalc``."""

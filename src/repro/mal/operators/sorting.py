@@ -6,7 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.errors import InterpreterError
+from repro.errors import InterpreterError, ProgrammingError
 from repro.storage.bat import BAT, Dense
 from repro.mal.operators import register
 
@@ -51,12 +51,26 @@ def algebra_lexsort(ctx, asc_flags: Tuple[bool, ...], *keys: BAT) -> BAT:
     return BAT.materialized(Dense(0, n), heads, sources=sources)
 
 
+def window(offset, count) -> slice:
+    """The rows ``[offset, offset+count)`` of OFFSET/LIMIT (``count=None``
+    = the rest).  Both are template parameters a client can bind, so
+    anything but an integer >= 0 is a :class:`ProgrammingError`."""
+    for clause, value in (("OFFSET", offset), ("LIMIT", count)):
+        if value is None and clause == "LIMIT":
+            continue
+        if isinstance(value, bool) or \
+                not isinstance(value, (int, np.integer)) or value < 0:
+            raise ProgrammingError(
+                f"{clause} needs an integer >= 0, got {value!r}")
+    return slice(offset, None if count is None else offset + count)
+
+
 @register("algebra.slice", kind="sort")
 def algebra_slice(ctx, bat: BAT, offset: int, count) -> BAT:
     """Rows ``[offset, offset+count)`` — LIMIT/OFFSET.  ``count=None`` = rest."""
-    end = None if count is None else offset + count
-    heads = bat.head_values()[offset:end]
-    tails = bat.tail_values()[offset:end]
+    rows = window(offset, count)
+    heads = bat.head_values()[rows]
+    tails = bat.tail_values()[rows]
     return BAT.view(
         heads,
         tails,

@@ -388,7 +388,7 @@ class QueryBuilder:
     def year(self, a: Expr) -> Expr:
         return self._calc("batmtime.year", a)
 
-    def substr(self, a: Expr, start: int, length: int) -> Expr:
+    def substr(self, a: Expr, start: Bound, length: Bound) -> Expr:
         return self._calc("batstr.substr", a, start, length)
 
     def like(self, a: Expr, pattern: Bound, negated: bool = False) -> Expr:
@@ -603,14 +603,24 @@ class QueryBuilder:
             for e in exprs
         ]
 
+    def _window(self, limit: Bound, offset: Bound):
+        """``algebra.slice``'s ``(offset, count)`` arguments for a
+        LIMIT/OFFSET, or None when there is no window (no limit and a
+        missing or zero constant offset)."""
+        if limit is None and (offset is None or offset == 0):
+            return None
+        return self._as_arg(0 if offset is None else offset), \
+            self._as_arg(limit)
+
     def select(self, outputs: Sequence[Tuple[str, Expr]],
                order_by: Sequence[Tuple[Expr, bool]] = (),
-               limit: Optional[int] = None,
-               offset: int = 0) -> None:
+               limit: Bound = None,
+               offset: Bound = 0) -> None:
         """Finalise the template with named output columns.
 
         All outputs (and sort keys) must be on the same level — all row or
-        all group expressions.
+        all group expressions.  *limit* and *offset* are constants or
+        template parameters.
         """
         levels = {e.level for _n, e in outputs}
         levels |= {e.level for e, _a in order_by}
@@ -618,36 +628,41 @@ class QueryBuilder:
             raise PlanError(f"mixed output levels {levels}")
         names = tuple(n for n, _e in outputs)
         exprs = [e for _n, e in outputs]
+        window = self._window(limit, offset)
         if order_by:
             asc = tuple(bool(a) for _e, a in order_by)
             keys = [self._exprs[e.id] for e, _a in order_by]
             perm = self.b.emit("algebra.lexsort", Const(asc), *keys)
-            if limit is not None or offset:
-                perm = self.b.emit("algebra.slice", perm, Const(offset),
-                                   Const(limit))
+            if window is not None:
+                perm = self.b.emit("algebra.slice", perm, *window)
             cols = self._project_through(perm, exprs)
         else:
             cols = [self._exprs[e.id] for e in exprs]
-            if limit is not None or offset:
-                cols = [
-                    self.b.emit("algebra.slice", c, Const(offset),
-                                Const(limit))
-                    for c in cols
-                ]
+            if window is not None:
+                cols = [self.b.emit("algebra.slice", c, *window)
+                        for c in cols]
         out = self.b.emit("sql.resultset", Const(names), *cols)
         self.b.set_result(out)
         self._output = out
 
-    def select_scalar(self, name: str, value_var: VarRef) -> None:
+    def select_scalar(self, name: str, value_var: VarRef,
+                      limit: Bound = None, offset: Bound = 0) -> None:
         """Finalise with a single scalar output (e.g. a global aggregate)."""
-        out = self.b.emit("sql.exportValue", Const(name), value_var)
-        self.b.set_result(out)
-        self._output = out
+        self._finish_row(self.b.emit("sql.exportValue", Const(name),
+                                     value_var), limit, offset)
 
     def select_scalar_row(self, names: Sequence[str],
-                          value_vars: Sequence[VarRef]) -> None:
+                          value_vars: Sequence[VarRef],
+                          limit: Bound = None, offset: Bound = 0) -> None:
         """Finalise with one row of scalar outputs (global aggregates)."""
-        out = self.b.emit("sql.scalarrow", Const(tuple(names)), *value_vars)
+        self._finish_row(self.b.emit("sql.scalarrow", Const(tuple(names)),
+                                     *value_vars), limit, offset)
+
+    def _finish_row(self, out: VarRef, limit: Bound, offset: Bound) -> None:
+        """Make the one-row result the output, windowed by LIMIT/OFFSET."""
+        window = self._window(limit, offset)
+        if window is not None:
+            out = self.b.emit("sql.slice", out, *window)
         self.b.set_result(out)
         self._output = out
 

@@ -117,6 +117,6 @@ class Select:
     group_by: List[Expr] = field(default_factory=list)
     having: List[Predicate] = field(default_factory=list)
     order_by: List[OrderItem] = field(default_factory=list)
-    limit: Optional[int] = None
-    offset: int = 0
+    limit: Optional[Literal] = None
+    offset: Optional[Literal] = None
     distinct: bool = False

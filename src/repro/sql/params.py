@@ -5,7 +5,8 @@ tokens wherever PEP 249 parameters may appear.  This module turns a token
 stream into *literal slots* — the reading-order sequence of literal
 positions, each either an inline constant or a placeholder — and binds a
 parameter set against them, yielding the concrete literal values the
-template machinery already understands (:meth:`repro.db.Database.bind_literals`).
+template machinery already understands
+(:meth:`repro.sql.planner.CompiledQuery.bind`).
 
 Because placeholders and inline literals normalise to the same ``?`` in
 the template key, a parametrised statement *is* the paper's query

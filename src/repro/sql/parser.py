@@ -96,12 +96,11 @@ class Parser:
         if self._try_kw("order"):
             self._eat_kw("by")
             order_by = self._order_list()
-        limit = None
-        offset = 0
+        limit = offset = None
         if self._try_kw("limit"):
-            limit = int(self._expect_number())
+            limit = self._window_literal()
         if self._try_kw("offset"):
-            offset = int(self._expect_number())
+            offset = self._window_literal()
         if self._peek() is not None:
             raise SqlSyntaxError(f"trailing tokens at {self._peek()}")
         return ast.Select(
@@ -110,11 +109,13 @@ class Parser:
             distinct=distinct,
         )
 
-    def _expect_number(self) -> float:
+    def _window_literal(self) -> ast.Literal:
+        """A LIMIT or OFFSET bound: a literal like any other, so it is a
+        template parameter; ``algebra.slice`` checks its value."""
         tok = self._next()
-        if tok.kind != "num":
-            raise SqlSyntaxError(f"expected number, got {tok}")
-        return tok.value
+        if not tok.is_literal or tok.kind == "interval":
+            raise SqlSyntaxError(f"expected a literal, got {tok}")
+        return self._literal(tok)
 
     def _select_list(self) -> List[ast.SelectItem]:
         items = []

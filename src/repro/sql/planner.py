@@ -5,23 +5,27 @@ exhibit (Figure 1): selection push-down onto base columns, connected join
 ordering (FK join indices when declared), row-level expression evaluation,
 group-by/aggregation, HAVING, ORDER BY and LIMIT.
 
-Every literal becomes a template parameter named ``p<i>`` (reading order),
-and the compiled program is cached by the literal-blanked token stream, so
+Every literal — LIMIT, OFFSET and substring bounds included — becomes a
+template parameter named ``p<i>`` (reading order; an IN-list is one
+parameter named after its first literal), and the compiled program is
+cached by the literal-blanked token stream plus the literals' kinds, so
 query instances differing only in constants share a template — the
 inter-query reuse substrate of the recycler (§2.2, §7).
+:meth:`CompiledQuery.bind` is the one place that maps an instance's
+literal values onto those names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import SqlBindError, SqlError
+from repro.errors import ProgrammingError, SqlBindError, SqlError
 from repro.mal.program import MalProgram, VarRef
 from repro.rel.builder import Expr as RelExpr
 from repro.rel.builder import QueryBuilder
 from repro.sql import ast
-from repro.sql.lexer import normalized_key, tokenize
+from repro.sql.lexer import normalized_key
 from repro.sql.parser import Parser
 
 AGGREGATES = {"count", "sum", "avg", "min", "max"}
@@ -46,26 +50,46 @@ class CompiledQuery:
     key: str
     program: MalProgram
     default_params: Dict[str, Any]
-    #: Literal ``(position, value)`` pairs baked into the plan
-    #: (LIMIT/OFFSET/substring bounds) — the cache discriminator between
-    #: variants of one normalised key; set by the template cache.
-    baked_values: Optional[Tuple] = None
-    #: Kind (num/str/date) of every literal position of the compiling
-    #: instance — the second variant discriminator: a plan compiled
-    #: around one kind of values must not serve binds of another (set
-    #: by the template cache).
+    #: The catalogue's schema version when planning started: a plan from
+    #: an older version may name a dropped table or foreign key.
+    schema_version: int = 0
+    #: Kind (num/str/date) of every literal of the compiling instance: a
+    #: plan compiled around one kind of values must not serve binds of
+    #: another (set by the template cache, which keys on it).
     kind_sig: Optional[Tuple] = None
 
+    def bind(self, literals: Sequence[Any]) -> Dict[str, Any]:
+        """Bind one instance's literal values (reading order) to the
+        template's parameters: ``p<i>`` takes literal #i, and an IN-list
+        parameter the tuple of its literals from #i on.
 
-def normalize_sql(sql: str) -> Tuple[str, List[Any]]:
-    """Template key and literal values (reading order) for *sql*."""
-    tokens = tokenize(sql)
-    values = [
-        t.value[0] if t.kind == "interval" else t.value
-        for t in tokens
-        if t.is_literal
-    ]
-    return normalized_key(tokens), values
+        Arity mismatches raise :class:`~repro.errors.ProgrammingError`:
+        a template compiled from ``k`` literals must be bound with
+        exactly the literals its parameters reference — IN-lists
+        included — never a silent partial slice.
+        """
+        bound = {}
+        for name in self.program.params:
+            idx = int(name[1:])
+            if idx >= len(literals):
+                raise ProgrammingError(
+                    f"template parameter {name} needs literal "
+                    f"#{idx} but only {len(literals)} literal(s) "
+                    "were supplied"
+                )
+            default = self.default_params[name]
+            if isinstance(default, tuple):
+                values = tuple(literals[idx:idx + len(default)])
+                if len(values) != len(default):
+                    raise ProgrammingError(
+                        f"IN-list parameter {name} expects "
+                        f"{len(default)} value(s), got {len(values)}: "
+                        "the template's IN-list arity is fixed"
+                    )
+                bound[name] = values
+            else:
+                bound[name] = literals[idx]
+        return bound
 
 
 def compile_tokens(catalog, tokens, key: Optional[str] = None
@@ -78,15 +102,13 @@ def compile_tokens(catalog, tokens, key: Optional[str] = None
     """
     if key is None:
         key = normalized_key(tokens)
+    # Stamped before planning reads the catalogue: a plan that raced a
+    # DROP TABLE carries the old version and is never served again.
+    version = catalog.schema_version
     select = Parser(list(tokens)).parse_select()
     planner = _Planner(catalog, select, name=f"sql:{key[:60]}")
     program, defaults = planner.plan()
-    return CompiledQuery(key, program, defaults)
-
-
-def compile_sql(db, sql: str) -> CompiledQuery:
-    """Parse, plan and optimise *sql* into a cached-ready template."""
-    return compile_tokens(db.catalog, tokenize(sql))
+    return CompiledQuery(key, program, defaults, version)
 
 
 def _contains_aggregate(expr: ast.Expr) -> bool:
@@ -413,13 +435,12 @@ class _Planner:
                 return self.q.year(self._row_expr(expr.args[0]))
             if expr.name == "substring":
                 base = self._row_expr(expr.args[0])
-                start = expr.args[1]
-                length = expr.args[2]
+                start, length = expr.args[1:3]
                 if not isinstance(start, ast.Literal) or \
                         not isinstance(length, ast.Literal):
                     raise SqlError("substring bounds must be literals")
-                return self.q.substr(base, int(start.value),
-                                     int(length.value))
+                return self.q.substr(base, self._param(start),
+                                     self._param(length))
             raise SqlError(f"unsupported function {expr.name!r}")
         if isinstance(expr, ast.Case):
             mask = self._row_mask(expr.when)
@@ -474,8 +495,7 @@ class _Planner:
             outputs.append((self._item_name(item, i),
                             self._row_expr(item.expr)))
         order = self._order_exprs(dict_outputs=dict(outputs), grouped=False)
-        self.q.select(outputs, order_by=order, limit=self.select.limit,
-                      offset=self.select.offset)
+        self.q.select(outputs, order_by=order, **self._window())
 
     def _plan_distinct(self) -> None:
         row_exprs = [
@@ -488,8 +508,7 @@ class _Planner:
         for (n, _e), k, item in zip(row_exprs, keys, self.select.items):
             self._group_keys[_expr_shape(item.expr)] = k
         order = self._order_exprs(dict_outputs=dict(outputs), grouped=True)
-        self.q.select(outputs, order_by=order, limit=self.select.limit,
-                      offset=self.select.offset)
+        self.q.select(outputs, order_by=order, **self._window())
 
     def _plan_aggregation(self) -> None:
         if not self.select.group_by:
@@ -508,8 +527,13 @@ class _Planner:
         for pred in self.select.having:
             self._apply_having(pred)
         order = self._order_exprs(dict_outputs=dict(outputs), grouped=True)
-        self.q.select(outputs, order_by=order, limit=self.select.limit,
-                      offset=self.select.offset)
+        self.q.select(outputs, order_by=order, **self._window())
+
+    def _window(self) -> Dict[str, Any]:
+        """LIMIT/OFFSET as parameters, for the builder's output steps."""
+        limit, offset = self.select.limit, self.select.offset
+        return {"limit": None if limit is None else self._param(limit),
+                "offset": None if offset is None else self._param(offset)}
 
     def _plan_scalar_aggregates(self) -> None:
         names, values = [], []
@@ -517,21 +541,18 @@ class _Planner:
             names.append(self._item_name(item, i))
             values.append(self._scalar_agg(item.expr))
         if len(values) == 1:
-            self.q.select_scalar(names[0], values[0])
+            self.q.select_scalar(names[0], values[0], **self._window())
         else:
-            self.q.select_scalar_row(names, values)
+            self.q.select_scalar_row(names, values, **self._window())
 
     def _aggregate(self, fn: ast.Func) -> RelExpr:
         shape = _expr_shape(fn)
         if shape in self._agg_cache:
             return self._agg_cache[shape]
-        if fn.name == "count":
-            if fn.star:
-                out = self.q.agg_count()
-            elif fn.distinct:
-                out = self.q.agg_count_distinct(self._row_expr(fn.args[0]))
-            else:
-                out = self.q.agg_count()
+        if fn.name == "count" and fn.distinct and not fn.star:
+            out = self.q.agg_count_distinct(self._row_expr(fn.args[0]))
+        elif fn.name == "count":
+            out = self.q.agg_count()
         else:
             arg = self._row_expr(fn.args[0])
             out = {
@@ -564,13 +585,10 @@ class _Planner:
 
     def _scalar_agg(self, expr: ast.Expr) -> VarRef:
         if isinstance(expr, ast.Func) and expr.name in AGGREGATES:
+            if expr.name == "count" and expr.distinct and not expr.star:
+                return self.q.agg_scalar("countdistinct",
+                                         self._row_expr(expr.args[0]))
             if expr.name == "count":
-                if expr.star:
-                    return self.q.agg_scalar("count")
-                if expr.distinct:
-                    return self.q.agg_scalar(
-                        "countdistinct", self._row_expr(expr.args[0])
-                    )
                 return self.q.agg_scalar("count")
             return self.q.agg_scalar(expr.name, self._row_expr(expr.args[0]))
         if isinstance(expr, ast.BinOp):

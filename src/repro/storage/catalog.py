@@ -30,11 +30,10 @@ class ColumnDef:
 
 @dataclass
 class TableDef:
-    """Declared table: columns plus optional primary key column."""
+    """Declared table: a name and its columns."""
 
     name: str
     columns: List[ColumnDef]
-    primary_key: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,10 @@ class Catalog:
 
     def __init__(self):
         self._tables: Dict[str, Table] = {}
-        self._defs: Dict[str, TableDef] = {}
+        #: Bumped by every DROP TABLE — the one DDL that can invalidate
+        #: a compiled plan (it also drops the table's foreign keys); a
+        #: plan planned at an older version is stale.
+        self.schema_version = 0
         self._fkeys: Dict[str, ForeignKey] = {}
         self._fkeys_by_pair: Dict[Tuple[str, str], ForeignKey] = {}
         # Join-index cache: name -> (fk_version, pk_version, BAT)
@@ -82,14 +84,13 @@ class Catalog:
         }
         table = Table(tdef.name, columns)
         self._tables[tdef.name] = table
-        self._defs[tdef.name] = tdef
         return table
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"unknown table {name}")
         del self._tables[name]
-        del self._defs[name]
+        self.schema_version += 1
         for fk in [f for f in self._fkeys.values()
                    if name in (f.fk_table, f.pk_table)]:
             del self._fkeys[fk.name]
@@ -104,15 +105,6 @@ class Catalog:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
-
-    def table_def(self, name: str) -> TableDef:
-        try:
-            return self._defs[name]
-        except KeyError:
-            raise CatalogError(f"unknown table {name!r}")
 
     # ------------------------------------------------------------------
     # Binds

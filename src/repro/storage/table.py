@@ -172,9 +172,3 @@ class Table:
         return TableDelta(self.name, deleted_oids=oids, renumbered=False,
                           inserted={column: np.asarray(values)},
                           insert_start=None)
-
-    # ------------------------------------------------------------------
-    def select_rows(self, oids: Sequence[int]) -> Dict[str, np.ndarray]:
-        """Row extraction for result building and tests."""
-        idx = np.asarray(oids, dtype=np.int64)
-        return {c: v[idx] for c, v in self._columns.items()}

@@ -24,7 +24,6 @@ def tiny_db() -> Database:
             "o_date": rng.integers(0, 100, n_o),
             "o_cust": rng.integers(0, 20, n_o),
         },
-        primary_key="o_orderkey",
     )
     db.create_table(
         "lineitem",

@@ -166,10 +166,14 @@ class TestParamstyles:
             with pytest.raises(ProgrammingError):
                 cur.execute("select count(*) from sales", params)
 
-    def test_limit_placeholder_rejected(self, conn):
+    def test_limit_placeholder_binds(self, conn):
         cur = conn.cursor()
-        with pytest.raises(ProgrammingError):
-            cur.execute("select sale_id from sales limit ?", (5,))
+        cur.execute("select sale_id from sales order by sale_id limit ?",
+                    (5,))
+        assert cur.fetchall() == [(i,) for i in range(5)]
+        cur.execute("select sale_id from sales order by sale_id limit ?",
+                    (2,))
+        assert cur.fetchall() == [(0,), (1,)]
 
     def test_null_and_sequence_values_rejected(self, conn):
         cur = conn.cursor()
@@ -314,15 +318,6 @@ class TestBakedLiteralVariants:
         for i in range(db.PREPARED_CACHE_SIZE + 100):
             db.execute(f"select count(*) from sales where sale_id >= {i}")
         assert len(db._prepared) <= db.PREPARED_CACHE_SIZE
-
-    def test_variant_list_is_bounded(self, conn):
-        db = conn.database
-        for i in range(1, db.VARIANTS_PER_KEY + 20):
-            assert db.execute(
-                f"select sale_id from sales order by sale_id limit {i}"
-            ).value.rows()[-1] == (i - 1,)
-        assert all(len(v) <= db.VARIANTS_PER_KEY
-                   for v in db._sql_cache.values())
 
 
 class TestFetching:
@@ -858,14 +853,14 @@ class TestBindLiteralsHardening:
         )
         stmt.bind()
         with pytest.raises(ProgrammingError):
-            db.bind_literals(stmt._compiled, ["N", "S"])
+            stmt._compiled.bind(["N", "S"])
 
     def test_missing_scalar_literal(self, conn):
         db = conn.database
         stmt = db.prepare("select count(*) from sales where amount >= 10")
         stmt.bind()
         with pytest.raises(ProgrammingError):
-            db.bind_literals(stmt._compiled, [])
+            stmt._compiled.bind([])
 
 
 class TestWorkloadParamSequences:

@@ -65,7 +65,6 @@ def build_pair(seed: int, **recycler_kwargs):
             "dim",
             {"d_key": "int64", "d_cat": "U8", "d_w": "float64"},
             _dim_data(rng),
-            primary_key="d_key",
         )
         db.add_foreign_key("fk_kd", "fact", "k", "dim", "d_key")
         pair.append(db)

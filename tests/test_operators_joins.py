@@ -12,7 +12,6 @@ from repro.mal.operators.joins import (
     algebra_kunique,
     algebra_leftfetchjoin,
     algebra_semijoin,
-    algebra_tunique,
 )
 from repro.storage.bat import BAT, Dense
 
@@ -114,12 +113,6 @@ class TestSemijoinFamily:
         out = algebra_kunique(None, l)
         assert list(out.head_values()) == [5, 6]
         assert list(out.tail_values()) == ["a", "c"]
-
-    def test_tunique_sorted_distinct(self):
-        l = bat([0, 1, 2], [3, 1, 3])
-        out = algebra_tunique(None, l)
-        assert list(out.tail_values()) == [1, 3]
-        assert out.tail_sorted
 
 
 @given(

@@ -11,7 +11,6 @@ from repro.mal.operators.selection import (
     algebra_likeselect,
     algebra_notlikeselect,
     algebra_select,
-    algebra_select_not_nil,
     algebra_selecttrue,
     algebra_uselect,
     like_mask,
@@ -78,20 +77,6 @@ class TestOtherSelects:
         bat = make_bat([1, 2, 3, 4])
         out = algebra_inselect(None, bat, (2, 4))
         assert list(out.tail_values()) == [2, 4]
-
-    def test_select_not_nil_floats(self):
-        bat = make_bat([1.0, np.nan, 2.0])
-        out = algebra_select_not_nil(None, bat)
-        assert list(out.tail_values()) == [1.0, 2.0]
-
-    def test_select_not_nil_dates(self):
-        arr = np.array(["2020-01-01", "NaT"], dtype="datetime64[D]")
-        out = algebra_select_not_nil(None, make_bat(arr))
-        assert len(out) == 1
-
-    def test_select_not_nil_ints_passthrough(self):
-        bat = make_bat([1, 2])
-        assert len(algebra_select_not_nil(None, bat)) == 2
 
     def test_selecttrue(self):
         bat = make_bat([True, False, True])

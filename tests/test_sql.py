@@ -5,8 +5,8 @@ import pytest
 
 from repro import Database
 from repro.errors import SqlBindError, SqlError, SqlSyntaxError
-from repro.sql import normalize_sql
 from repro.sql.lexer import normalized_key, tokenize
+from repro.sql.params import extract_slots
 from repro.sql.parser import parse
 
 
@@ -75,11 +75,12 @@ class TestLexer:
         assert k1 == k2
         assert k1 != k3
 
-    def test_normalize_sql_collects_values(self):
-        _key, values = normalize_sql(
-            "select * from t where x = 5 and s = 'a'"
-        )
-        assert values == [5, "a"]
+    def test_extract_slots_collects_values(self):
+        slots, paramstyle = extract_slots(tokenize(
+            "select * from t where x = 5 and s = 'a' limit 3"
+        ))
+        assert [value for _kind, value in slots] == [5, "a", 3]
+        assert paramstyle is None
 
 
 class TestParser:
@@ -92,7 +93,8 @@ class TestParser:
         assert len(sel.items) == 2
         assert len(sel.tables) == 2
         assert len(sel.where) == 2
-        assert sel.limit == 3 and sel.offset == 1
+        assert (sel.limit.value, sel.offset.value) == (3, 1)
+        assert (sel.limit.index, sel.offset.index) == (2, 3)
         assert not sel.order_by[0].ascending
 
     def test_between_in_like(self):

@@ -81,11 +81,6 @@ class TestTable:
         assert t.versions == {"k": 0, "v": 1}
         assert t.column_array("v")[1] == 42.0
 
-    def test_select_rows(self):
-        cat = make_catalog()
-        rows = cat.table("t").select_rows([2, 4])
-        assert list(rows["k"]) == [2, 4]
-
 
 class TestCatalog:
     def test_duplicate_table_rejected(self):
