@@ -209,7 +209,8 @@ def find_combined_cover(
     Partial solutions grow one connecting piece at a time; candidates whose
     estimated cost (sum of piece sizes; the §5.2 ``ov`` term is 0) already
     exceeds the best known solution — initially the cost of computing from
-    the base operand — are pruned.  Returns None when recomputing from base is cheaper.
+    the base operand — are pruned.  Returns None when recomputing from
+    base is cheaper.
     """
     relevant = [
         (rng, e) for rng, e in pieces if connects(rng, target)

@@ -66,6 +66,7 @@ from repro.server.locks import TableLockManager
 from repro.sql.lexer import normalized_key, tokenize
 from repro.sql.params import (
     bind_slot_values,
+    coerce_value,
     extract_slots,
     tokens_with_values,
 )
@@ -103,8 +104,6 @@ def _kind_signature(values: List[Any]) -> Tuple[str, ...]:
     new signature compiles, and the planner rejects a kind its columns
     cannot compare with.
     """
-    from repro.sql.params import coerce_value
-
     return tuple(coerce_value(v)[0] for v in values)
 
 

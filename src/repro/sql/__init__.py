@@ -9,10 +9,10 @@ HAVING, ORDER BY, LIMIT/OFFSET, plus ``date '...'`` and
 All literal constants — LIMIT, OFFSET and substring bounds included — are
 factored out into template parameters (paper §2.2), so textually
 different instances of the same query shape share one cached plan — the
-property recycling feeds on.  DB-API
-placeholders (``?`` / ``:name``, see :mod:`repro.sql.params`) normalise
-to the same template key as inline literals, so parametrised statements
-bind straight into those template parameters without re-compiling.
+property recycling feeds on.  DB-API placeholders (``?`` / ``:name``,
+see :mod:`repro.sql.params`) normalise to the same template key as
+inline literals, so parametrised statements bind straight into those
+template parameters without re-compiling.
 """
 
 from repro.sql.planner import CompiledQuery, compile_tokens

@@ -26,6 +26,7 @@ from repro.rel.builder import Expr as RelExpr
 from repro.rel.builder import QueryBuilder
 from repro.sql import ast
 from repro.sql.lexer import normalized_key
+from repro.sql.params import coerce_value
 from repro.sql.parser import Parser
 
 AGGREGATES = {"count", "sum", "avg", "min", "max"}
@@ -232,15 +233,13 @@ class _Planner:
         """Reject comparing a column with a kind-incompatible literal.
 
         A string bound on an int64 column (inline or placeholder) would
-        otherwise compile into the plan, cache a mis-kinded template
-        variant, and admit pool entries no later query can subsume
-        against — fail at plan time instead, where the catalogue knows
-        the column's dtype.
+        otherwise compile into the plan, cache a mis-kinded template,
+        and admit pool entries no later query can subsume against —
+        fail at plan time instead, where the catalogue knows the
+        column's dtype.
         """
         if not isinstance(lit, ast.Literal):
             return
-        from repro.sql.params import coerce_value
-
         kind = coerce_value(lit.value)[0]
         alias, name = self._resolve(col)
         table = self._alias_tables[alias]

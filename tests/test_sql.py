@@ -75,12 +75,13 @@ class TestLexer:
         assert k1 == k2
         assert k1 != k3
 
-    def test_extract_slots_collects_values(self):
-        slots, paramstyle = extract_slots(tokenize(
-            "select * from t where x = 5 and s = 'a' limit 3"
-        ))
+    def test_normalize_sql_collects_values(self):
+        tokens = tokenize("select * from t where x = 5 and s = 'a' limit 3")
+        slots, paramstyle = extract_slots(tokens)
         assert [value for _kind, value in slots] == [5, "a", 3]
         assert paramstyle is None
+        assert normalized_key(tokens) == \
+            "select * from t where x = ? and s = ? limit ?"
 
 
 class TestParser:
