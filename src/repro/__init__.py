@@ -37,7 +37,6 @@ from repro.db import (
     CompileCacheStats,
     Database,
     PreparedStatement,
-    PreparedTemplate,
 )
 from repro.dbapi import (
     Connection,
@@ -94,7 +93,6 @@ __all__ = [
     # Engine
     "Database",
     "PreparedStatement",
-    "PreparedTemplate",
     "CompileCacheStats",
     "Session",
     "ReadWriteLock",

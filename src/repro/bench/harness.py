@@ -86,7 +86,7 @@ class RunResult:
 
     @property
     def sessions(self) -> Dict[str, ExecutionStats]:
-        """Per-session sums (the §3.3 local/global split by client)."""
+        """Per-session sums of the records, §3.3 hit split included."""
         out: Dict[str, ExecutionStats] = {}
         for r in self.records:
             if r.stats is not None:
@@ -214,10 +214,9 @@ def run_workload(db: Database, items: Iterable[WorkloadItem],
             t0 = time.perf_counter()
             try:
                 if isinstance(query, MalProgram) or db.has_template(query):
-                    stmt = db.prepare_template(query)
+                    r = session.run_template(query, params)
                 else:
-                    stmt = db.prepare(query)
-                r = session.run_statement(stmt, params)
+                    r = session.execute(query, params)
             except Exception as exc:
                 records[i] = QueryRecord(i, session.name, _label(query),
                                          time.perf_counter() - t0, error=exc)

@@ -35,7 +35,6 @@ many such sessions.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -190,18 +189,10 @@ class PreparedStatement:
 
     # ------------------------------------------------------------------
     def run(self, params: Any = None) -> InvocationResult:
-        """One compile→bind→run invocation of this statement.
-
-        The single execution pipeline every front door funnels into:
-        :meth:`Database.execute`, :meth:`Database.run_template` (via
-        :class:`PreparedTemplate`), builder programs, and the DB-API
-        cursors through their sessions.  Compilation happens on the
-        first bind only; every invocation runs on the engine's one
-        interpreter and holds the engine's read lock throughout.
-        """
+        """Bind *params* (compiling on the first bind), then run the plan
+        through :meth:`Database.run_template`, where every plan runs."""
         bound = self.bind(params)
-        with self.db.query_locked(self.program):
-            return self.db.interpreter.run(self.program, bound)
+        return self.db.run_template(self.program, bound)
 
     def __repr__(self) -> str:
         return (
@@ -209,44 +200,6 @@ class PreparedStatement:
             f"paramstyle={self.paramstyle}, "
             f"placeholders={self.n_placeholders})"
         )
-
-
-class PreparedTemplate(PreparedStatement):
-    """A pre-compiled template on the same bind→run pipeline.
-
-    Wraps a :class:`~repro.mal.program.MalProgram` — a registered named
-    template or a builder product — so the template execution path is
-    the *same* pipeline SQL statements use (:meth:`PreparedStatement.run`),
-    just with the compile step satisfied by construction.  Binding takes
-    a mapping of the program's parameter names.
-    """
-
-    def __init__(self, db: "Database", program: MalProgram):
-        self.db = db
-        self.sql = None
-        self.tokens = []
-        self.slots = []
-        self.paramstyle = None
-        self.key = f"template:{program.name}"
-        self._compiled = None
-        self._program = program
-
-    def bind(self, params: Any = None) -> Dict[str, Any]:
-        if params is None:
-            return {}
-        if not isinstance(params, Mapping):
-            raise ProgrammingError(
-                "compiled templates bind a mapping of parameter names, "
-                f"got {type(params).__name__}"
-            )
-        return dict(params)
-
-    @property
-    def program(self) -> MalProgram:
-        return self._program
-
-    def __repr__(self) -> str:
-        return f"PreparedTemplate({self._program.name!r})"
 
 
 class Database:
@@ -344,7 +297,7 @@ class Database:
         obscurely (or repopulate a pool nobody will clean up).
 
         Query paths must ALSO re-check under the read lock
-        (:meth:`query_locked`): close() drains readers via the write
+        (:meth:`run_template`): close() drains readers via the write
         side, so only a check made *inside* the read lock is guaranteed
         to precede the teardown."""
         if self._closed:
@@ -379,19 +332,6 @@ class Database:
             refs = frozenset(names)
             program._bind_refs = refs
         return refs
-
-    @contextlib.contextmanager
-    def query_locked(self, program: MalProgram):
-        """Context manager for running one query invocation.
-
-        Takes the database read lock plus the read lock of every table
-        the plan binds (sorted-name order), and re-checks the closed
-        flag inside, closing the window where close() completes between
-        a caller's early _check_open and its lock acquisition (the
-        torn-down engine must not execute)."""
-        with self.locks.query_locked(self._bind_tables(program)):
-            self._check_open()
-            yield
 
     # ------------------------------------------------------------------
     # DDL
@@ -470,26 +410,31 @@ class Database:
         with self._cache_lock:
             return name in self._templates
 
-    def prepare_template(self, template: Union[str, MalProgram]
-                         ) -> PreparedTemplate:
-        """Wrap a registered (or given) compiled template for execution.
+    def run_template(self, template: Union[str, MalProgram],
+                     params: Optional[Mapping[str, Any]] = None
+                     ) -> InvocationResult:
+        """Run a registered (or given) template: the one place a plan runs.
 
-        The template analogue of :meth:`prepare`: the returned
-        :class:`PreparedTemplate` runs through the same
-        compile→bind→run pipeline as SQL statements, with the compile
-        step pre-satisfied.
+        SQL ends here too — :meth:`PreparedStatement.run` binds, then
+        calls this.  *params* maps the program's parameter names to
+        values.  The invocation holds the database read lock plus the
+        read lock of every table the plan binds (sorted-name order), and
+        re-checks the closed flag inside them: close() drains readers
+        through the write side, so only that check is sure to precede
+        the teardown.
         """
         self._check_open()
         program = (
             self.template(template) if isinstance(template, str) else template
         )
-        return PreparedTemplate(self, program)
-
-    def run_template(self, template: Union[str, MalProgram],
-                     params: Optional[Dict[str, Any]] = None
-                     ) -> InvocationResult:
-        """Execute a cached (or given) template with parameter bindings."""
-        return self.prepare_template(template).run(params)
+        if params is not None and not isinstance(params, Mapping):
+            raise ProgrammingError(
+                "compiled templates bind a mapping of parameter names, "
+                f"got {type(params).__name__}"
+            )
+        with self.locks.query_locked(self._bind_tables(program)):
+            self._check_open()
+            return self.interpreter.run(program, params)
 
     # ------------------------------------------------------------------
     # SQL

@@ -17,11 +17,12 @@ the recycler, every parameter-independent intermediate::
         print(cur.stats.hits)          # recycler hits on the repeat
 
 Concurrency: a :class:`Connection` wraps one engine
-(:class:`~repro.db.Database`) and opens one
-:class:`~repro.server.session.Session` *per thread* over the shared
-recycle pool, so cursors used from many threads get private execution
-state and global cross-session reuse (threadsafety level 2: threads may
-share the module and connections, not cursors).
+(:class:`~repro.db.Database`); each :class:`Cursor` opens and closes its
+own :class:`~repro.server.session.Session` over the shared recycle pool,
+so cursors used from many threads keep private statistics while every
+one reuses the others' intermediates (threadsafety level 2: threads may
+share the module and connections, not cursors — open one cursor per
+thread).
 
 The PEP 249 contract itself is written once, in :class:`BaseConnection`
 and :class:`BaseCursor`; :class:`Connection`/:class:`Cursor` here and
@@ -69,8 +70,8 @@ from repro.server.session import Session
 
 #: PEP 249 module attributes.
 apilevel = "2.0"
-#: Threads may share the module and connections (sessions are opened
-#: per thread); sharing one cursor between threads is not supported.
+#: Threads may share the module and connections (each cursor owns its
+#: session); sharing one cursor between threads is not supported.
 threadsafety = 2
 #: Primary paramstyle; ``named`` is supported as well.
 paramstyle = "qmark"
@@ -92,8 +93,8 @@ def connect(*, database: Optional[Database] = None,
     Args:
         database: attach to an existing engine instead of building one.
             The connection then does *not* own it: closing the
-            connection closes its sessions but leaves the engine (and
-            its spill directory) alive.
+            connection closes its cursors (and their sessions) but
+            leaves the engine (and its spill directory) alive.
         url: a ``repro://host[:port]`` address — connect to a running
             :class:`~repro.net.server.ReproServer` instead of embedding
             an engine, returning a
@@ -148,7 +149,8 @@ class BaseConnection:
 
     A leaf names its cursor class in :attr:`cursor_class` and supplies
     ``_disconnect()``, the transport's half of :meth:`close`.
-    :attr:`_lock` guards the closed flag (and whatever the leaf adds).
+    :attr:`_lock` guards the closed flag, which a cursor re-checks as it
+    registers (and whatever the leaf adds).
     """
 
     cursor_class: type
@@ -164,7 +166,16 @@ class BaseConnection:
     def cursor(self) -> "BaseCursor":
         self._check_open()
         cur = self.cursor_class(self)
-        self._cursors.add(cur)
+        # Registration re-checks closed inside the lock: a close() racing
+        # with this either closes the cursor or has already won, in which
+        # case the fresh cursor must not escape unclosed.
+        with self._lock:
+            registered = not self._closed
+            if registered:
+                self._cursors.add(cur)
+        if not registered:
+            cur.close()
+            raise InterfaceError("connection is closed")
         return cur
 
     def commit(self) -> None:
@@ -182,7 +193,8 @@ class BaseConnection:
             if self._closed:
                 return
             self._closed = True
-        for cur in list(self._cursors):
+            cursors = list(self._cursors)
+        for cur in cursors:
             cur.close()
         self._disconnect()
 
@@ -361,8 +373,9 @@ class BaseCursor:
 class Cursor(BaseCursor):
     """A DB-API 2.0 cursor over an embedded engine.
 
-    Execution state lives in the calling thread's session.  Beyond PEP
-    249: :attr:`stats` is the last statement's
+    The cursor owns :attr:`session`, opened with it and closed by
+    :meth:`close`; its totals are the sum of this cursor's statements.
+    Beyond PEP 249: :attr:`stats` is the last statement's
     :class:`~repro.mal.interpreter.ExecutionStats` (recycler hits,
     marked instructions, saved time), :attr:`stats_batch` the per-set
     statistics of the last :meth:`executemany`, :meth:`execute_template`
@@ -370,8 +383,12 @@ class Cursor(BaseCursor):
     result set.  Rows are built from it on the first fetch.
     """
 
+    def __init__(self, connection: "Connection"):
+        super().__init__(connection)
+        self.session: Session = connection.database.session()
+
     def _send(self, sql: str, params: Any) -> Tuple[ExecutionStats, Any]:
-        result = self.connection.session().execute(sql, params)
+        result = self.session.execute(sql, params)
         return result.stats, result.value
 
     def execute_template(self, name: str,
@@ -379,7 +396,7 @@ class Cursor(BaseCursor):
                          ) -> "Cursor":
         """Run a registered compiled template (builder API) by name."""
         def send():
-            result = self.connection.session().run_template(name, params)
+            result = self.session.run_template(name, params)
             return result.stats, result.value
 
         return self._execute(send)
@@ -396,6 +413,10 @@ class Cursor(BaseCursor):
         self._complete = True
         return self._result.rows()
 
+    def close(self) -> None:
+        super().close()
+        self.session.close()
+
     @property
     def result(self) -> Optional[ResultSet]:
         """The last statement's raw :class:`ResultSet` (extension)."""
@@ -403,16 +424,15 @@ class Cursor(BaseCursor):
 
 
 class Connection(BaseConnection):
-    """A DB-API 2.0 connection: one engine, one session per thread.
+    """A DB-API 2.0 connection over one embedded engine.
 
     Obtain via :func:`connect`.  All cursors of a connection share its
-    engine's catalogue, template caches and recycle pool; each *thread*
-    executes through its own :class:`~repro.server.session.Session`, so
-    per-session statistics and the local/global hit split (§3.3) stay
-    meaningful under concurrency.  :meth:`close` closes every session
-    this connection opened and, when the connection owns its engine
-    (built by :func:`connect`), the engine too — emptying the recycle
-    pool and deleting the per-run spill directory.
+    engine's catalogue, template caches and recycle pool; each cursor
+    executes through its own :class:`~repro.server.session.Session`.
+    :meth:`close` closes every cursor (and with it its session) and,
+    when the connection owns its engine (built by :func:`connect`), the
+    engine too — emptying the recycle pool and deleting the per-run
+    spill directory.
     """
 
     cursor_class = Cursor
@@ -421,17 +441,8 @@ class Connection(BaseConnection):
         super().__init__()
         self._db = database
         self._owns_engine = owns_engine
-        self._tlocal = threading.local()
-        #: ``(owning thread, session)`` pairs — the thread handle lets
-        #: :meth:`session` prune (and close) sessions whose thread died,
-        #: so a thread-per-request server does not accumulate them.
-        self._sessions: List[Tuple[threading.Thread, Session]] = []
 
     def _disconnect(self) -> None:
-        with self._lock:
-            sessions, self._sessions = self._sessions, []
-        for _thread, session in sessions:
-            session.close()
         if self._owns_engine:
             self._db.close()
 
@@ -453,38 +464,6 @@ class Connection(BaseConnection):
         """DML passthrough, with §6 update synchronisation."""
         self._check_open()
         self._db.insert(table, rows)
-
-    def session(self) -> Session:
-        """This thread's session, opened on first use."""
-        self._check_open()
-        session = getattr(self._tlocal, "session", None)
-        if session is None or session.closed:
-            session = self._db.session()
-            # Registration re-checks closed *inside* the lock: a close()
-            # racing with this open either sees the session in the list
-            # (and closes it) or has already won, in which case the
-            # fresh session must not escape onto a torn-down engine.
-            with self._lock:
-                if self._closed:
-                    session.close()
-                    raise InterfaceError("connection is closed")
-                # Prune sessions whose owning thread is gone, so a
-                # thread-per-request pattern stays bounded.  One
-                # is_alive() call per entry: a thread dying between two
-                # passes would otherwise be dropped without being
-                # closed.
-                alive, dead = [], []
-                for pair in self._sessions:
-                    (alive if pair[0].is_alive() else dead).append(pair)
-                self._sessions = alive
-                self._tlocal.session = session
-                self._sessions.append(
-                    (threading.current_thread(), session)
-                )
-            for _thread, stale in dead:
-                stale.close()
-        return session
-
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -8,14 +8,12 @@ from repro.mal.optimizer.garbage_collect import inject_garbage_collection
 from repro.mal.optimizer.recycle_mark import mark_for_recycling
 
 
-def optimize(program: MalProgram, *, recycle: bool = True) -> MalProgram:
-    """Dead code → recycler marking (optional) → garbage collection.
+def optimize(program: MalProgram) -> MalProgram:
+    """Dead code → recycler marking → garbage collection.
 
     Ordering follows §3.1: marking must precede garbage-collection
     injection and follow the cleanup passes.
     """
     program = eliminate_dead_code(program)
-    if recycle:
-        program = mark_for_recycling(program)
-    program = inject_garbage_collection(program)
-    return program
+    program = mark_for_recycling(program)
+    return inject_garbage_collection(program)

@@ -677,8 +677,8 @@ class QueryBuilder:
         self._output = var
 
     # ------------------------------------------------------------------
-    def build(self, *, recycle: bool = True) -> MalProgram:
+    def build(self) -> MalProgram:
         """Compile the template through the optimiser pipeline."""
         if self._output is None:
             raise PlanError("query has no output; call select()")
-        return optimize(self.b.build(), recycle=recycle)
+        return optimize(self.b.build())

@@ -5,19 +5,20 @@ deployment: its own statement and hit counters over the *shared*
 catalogue, template caches, interpreter and recycler of the owning
 :class:`~repro.db.Database`.  The interpreter keeps no per-run state —
 each invocation has its own stack — so every session runs on the
-engine's one instance.  Cross-session reuse is the whole point: an
-intermediate admitted by one session's invocation is a *global* hit when
-any other session matches it (§3.3's local/global distinction).
+engine's one instance.  Every session reuses the one shared pool.  The
+§3.3 local/global split is by *invocation*, not by session: a *local*
+hit reuses an intermediate inside the invocation that admitted it, a
+*global* hit is any other invocation's reuse — in this session or
+another.
 
 Locking contract (three levels, database → table → pool; see
 ``docs/ARCHITECTURE.md`` for the full inventory):
 
 * **Queries take the database read side plus the read side of every
-  table the plan binds**, in sorted-name order — both
-  :meth:`Session.execute` and :meth:`Session.run_template` hold them
-  (via :meth:`repro.db.Database.query_locked`) for the whole
-  invocation, so a plan sees one consistent snapshot of the column
-  versions it reads.
+  table the plan binds**, in sorted-name order —
+  :meth:`repro.db.Database.run_template`, where every session entry
+  point ends, holds them for the whole invocation, so a plan sees one
+  consistent snapshot of the column versions it reads.
 * **DML takes the database read side plus the mutated table's write
   side** (through the :class:`~repro.db.Database` facade; sessions
   issue queries only), so update invalidation never interleaves with a
@@ -30,17 +31,15 @@ Locking contract (three levels, database → table → pool; see
   subsumption search, admission and the eviction it needs).  Operator
   execution overlaps freely across sessions.
 
-Sessions themselves are single-threaded (one per thread; they are
-cheap); the shared state they touch is protected by the locks above, so
-opening sessions concurrently is safe.  :meth:`Session.close` alone is
-thread-safe — the owning :class:`~repro.dbapi.Connection` may close a
-session from another thread while pruning dead threads.
+Sessions themselves are single-threaded and have exactly one owner — a
+DB-API cursor, a wire connection or a harness worker — which closes
+it; they are cheap.  The shared state they touch is protected by the
+locks above, so opening sessions concurrently is safe.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
 from repro.errors import InterfaceError
 from repro.mal.interpreter import ExecutionStats, InvocationResult
@@ -72,21 +71,15 @@ class Session:
         self.errors = 0
         self.stats = ExecutionStats()
         self.closed = False
-        #: Guards the closed flag: close() may race between the owning
-        #: thread, Connection.close(), and the dead-thread prune in
-        #: Connection.session() (see the module docstring).
-        self._close_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def _run_statement(self, stmt, params: Any) -> InvocationResult:
-        """Drive one prepared statement through the shared pipeline.
-
-        Both session entry points end here: the statement's
-        :meth:`~repro.db.PreparedStatement.run` executes it, and the
-        session's totals add the invocation's record.
-        """
+    def _record(self, run, *args) -> InvocationResult:
+        """Call ``run(*args)`` — every entry point ends in
+        :meth:`repro.db.Database.run_template` — and add the invocation's
+        record to this session's totals."""
+        self._check_open()
         try:
-            result = stmt.run(params)
+            result = run(*args)
         except Exception:
             self.errors += 1
             raise
@@ -95,12 +88,10 @@ class Session:
         return result
 
     def run_template(self, template: Union[str, MalProgram],
-                     params: Optional[Dict[str, Any]] = None
+                     params: Optional[Mapping[str, Any]] = None
                      ) -> InvocationResult:
         """Run a registered (or given) template in this session."""
-        self._check_open()
-        return self._run_statement(self.db.prepare_template(template),
-                                   params)
+        return self._record(self.db.run_template, template, params)
 
     def execute(self, sql: str, params: Any = None) -> InvocationResult:
         """Compile (against the shared template cache) and run SQL.
@@ -113,7 +104,7 @@ class Session:
         hit the recycler.
         """
         self._check_open()
-        return self._run_statement(self.db.prepare(sql), params)
+        return self._record(self.db.prepare(sql).run, params)
 
     def run_statement(self, stmt, params: Any = None) -> InvocationResult:
         """Run an already-prepared statement in this session.
@@ -124,21 +115,13 @@ class Session:
         bind straight into the statement's compiled plan (zero
         parse/plan work) while statistics stay per-session.
         """
-        self._check_open()
-        return self._run_statement(stmt, params)
+        return self._record(stmt.run, params)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the session (idempotent, safe under concurrent callers).
-
-        The DB-API connection closes sessions from two places that can
-        race — its own close() and the dead-thread prune — so the flag
-        write is serialised and repeat calls are no-ops.
-        """
-        with self._close_lock:
-            if self.closed:
-                return
-            self.closed = True
+        """Close the session (idempotent).  Its one owner — a cursor, a
+        wire connection or a harness worker — closes it."""
+        self.closed = True
 
     def _check_open(self) -> None:
         if self.closed:

@@ -138,11 +138,14 @@ def normalized_key(tokens: List[Token]) -> str:
     Two queries differing only in literal constants share one key — the
     paper's query-template factoring (§2.2).  DB-API placeholders blank
     to the same ``?``, so ``where x > ?``, ``where x > :lo`` and
-    ``where x > 5`` are all instances of one template.
+    ``where x > 5`` are all instances of one template.  An interval keeps
+    its unit (``interval ? month``): only its magnitude is a parameter.
     """
     parts = []
     for tok in tokens:
-        if tok.is_literal or tok.is_placeholder:
+        if tok.kind == "interval":
+            parts.append(f"interval ? {tok.value[1]}")
+        elif tok.is_literal or tok.is_placeholder:
             parts.append("?")
         elif tok.kind == "ident":
             parts.append(tok.text.lower())

@@ -107,7 +107,7 @@ def compile_tokens(catalog, tokens, key: Optional[str] = None
     # DROP TABLE carries the old version and is never served again.
     version = catalog.schema_version
     select = Parser(list(tokens)).parse_select()
-    planner = _Planner(catalog, select, name=f"sql:{key[:60]}")
+    planner = _Planner(catalog, select, name=f"sql:{key}")
     program, defaults = planner.plan()
     return CompiledQuery(key, program, defaults, version)
 

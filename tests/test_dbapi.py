@@ -3,10 +3,10 @@
 Covers the PEP 249 surface (paramstyles, fetch methods, description,
 closed-handle errors), the template-reuse guarantees (executemany over a
 parametrised statement compiles once and hits the recycler on every
-repeat), the unified compile→bind→run pipeline (SQL statements, named
-templates and builder programs all run through
-:meth:`PreparedStatement.run`), concurrent cursors over one shared pool,
-and the spill-directory lifecycle of the connection context manager.
+repeat), the one plan runner (SQL statements, named templates and
+builder programs all run in :meth:`Database.run_template`), cursors that
+own their sessions, concurrent cursors over one shared pool, and the
+spill-directory lifecycle of the connection context manager.
 """
 
 from __future__ import annotations
@@ -446,10 +446,11 @@ class TestRowBuilder:
     ])
     def test_cursor_fetches_equal_per_cell_item(self, conn, monkeypatch,
                                                 rs, steps):
+        cur = conn.cursor()
         monkeypatch.setattr(
-            conn.session(), "execute",
+            cur.session, "execute",
             lambda sql, params=None: InvocationResult(rs, ExecutionStats()))
-        cur = conn.cursor().execute("select 1")
+        cur.execute("select 1")
         got = []
         for step in steps:
             if step == "one":
@@ -508,9 +509,7 @@ class TestConcurrentCursors:
                 barrier.wait(timeout=10)
                 for _ in range(repeats):
                     results.append(cur.execute(sql, (25,)).fetchall())
-                # Session stats are captured here: dead threads'
-                # sessions are pruned from the connection later.
-                stats.append(conn.session().stats)
+                stats.append(cur.session.stats)
             except Exception as exc:        # pragma: no cover
                 errors.append(exc)
 
@@ -522,7 +521,7 @@ class TestConcurrentCursors:
             t.join()
         assert not errors
         assert all(r == reference for r in results)
-        # Each thread ran through its own session...
+        # Each thread's cursor ran through its own session...
         assert len(stats) == n_threads
         assert len({id(s) for s in stats}) == n_threads
         # ...and the shared pool produced cross-session (global) hits.
@@ -650,19 +649,6 @@ class TestSpillLifecycle:
             with pytest.raises(InterfaceError, match="closed"):
                 work()
 
-    def test_dead_thread_sessions_pruned(self, conn):
-        def run():
-            conn.cursor().execute("select count(*) from sales")
-
-        for _ in range(6):
-            t = threading.Thread(target=run)
-            t.start()
-            t.join()
-        # A registration from a live thread prunes the dead threads'.
-        conn.cursor().execute("select count(*) from sales")
-        alive = [t for t, _s in conn._sessions if t.is_alive()]
-        assert len(conn._sessions) == len(alive) <= 2
-
 
 class TestConnectKwargs:
     def test_engine_options_forwarded(self):
@@ -684,10 +670,43 @@ class TestConnectKwargs:
             repro.connect(max_byte=1)
 
 
+class TestCursorSession:
+    """Each cursor opens, owns and closes one session."""
+
+    def test_session_totals_are_the_cursors_statements(self, conn):
+        db = conn.database
+        q = db.builder("n_over")
+        lo = q.param("lo")
+        q.scan("sales")
+        q.filter_range("sales", "amount", lo=lo)
+        q.select_scalar("n", q.agg_scalar("count"))
+        db.register_template(q.build())
+        sql = "select count(*) from sales where amount >= ?"
+        cur, other = conn.cursor(), conn.cursor()
+        records = [cur.execute(sql, (10.0,)).stats]
+        other.execute(sql, (10.0,))     # not this cursor's statement
+        cur.executemany(sql, [(20.0,), (30.0,), (20.0,)])
+        records += cur.stats_batch
+        records.append(cur.execute_template("n_over", {"lo": 20.0}).stats)
+        expected = ExecutionStats()
+        for stats in records:
+            expected.add(stats)
+        assert cur.session.queries == len(records) == 5
+        assert cur.session.stats == expected
+        assert cur.session.stats.hits > 0
+        assert other.session is not cur.session
+        assert other.session.queries == 1
+        cur.close()
+        assert cur.session.closed
+        assert not other.session.closed
+        conn.close()
+        assert other.session.closed
+
+
 class TestUnifiedPipeline:
     """SQL, named templates and builder programs share one run path."""
 
-    def test_prepare_template_runs_builder_program(self, conn):
+    def test_run_template_runs_builder_program(self, conn):
         db = conn.database
         q = db.builder("big_sales")
         lo = q.param("lo")
@@ -695,15 +714,13 @@ class TestUnifiedPipeline:
         q.filter_range("sales", "amount", lo=lo)
         q.select_scalar("n", q.agg_scalar("count"))
         program = q.build()
-        stmt = db.prepare_template(program)
-        assert isinstance(stmt, repro.PreparedTemplate)
-        r = stmt.run({"lo": 50.0})
+        r = db.run_template(program, {"lo": 50.0})
         expected = db.execute(
             "select count(*) from sales where amount >= ?", (50.0,)
         ).value.scalar()
         assert r.value.scalar() == expected
         # A repeat through the same pipeline is a recycler hit.
-        assert stmt.run({"lo": 50.0}).stats.hits > 0
+        assert db.run_template(program, {"lo": 50.0}).stats.hits > 0
 
     def test_run_template_by_name_via_pipeline(self, conn):
         db = conn.database
@@ -729,9 +746,9 @@ class TestUnifiedPipeline:
         q.scan("sales")
         q.filter_range("sales", "amount", lo=lo)
         q.select_scalar("n", q.agg_scalar("count"))
-        stmt = db.prepare_template(q.build())
+        program = q.build()
         with pytest.raises(ProgrammingError):
-            stmt.run((50.0,))
+            db.run_template(program, (50.0,))
 
     def test_statement_run_on_engine_interpreter(self, conn):
         db = conn.database

@@ -195,3 +195,41 @@ class TestDropTableRetiresPlans:
         assert db._cached_template(stmt.key, ("num",)) is None
         stmt.bind()
         assert stmt._compiled is not stale
+
+
+class TestPlanIdentity:
+    """What a plan is keyed and named by: a statement's own text."""
+
+    def test_interval_unit_is_part_of_the_plan_key(self):
+        db = repro.Database(recycle=False)
+        days = np.arange(np.datetime64("1995-01-01"),
+                         np.datetime64("1997-01-01"))
+        db.create_table("t", {"d": "datetime64[D]"}, {"d": days})
+        sql = ("select count(*) from t where d >= date '1995-01-01' "
+               "and d < date '1995-01-01' + interval '1' {}")
+        assert db.execute(sql.format("year")).value.rows() == [(365,)]
+        assert db.execute(sql.format("month")).value.rows() == [(31,)]
+        # The magnitude is still a parameter of the one plan per unit.
+        assert db.execute(sql.format("day")).value.rows() == [(1,)]
+        before = db.compile_cache_stats
+        sql_days = sql.replace("'1' {}", "'2' day")
+        assert db.execute(sql_days).value.rows() == [(2,)]
+        assert db.compile_cache_stats.misses == before.misses
+
+    def test_plans_sharing_a_long_prefix_keep_their_own_credits(self):
+        # Credits are keyed by (plan name, pc): two statements that only
+        # differ past their 60th character must not share them.
+        rng = np.random.default_rng(3)
+        n = 5_000
+        db = repro.Database(admission=repro.CreditAdmission(credits=1))
+        db.create_table("t", {"a": "int64", "b": "int64", "c": "int64"},
+                        {"a": rng.integers(0, 2000, n),
+                         "b": rng.integers(0, 100, n),
+                         "c": rng.integers(-5, 5, n)})
+        sql = ("select a, b, c from t where a >= ? and a < 1000 "
+               "and c > 0 and b {} ?")
+        first = db.execute(sql.format(">"), (10, 20)).stats
+        second = db.execute(sql.format("<"), (10, 20)).stats
+        assert second.hits > 0
+        assert second.hits + second.admissions == second.n_marked
+        assert first.template != second.template

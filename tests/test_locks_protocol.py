@@ -398,7 +398,7 @@ class TestPoolLock:
 
 
 # ---------------------------------------------------------------------------
-# Session close vs. dead-thread prune (DB-API lifecycle race)
+# Session close vs. connection close (DB-API lifecycle race)
 # ---------------------------------------------------------------------------
 class TestSessionCloseRace:
     def test_session_close_is_idempotent_and_concurrent_safe(self):
@@ -414,56 +414,48 @@ class TestSessionCloseRace:
         session.close()  # still idempotent afterwards
         db.close()
 
-    def test_connection_close_races_dead_thread_prune(self):
-        """close() and the prune both close the same Session objects.
+    def test_connection_close_races_cursor_sessions(self):
+        """A connection closed while threads open cursors and execute.
 
-        Sessions are registered by worker threads that then die; one
-        thread keeps opening (each open prunes and closes the dead
-        ones) while another closes the connection.  With a non-reentrant
-        unsafe Session.close this corrupts state or raises; here it
-        must stay silent and leave everything closed."""
+        Every thread loops cursor → execute → fetch until the close
+        stops it: it must end on InterfaceError, with correct rows
+        before that and no other error, and every cursor the connection
+        registered must end with its session closed."""
         from repro import dbapi
 
+        sql = "select count(*) from t where x >= ?"
         for _ in range(10):
             conn = dbapi.connect()
-            conn.database.create_table(
-                "t", {"x": "int64"}, {"x": np.arange(4)})
+            conn.create_table("t", {"x": "int64"}, {"x": np.arange(64)})
+            start = threading.Barrier(5)
+            ends, cursors = [], []
 
             def worker():
-                conn.session()
-
-            # sessions owned by threads that are already dead
-            for _ in range(4):
-                t = threading.Thread(target=worker)
-                t.start()
-                t.join(WAIT)
-
-            start = threading.Barrier(3)
-            errors = []
-
-            def pruner():
                 start.wait(WAIT)
                 try:
-                    conn.session()
+                    while True:
+                        cur = conn.cursor()
+                        cursors.append(cur)
+                        assert cur.execute(sql, (8,)).fetchall() == [(56,)]
                 except dbapi.InterfaceError:
-                    pass  # lost the race to close(): acceptable
+                    ends.append("closed")
                 except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
+                    ends.append(exc)
 
-            def closer():
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)   # interleave the threads finely
+            try:
+                for t in threads:
+                    t.start()
                 start.wait(WAIT)
-                try:
-                    conn.close()
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=pruner),
-                       threading.Thread(target=closer)]
-            for t in threads:
-                t.start()
-            start.wait(WAIT)
-            for t in threads:
-                t.join(WAIT)
-            assert not errors
-            assert conn.closed
-            conn.close()  # idempotent
+                time.sleep(0.005)
+                conn.close()
+                for t in threads:
+                    t.join(WAIT)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert ends == ["closed"] * 4
+            assert cursors
+            assert all(cur.session.closed for cur in cursors)
