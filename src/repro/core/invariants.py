@@ -18,14 +18,14 @@ from repro.core.pool import (
     first_bat_token,
 )
 from repro.errors import RecyclerError
-from repro.storage.spill import SpilledStub
 
 
 def check_pool(pool: RecyclePool) -> None:
     """Raise :class:`RecyclerError` naming every discrepancy found.
 
-    Checked: the cached result token and de-duplicated operands of every
-    entry, the admission order of the signature index, the per-tier byte
+    Checked: the value's token against the admitted result token (promotion
+    swaps the value) and the de-duplicated operands of every entry, the
+    admission order of the signature index, the per-tier byte
     books, the token index, the consumer index
     and the dependency counts derived from it (with their resident /
     spilled split), the leaf and demotable sets, the subsumption buckets,
@@ -37,12 +37,12 @@ def check_pool(pool: RecyclePool) -> None:
     problems: List[str] = []
     entries = list(pool.by_sig.values())
 
-    # --- identity caches set at admission ---
+    # --- identity fixed at admission ---
     for e in entries:
-        if e.rtoken != e.result_token:
+        if e.value.token != e.result_token:
             problems.append(
-                f"stale rtoken cache on {e.opname}: {e.rtoken} "
-                f"vs {e.result_token}"
+                f"value token {e.value.token} of {e.opname} is not its "
+                f"result token {e.result_token}"
             )
         if len(set(e.arg_tokens)) != len(e.arg_tokens):
             problems.append(f"duplicate operand tokens on {e.opname}")
@@ -63,13 +63,7 @@ def check_pool(pool: RecyclePool) -> None:
             )
 
     # --- the disk tier: stubs, images, files ---
-    for e in entries:
-        if e.is_spilled != isinstance(e.value, SpilledStub):
-            problems.append(
-                f"{e.state} entry {e.opname} holds "
-                f"{type(e.value).__name__}"
-            )
-    by_token = {e.rtoken: e for e in entries if e.rtoken is not None}
+    by_token = {e.result_token: e for e in entries}
     spill = pool.spill
     images = set(spill._images) if spill is not None else set()
     for token in sorted(images - set(by_token)):
@@ -122,7 +116,7 @@ def check_pool(pool: RecyclePool) -> None:
     true_deps: Dict[Signature, int] = {}
     true_spilled_deps: Dict[Signature, int] = {}
     for e in entries:
-        consumers = true_consumers.get(e.rtoken, ())
+        consumers = true_consumers.get(e.result_token, ())
         true_deps[e.sig] = len(consumers)
         true_spilled_deps[e.sig] = sum(c.is_spilled for c in consumers)
         if e.dependents != true_deps[e.sig]:

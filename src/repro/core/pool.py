@@ -15,9 +15,9 @@ The pool is **two-tiered**: every entry is either ``RESIDENT`` (its BAT
 in memory, counted in ``total_bytes``) or ``SPILLED`` (only its image in
 the attached :class:`~repro.storage.spill.SpillStore`, a
 :class:`~repro.storage.spill.SpilledStub` in its place, counted in
-``spilled_bytes``).  Demotion and promotion move an entry between tiers
-without touching the signature index, the dependency graph or the
-subsumption buckets — a spilled entry still matches, still invalidates on
+``spilled_bytes``); the tier is the type of ``entry.value``.  Demotion
+and promotion move an entry between tiers without touching the
+signature index, the dependency graph or the subsumption buckets — a spilled entry still matches, still invalidates on
 updates, and still anchors its dependents.  An image is written once and
 lives as long as its entry: promotion keeps it (pooled BATs are
 immutable, so re-demoting is a stub swap), and it goes when the entry
@@ -40,11 +40,11 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RecyclerError
 from repro.storage.bat import BAT
-from repro.storage.spill import SpillStore
+from repro.storage.spill import SpilledStub, SpillStore
 
 Signature = Tuple  # (opname, arg_id, arg_id, ...)
 
-#: Entry tier states.
+#: Entry tiers, as :attr:`RecycleEntry.state` names them.
 RESIDENT = "resident"
 SPILLED = "spilled"
 
@@ -98,7 +98,6 @@ class RecycleEntry:
     admitted_at: float
     last_used: float
     arg_tokens: Tuple[int, ...] = ()
-    reuse_count: int = 0             # total reuses (paper's k - 1)
     local_reuses: int = 0
     global_reuses: int = 0
     subsumed_reuses: int = 0
@@ -106,31 +105,26 @@ class RecycleEntry:
     saved_time: float = 0.0
     dependents: int = 0              # pool entries consuming our result
     spilled_dependents: int = 0      # ... of which currently on disk
-    state: str = RESIDENT            # RESIDENT (memory) or SPILLED (disk)
     seq: int = 0                     # pool admission order
-    #: The result token, cached at admission (it survives demotion: the
-    #: stub carries the same token).
-    rtoken: Optional[int] = field(default=None, repr=False)
+    #: The result token (a demoted entry's stub carries the same one).
+    result_token: int = field(init=False, repr=False)
 
-    @property
-    def result_token(self) -> Optional[int]:
-        return getattr(self.value, "token", None)
+    def __post_init__(self):
+        self.result_token = self.value.token
 
     @property
     def is_spilled(self) -> bool:
-        return self.state == SPILLED
+        return isinstance(self.value, SpilledStub)
 
     @property
-    def resident_dependents(self) -> int:
-        """Dependents whose values are in memory.
+    def state(self) -> str:
+        """``RESIDENT`` (memory) or ``SPILLED`` (disk)."""
+        return SPILLED if self.is_spilled else RESIDENT
 
-        A resident entry with ``resident_dependents == 0`` may be demoted
-        even when it is not a leaf: its spilled dependents reference it by
-        token, which survives the round trip — the whole execution thread
-        moves to disk and stays matchable (§4.1's rationale, extended to
-        the two-tier pool).
-        """
-        return self.dependents - self.spilled_dependents
+    @property
+    def reuse_count(self) -> int:
+        """Total reuses (the paper's k - 1)."""
+        return self.local_reuses + self.global_reuses
 
     @property
     def references(self) -> int:
@@ -219,10 +213,6 @@ class RecyclePool:
         with self.lock:
             return self.by_sig.get(sig)
 
-    def entry_for_token(self, token: int) -> Optional[RecycleEntry]:
-        with self.lock:
-            return self.by_token.get(token)
-
     def candidates(self, opname: str, first_token: int) -> List[RecycleEntry]:
         """Entries of *opname* whose first BAT argument is *first_token* —
         the subsumption search space (§5)."""
@@ -246,20 +236,17 @@ class RecyclePool:
                 return False
             entry.seq = next(self._seq)
             self.by_sig[entry.sig] = entry
-            entry.rtoken = token = entry.result_token
-            if token is not None:
-                self.by_token[token] = entry
-                # Consumers admitted while our token had no pooled
-                # producer (possible for stable persistent-bind tokens)
-                # count from the start — otherwise their later removal
-                # drives us negative.
-                waiting = self.consumers.get(token)
-                if waiting:
-                    entry.dependents = len(waiting)
-                    entry.spilled_dependents = sum(
-                        c.is_spilled for c in waiting)
-                else:
-                    entry.dependents = entry.spilled_dependents = 0
+            token = entry.result_token
+            self.by_token[token] = entry
+            # Consumers admitted while our token had no pooled producer
+            # (possible for stable persistent-bind tokens) count from the
+            # start — otherwise their later removal drives us negative.
+            waiting = self.consumers.get(token)
+            if waiting:
+                entry.dependents = len(waiting)
+                entry.spilled_dependents = sum(c.is_spilled for c in waiting)
+            else:
+                entry.dependents = entry.spilled_dependents = 0
             first = first_bat_token(entry.sig)
             if first is not None:
                 self.by_op_arg.setdefault(
@@ -302,22 +289,23 @@ class RecyclePool:
         """
         with self.lock:
             doomed = [e for e in doomed if e.sig in self.by_sig]
-            doomed_tokens = {e.rtoken for e in doomed}
+            doomed_tokens = {e.result_token for e in doomed}
             for e in doomed:
                 self._discard(e, skip_parent_tokens=doomed_tokens)
             return len(doomed)
 
-    def _present(self, entry: RecycleEntry) -> bool:
-        token = entry.rtoken
-        if token is not None:
-            return self.by_token.get(token) is entry
-        return self.by_sig.get(entry.sig) is entry
-
     def _update_demotable(self, entry: RecycleEntry) -> None:
-        """Re-derive one entry's membership in the demotable set."""
-        if (entry.state == RESIDENT
+        """Re-derive one entry's membership in the demotable set.
+
+        A resident entry whose dependents are all spilled may be demoted
+        even when it is not a leaf: its spilled dependents reference it by
+        token, which survives the round trip — the whole execution thread
+        moves to disk and stays matchable (§4.1's rationale, extended to
+        the two-tier pool).
+        """
+        if (not entry.is_spilled
                 and entry.dependents == entry.spilled_dependents
-                and self._present(entry)):
+                and self.by_token.get(entry.result_token) is entry):
             self.demotable_sigs[entry.sig] = entry
         else:
             self.demotable_sigs.pop(entry.sig, None)
@@ -327,9 +315,7 @@ class RecyclePool:
         del self.by_sig[entry.sig]
         self.leaf_sigs.pop(entry.sig, None)
         self.demotable_sigs.pop(entry.sig, None)
-        token = entry.rtoken
-        if token is not None:
-            self.by_token.pop(token, None)
+        self.by_token.pop(entry.result_token, None)
         first = first_bat_token(entry.sig)
         if first is not None:
             bucket = self.by_op_arg.get((entry.opname, first))
@@ -360,7 +346,7 @@ class RecyclePool:
             self.spilled_bytes -= entry.nbytes
         else:
             self.total_bytes -= entry.nbytes
-        if self.spill is not None and token is not None:
+        if self.spill is not None:
             # Leaving the pool is also leaving the disk, whichever tier
             # the entry is in: an image lives exactly as long as its
             # entry (this is what makes invalidation delete files).
@@ -384,14 +370,13 @@ class RecyclePool:
             if entry.sig not in self.by_sig or entry.is_spilled:
                 raise RecyclerError(f"cannot demote {entry.opname}")
             stub = None if self.spill is None \
-                else self.spill.image(entry.rtoken)
+                else self.spill.image(entry.result_token)
             if stub is None:
                 raise RecyclerError(
                     f"demoting {entry.opname} without a spill image"
                 )
             entry.value = stub
-            entry.state = SPILLED
-            self.resident_images.pop(entry.rtoken, None)
+            self.resident_images.pop(entry.result_token, None)
             self.demotable_sigs.pop(entry.sig, None)
             for t in entry.arg_tokens:
                 parent = self.by_token.get(t)
@@ -421,7 +406,6 @@ class RecyclePool:
                     f"BAT {value.token}"
                 )
             entry.value = value
-            entry.state = RESIDENT
             entry.promotions += 1
             self.resident_images[token] = entry
             for t in entry.arg_tokens:
@@ -438,8 +422,8 @@ class RecyclePool:
         resident entry (it merely loses its zero-I/O re-demotion); for a
         spilled one the caller is removing the entry."""
         with self.lock:
-            self.resident_images.pop(entry.rtoken, None)
-            self.spill.delete(entry.rtoken)
+            self.resident_images.pop(entry.result_token, None)
+            self.spill.delete(entry.result_token)
 
     @property
     def spilled_count(self) -> int:
@@ -456,20 +440,14 @@ class RecyclePool:
         """The transitive pool dependents of *entry*, found by walking the
         consumer index — cost proportional to the thread, not the pool."""
         thread: Dict[RecycleEntry, None] = {}
-        tokens = [entry.rtoken]
+        tokens = [entry.result_token]
         with self.lock:
             while tokens:
-                token = tokens.pop()
-                if token is None:
-                    continue
-                for c in self.consumers.get(token, ()):
+                for c in self.consumers.get(tokens.pop(), ()):
                     if c not in thread and c is not entry:
                         thread[c] = None
-                        tokens.append(c.rtoken)
+                        tokens.append(c.result_token)
         return sorted(thread, key=_BY_SEQ)
-
-    def spilled_entries(self) -> List[RecycleEntry]:
-        return [e for e in self.entries() if e.is_spilled]
 
     def spilled_leaves(self) -> List[RecycleEntry]:
         """Spilled entries with no dependents — disk-tier quota victims."""

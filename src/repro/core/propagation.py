@@ -19,7 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pool import RecycleEntry
-from repro.storage.bat import BAT
+from repro.core.subsumption import select_entry_range
+from repro.mal.operators.selection import algebra_select
+from repro.storage.bat import BAT, Dense
 from repro.storage.deltas import TableDelta
 
 
@@ -46,22 +48,14 @@ def _is_select_over_bind(entry: RecycleEntry, table: str) -> bool:
     )
 
 
-def _range_mask(values: np.ndarray, lo, hi, lo_incl, hi_incl) -> np.ndarray:
-    mask = np.ones(len(values), dtype=bool)
-    if lo is not None:
-        mask &= (values >= lo) if lo_incl else (values > lo)
-    if hi is not None:
-        mask &= (values <= hi) if hi_incl else (values < hi)
-    return mask
-
-
 def propagate_append(recycler, catalog, delta: TableDelta) -> int:
     """Refresh eligible select entries from an append-only *delta*.
 
     Returns the number of propagated entries.  Each propagated entry:
 
-    1. gets the qualifying delta rows appended to its BAT (in place, so the
-       lineage token survives);
+    1. gets the qualifying delta rows — its own selection run over the
+       delta BAT ``[insert oids -> inserted values]`` — appended to its BAT
+       (in place, so the lineage token survives);
     2. has its signature re-keyed to the *new* bind token of the updated
        column, so future template instances match it;
     3. loses its pool children (their values are stale).
@@ -77,13 +71,8 @@ def propagate_append(recycler, catalog, delta: TableDelta) -> int:
         (table, column, _ver), = value.sources
         if column not in delta.inserted:
             continue
-        new_vals = np.asarray(delta.inserted[column])
-        try:
-            lo = entry.sig[2][1]
-            hi = entry.sig[3][1]
-            lo_incl = bool(entry.sig[4][1])
-            hi_incl = bool(entry.sig[5][1])
-        except (IndexError, TypeError):
+        rng = select_entry_range(entry)
+        if rng is None:
             continue
         # Where the entry would land after re-keying; if something already
         # holds that signature, leave this entry to plain invalidation.
@@ -92,39 +81,30 @@ def propagate_append(recycler, catalog, delta: TableDelta) -> int:
         if new_sig != entry.sig and new_sig in pool:
             continue
 
-        mask = _range_mask(new_vals, lo, hi, lo_incl, hi_incl)
-        add_heads = np.arange(delta.insert_start,
-                              delta.insert_start + len(new_vals),
-                              dtype=np.int64)[mask]
-        add_tails = new_vals[mask]
+        new_vals = np.asarray(delta.inserted[column])
+        added = algebra_select(
+            None, BAT(Dense(delta.insert_start, len(new_vals)), new_vals,
+                      owned_nbytes=0),
+            rng.lo, rng.hi, rng.lo_incl, rng.hi_incl)
 
         # Children computed from the stale value must go first.
-        _drop_dependents(recycler, entry)
+        recycler.drop(pool.dependent_thread(entry))
 
         old_bytes = value.owned_nbytes
-        if len(add_heads):
-            heads = np.concatenate([value.head_values(), add_heads])
-            tails = np.concatenate([value.tail_values(), add_tails])
+        if len(added):
+            heads = np.concatenate([value.head_values(), added.head_values()])
+            tails = np.concatenate([value.tail_values(), added.tail_values()])
             value.head = heads
             value.tail = tails
             value.tail_sorted = False
             value.owned_nbytes = int(heads.nbytes + tails.nbytes)
         # Re-anchor at the updated column: fresh source + fresh bind token.
         value.sources = new_bind.sources
-        value.subset_of = new_bind.token
         value.subset_chain = (new_bind.token,)
         _rekey(pool, entry, new_sig, value.owned_nbytes - old_bytes)
         entry.tuples = len(value)
         propagated += 1
     return propagated
-
-
-def _drop_dependents(recycler, entry: RecycleEntry) -> None:
-    """Remove the transitive pool dependents of *entry* (stale values)."""
-    victims = recycler.pool.dependent_thread(entry)
-    recycler.pool.remove_set(victims)
-    for victim in victims:
-        recycler.admission.on_evict(victim)
 
 
 def _rekey(pool, entry: RecycleEntry, new_sig, bytes_delta: int) -> None:

@@ -154,14 +154,12 @@ class RecyclerTotals:
 class Invocation:
     """Per-invocation recycler state: protection set and statistics."""
 
-    __slots__ = ("id", "program", "stats", "clock", "touched")
+    __slots__ = ("id", "program", "stats", "touched")
 
-    def __init__(self, inv_id: int, program: MalProgram, stats,
-                 clock: Callable[[], float]):
+    def __init__(self, inv_id: int, program: MalProgram, stats):
         self.id = inv_id
         self.program = program
         self.stats = stats
-        self.clock = clock
         #: signatures matched or admitted by this invocation — protected
         #: from eviction while the query runs (§4.3).  Guarded by the pool
         #: lock: the owning session adds while eviction sweeps (other
@@ -214,9 +212,8 @@ class Recycler:
     # ------------------------------------------------------------------
     # Interpreter-facing API (Algorithm 1)
     # ------------------------------------------------------------------
-    def begin_invocation(self, program: MalProgram, stats,
-                         clock: Callable[[], float]) -> Invocation:
-        inv = Invocation(next(self._invocation_ids), program, stats, clock)
+    def begin_invocation(self, program: MalProgram, stats) -> Invocation:
+        inv = Invocation(next(self._invocation_ids), program, stats)
         with self.pool.lock:
             self.totals.invocations += 1
             self.admission.on_invocation_start(program.name)
@@ -292,8 +289,7 @@ class Recycler:
         save less than the full recomputation cost).  Caller holds the
         pool lock.
         """
-        entry.reuse_count += 1
-        entry.last_used = inv.clock()
+        entry.last_used = self.clock()
         entry.saved_time += entry.cost if saved is None else saved
         if subsumed:
             entry.subsumed_reuses += 1
@@ -322,7 +318,7 @@ class Recycler:
                 return  # pooled already, refused, or can never fit
             if self._limited:
                 self._ensure_capacity_locked(inv, nbytes)
-            now = inv.clock()
+            now = self.clock()
             self.pool.add(RecycleEntry(
                 sig=sig,
                 opname=instr.opname,
@@ -379,8 +375,7 @@ class Recycler:
                 # its token is stable across re-admission.
                 if entry.dependents and not entry.token_is_stable:
                     self._drop_dependent_thread(inv, entry)
-                self.pool.remove_set([entry])
-                self.admission.on_evict(entry)
+                self.drop([entry])
                 self.totals.spill_errors += 1
                 return None
             self.pool.promote(entry, value)
@@ -563,9 +558,9 @@ class Recycler:
                 # selection found only zero-byte views, so switch to
                 # entry-count eviction — destroying leaves exposes the
                 # byte-carrying parents underneath.
-                victims = self.eviction.pick(leaves, 0, 1, inv.clock())
+                victims = self.eviction.pick(leaves, 0, 1, self.clock())
             else:
-                victims = self.eviction.pick(leaves, nb, ne, inv.clock())
+                victims = self.eviction.pick(leaves, nb, ne, self.clock())
             if not victims:
                 break
             for victim in victims:
@@ -621,14 +616,14 @@ class Recycler:
         per attempt, hit or not.
         """
         operand: BAT = args[0]
-        t0 = inv.clock()
+        t0 = self.clock()
         with self.pool.lock:
             cover, combined = self._cover(inv, instr.opname, operand, args)
         value, promoted_any = None, False
         if cover:
             value, promoted_any = self._run_cover(inv, opdef, operand,
                                                   cover)
-        algo_time = inv.clock() - t0
+        algo_time = self.clock() - t0
         with self.pool.lock:
             self.totals.subsumption_algo_time += algo_time
             self.totals.subsumption_algo_calls += 1
@@ -690,13 +685,13 @@ class Recycler:
                 cover = [(min(singles, key=lambda e: e.tuples), args[1:])]
             elif (self.config.combined_subsumption
                     and opname == "algebra.select"):
-                search_start = inv.clock()
+                search_start = self.clock()
                 chosen = find_combined_cover(
                     target,
                     ranged,
                     base_cost=float(len(operand)),
                 )
-                self.totals.combined_search_time += (inv.clock()
+                self.totals.combined_search_time += (self.clock()
                                                      - search_start)
                 self.totals.combined_search_calls += 1
                 if chosen is not None and len(chosen) >= 2:
@@ -733,7 +728,6 @@ class Recycler:
             # The logical operand is the original BAT: downstream
             # subsumption must see the result as a subset of *that*.
             result = pieces[0]
-            result.subset_of = operand.token
             if operand.token not in result.subset_chain:
                 result.subset_chain = result.subset_chain + (operand.token,)
             return result, promoted_any
@@ -777,11 +771,18 @@ class Recycler:
                     if t == table and current.get(c) != v:
                         stale.append(entry)
                         break
-            removed = self.pool.remove_set(stale)
-            for entry in stale:
-                self.admission.on_evict(entry)
+            removed = self.drop(stale)
             self.totals.invalidations += removed
             return removed
+
+    def drop(self, entries: Sequence[RecycleEntry]) -> int:
+        """Remove a dependency-closed set of *entries* (``remove_set``)
+        and tell the admission policy; returns how many were pooled.
+        Caller holds the pool lock."""
+        removed = self.pool.remove_set(entries)
+        for entry in entries:
+            self.admission.on_evict(entry)
+        return removed
 
     def recycle_reset(self) -> int:
         """Drop the whole pool (the paper's ``RecycleReset``)."""

@@ -115,4 +115,5 @@ class RecyclerError(InternalError):
 
 
 class UpdateError(DataError):
-    """Errors while applying DML statements to tables."""
+    """Data a table cannot take: bad DML input, or initial table data
+    that does not fit its declared column types."""

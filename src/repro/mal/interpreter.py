@@ -159,7 +159,7 @@ class Interpreter:
         recycler = self.recycler
         invocation = None
         if recycler is not None:
-            invocation = recycler.begin_invocation(program, stats, self.clock)
+            invocation = recycler.begin_invocation(program, stats)
 
         started = self.clock()
         try:

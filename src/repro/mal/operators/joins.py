@@ -4,7 +4,7 @@ The binary-algebra join convention follows MonetDB (§2.2): ``join(L, R)``
 matches ``L.tail`` against ``R.head`` and yields ``[L.head -> R.tail]``.
 ``semijoin(L, R)`` keeps the rows of ``L`` whose head occurs in ``R``'s head
 (the projection workhorse); its result is a row-subset of ``L``, which the
-operator records in ``subset_of`` lineage for subsumption (§5.1).
+operator records in its ``subset_chain`` lineage for subsumption (§5.1).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Selection operators: range, equality, IN-list, LIKE, nil and mask filters.
 
 Selections return a *subset BAT*: the qualifying rows of the operand with
-head oids preserved.  Every selection records ``subset_of = operand.token``
-— the lineage fact that powers semijoin subsumption (§5.1) — and inherits
-the operand's persistent sources for invalidation.
+head oids preserved.  Every selection appends ``operand.token`` to its
+``subset_chain`` — the lineage fact that powers semijoin subsumption
+(§5.1) — and inherits the operand's persistent sources for invalidation.
 
 Range selections over sorted tails return zero-copy views (paper §2.3:
 "even a range select operation may become a cheap operation when the

@@ -155,10 +155,9 @@ def decode_payload(codec: int, body: bytes) -> Dict[str, Any]:
     if codec != CODEC_JSON:
         raise ProtocolError(f"unknown codec id {codec}")
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = from_wire(json.loads(body.decode("utf-8")))
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-    message = from_wire(message)
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError("frame payload is not a typed message")
     if message["type"] not in MESSAGE_TYPES:

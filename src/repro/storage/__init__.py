@@ -8,7 +8,7 @@ values.  Tables are collections of equally long columns registered in a
 :class:`~repro.storage.deltas.TableDelta` describing its net effect.
 """
 
-from repro.storage.bat import BAT, Dense, OID_DTYPE, column_length, column_values
+from repro.storage.bat import BAT, Dense, OID_DTYPE, column_values
 from repro.storage.catalog import Catalog, ColumnDef, TableDef
 from repro.storage.spill import SpillStore, SpilledStub
 from repro.storage.table import Table
@@ -17,7 +17,6 @@ __all__ = [
     "BAT",
     "Dense",
     "OID_DTYPE",
-    "column_length",
     "column_values",
     "Catalog",
     "ColumnDef",

@@ -15,9 +15,9 @@ recycler depends on them:
   (``owned_nbytes == 0``) and therefore cost nothing in the recycle pool.
 * **Lineage** — every BAT carries a unique ``token`` (used for bottom-up
   instruction matching, §3.4 alternative 1), the set of persistent
-  ``sources`` it was derived from (used for update invalidation, §6), and an
-  optional ``subset_of`` token recording that its *row set* is a subset of
-  another BAT's rows (used for semijoin subsumption, §5.1).
+  ``sources`` it was derived from (used for update invalidation, §6), and a
+  ``subset_chain`` of the tokens whose *row sets* contain its own (used for
+  semijoin subsumption, §5.1).
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ class Dense:
 Column = Union[Dense, np.ndarray]
 
 
-def column_length(col: Column) -> int:
-    """Number of values in a column (dense or materialised)."""
-    return len(col)
-
-
 def column_values(col: Column) -> np.ndarray:
     """Materialise a column as a numpy array (dense columns are expanded)."""
     if isinstance(col, Dense):
@@ -122,7 +117,6 @@ class BAT:
         "tail",
         "token",
         "sources",
-        "subset_of",
         "subset_chain",
         "owned_nbytes",
         "tail_sorted",
@@ -136,23 +130,20 @@ class BAT:
         *,
         owned_nbytes: int,
         sources: frozenset = frozenset(),
-        subset_of: Optional[int] = None,
         subset_chain: Tuple[int, ...] = (),
         tail_sorted: bool = False,
         persistent_name: Optional[str] = None,
     ):
         head = _as_column(head)
         tail = _as_column(tail)
-        if column_length(head) != column_length(tail):
+        if len(head) != len(tail):
             raise StorageError(
-                f"BAT head/tail length mismatch: "
-                f"{column_length(head)} vs {column_length(tail)}"
+                f"BAT head/tail length mismatch: {len(head)} vs {len(tail)}"
             )
         self.head = head
         self.tail = tail
         self.token = _next_token()
         self.sources = sources
-        self.subset_of = subset_of
         self.subset_chain = subset_chain
         self.owned_nbytes = int(owned_nbytes)
         self.tail_sorted = tail_sorted
@@ -164,7 +155,7 @@ class BAT:
         Decided purely from lineage (the ``subset_chain`` accumulated by
         subset-producing operators) — no data comparison, per §5.1.
         """
-        return token == self.subset_of or token in self.subset_chain
+        return token in self.subset_chain
 
     # ------------------------------------------------------------------
     # Constructors
@@ -192,7 +183,6 @@ class BAT:
             tail,
             owned_nbytes=owned,
             sources=sources,
-            subset_of=subset_parent.token if subset_parent else None,
             subset_chain=(
                 subset_parent.subset_chain + (subset_parent.token,)
                 if subset_parent
@@ -209,20 +199,17 @@ class BAT:
         *,
         sources: frozenset = frozenset(),
         subset_parent: Optional["BAT"] = None,
-        subset_of: Optional[int] = None,
         subset_chain: Tuple[int, ...] = (),
         tail_sorted: bool = False,
     ) -> "BAT":
         """A zero-cost viewpoint sharing existing storage (owns no bytes)."""
         if subset_parent is not None:
-            subset_of = subset_parent.token
             subset_chain = subset_parent.subset_chain + (subset_parent.token,)
         return cls(
             head,
             tail,
             owned_nbytes=0,
             sources=sources,
-            subset_of=subset_of,
             subset_chain=subset_chain,
             tail_sorted=tail_sorted,
         )
@@ -263,12 +250,7 @@ class BAT:
     # Accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return column_length(self.head)
-
-    @property
-    def count(self) -> int:
-        """Number of tuples (BUNs) in the BAT."""
-        return len(self)
+        return len(self.head)
 
     def head_values(self) -> np.ndarray:
         """The head column as a numpy array (dense heads are expanded)."""
@@ -300,7 +282,6 @@ class BAT:
             self.tail,
             self.head,
             sources=self.sources,
-            subset_of=self.subset_of,
             subset_chain=self.subset_chain,
         )
 
@@ -310,7 +291,6 @@ class BAT:
             self.head,
             self.head,
             sources=self.sources,
-            subset_of=self.subset_of,
             subset_chain=self.subset_chain,
         )
 
@@ -320,7 +300,6 @@ class BAT:
             self.head,
             Dense(base, len(self)),
             sources=self.sources,
-            subset_of=self.subset_of,
             subset_chain=self.subset_chain,
         )
 

@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, UpdateError
 from repro.storage.bat import BAT, Dense
 from repro.storage.deltas import TableDelta
 from repro.storage.table import Table
@@ -78,10 +78,19 @@ class Catalog:
                 f"table {tdef.name}: data columns {sorted(data)} do not "
                 f"match declaration {sorted(declared)}"
             )
-        columns = {
-            c.name: np.asarray(data[c.name], dtype=np.dtype(c.dtype))
-            for c in tdef.columns
-        }
+        columns = {}
+        for c in tdef.columns:
+            try:
+                dtype = np.dtype(c.dtype)
+            except TypeError as exc:
+                raise CatalogError(
+                    f"table {tdef.name}.{c.name}: {exc}") from exc
+            try:
+                columns[c.name] = np.asarray(data[c.name], dtype=dtype)
+            except (TypeError, ValueError) as exc:
+                raise UpdateError(
+                    f"table {tdef.name}.{c.name}: data is not {dtype}: {exc}"
+                ) from exc
         table = Table(tdef.name, columns)
         self._tables[tdef.name] = table
         return table

@@ -58,7 +58,7 @@ class SpilledStub:
     promote first, and its ``isinstance`` checks skip stubs safely.
     """
 
-    __slots__ = ("token", "sources", "subset_of", "subset_chain", "count",
+    __slots__ = ("token", "sources", "subset_chain", "count",
                  "persistent_name", "owned_nbytes", "tail_sorted",
                  "columns", "size")
 
@@ -66,7 +66,7 @@ class SpilledStub:
     def of(cls, bat: BAT) -> "SpilledStub":
         self = cls()
         self.token, self.sources = bat.token, bat.sources
-        self.subset_of, self.subset_chain = bat.subset_of, bat.subset_chain
+        self.subset_chain = bat.subset_chain
         self.count, self.persistent_name = len(bat), bat.persistent_name
         self.owned_nbytes, self.tail_sorted = bat.owned_nbytes, bat.tail_sorted
         self.columns, self.size = [], 0
@@ -78,10 +78,6 @@ class SpilledStub:
             else:
                 self.columns.append(col)
         return self
-
-    def row_subset_of(self, token: int) -> bool:
-        """Same lineage-only subset test as :meth:`BAT.row_subset_of`."""
-        return token == self.subset_of or token in self.subset_chain
 
     def __len__(self) -> int:
         return self.count
@@ -262,8 +258,7 @@ class SpillStore:
             for c in image.columns
         )
         bat = BAT(head, tail, owned_nbytes=image.owned_nbytes,
-                  sources=image.sources, subset_of=image.subset_of,
-                  subset_chain=image.subset_chain,
+                  sources=image.sources, subset_chain=image.subset_chain,
                   tail_sorted=image.tail_sorted,
                   persistent_name=image.persistent_name)
         bat.token = token

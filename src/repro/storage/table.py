@@ -121,6 +121,25 @@ class Table:
             self.versions[c] += 1
         self._bind_cache.clear()
 
+    def _cast_values(self, what: str, column: str, values) -> np.ndarray:
+        """*values* as a 1-D array of *column*'s dtype.  Values must cast
+        ``same_kind`` to it; strings keep their own width, so a longer
+        string widens the column.  Anything else raises ``UpdateError``."""
+        dtype = self._columns[column].dtype
+        try:
+            v = np.asarray(values)
+        except (TypeError, ValueError) as exc:
+            raise UpdateError(f"{what} {self.name}.{column}: {exc}") from exc
+        if v.ndim != 1:
+            raise UpdateError(f"{what} {self.name}.{column}: values must be "
+                              f"one-dimensional, got shape {v.shape}")
+        if v.size and not np.can_cast(v.dtype, dtype, "same_kind"):
+            raise UpdateError(f"{what} {self.name}.{column}: {v.dtype} "
+                              f"values do not fit a {dtype} column")
+        if dtype.kind in "US" and v.dtype.kind == dtype.kind:
+            return v
+        return v.astype(dtype, copy=False)
+
     def insert(self, rows: Mapping[str, Sequence]) -> TableDelta:
         """Append rows (column-wise mapping) and return the delta."""
         missing = set(self._columns) - set(rows)
@@ -130,7 +149,8 @@ class Table:
                 f"insert into {self.name}: missing={sorted(missing)} "
                 f"extra={sorted(extra)}"
             )
-        arrays = {c: np.asarray(v) for c, v in rows.items()}
+        arrays = {c: self._cast_values("insert into", c, v)
+                  for c, v in rows.items()}
         n = {c: len(v) for c, v in arrays.items()}
         if len(set(n.values())) > 1:
             raise UpdateError(f"insert into {self.name}: ragged rows {n}")
@@ -163,12 +183,20 @@ class Table:
         if column not in self._columns:
             raise UpdateError(f"table {self.name} has no column {column!r}")
         oids = np.asarray(oids, dtype=np.int64)
-        arr = self._columns[column].copy()
-        arr[oids] = np.asarray(values)
+        values = self._cast_values("update", column, values)
+        if oids.shape != values.shape:
+            raise UpdateError(f"update {self.name}.{column}: {len(values)} "
+                              f"values for oids of shape {oids.shape}")
+        if len(oids) and (oids.min() < 0 or oids.max() >= self.nrows):
+            raise UpdateError(f"update {self.name}.{column}: oid out of "
+                              f"range (nrows={self.nrows})")
+        col = self._columns[column]
+        arr = col.astype(np.result_type(col, values))
+        arr[oids] = values
         self._columns[column] = arr
         self.versions[column] += 1
         self._bind_cache.pop((column, self.versions[column] - 1), None)
         # An in-place update is modelled as delete+insert of the same oids.
         return TableDelta(self.name, deleted_oids=oids, renumbered=False,
-                          inserted={column: np.asarray(values)},
+                          inserted={column: values},
                           insert_start=None)

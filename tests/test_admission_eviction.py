@@ -30,7 +30,7 @@ def entry(cost=1.0, nbytes=100, reuses=0, global_reuses=0, last_used=0.0,
         value=value, cost=cost, nbytes=nbytes, tuples=1, template_key=key,
         invocation_id=1, admitted_at=admitted, last_used=last_used,
     )
-    e.reuse_count = reuses
+    e.local_reuses = reuses - global_reuses
     e.global_reuses = global_reuses
     return e
 

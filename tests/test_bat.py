@@ -9,7 +9,6 @@ from repro.errors import StorageError
 from repro.storage.bat import (
     BAT,
     Dense,
-    column_length,
     column_nbytes,
     column_values,
 )
@@ -105,7 +104,7 @@ class TestSubsetLineage:
         base = BAT.from_tail(np.arange(10))
         child = BAT.materialized(Dense(0, 3), np.arange(3),
                                  subset_parent=base)
-        assert child.subset_of == base.token
+        assert child.subset_chain == (base.token,)
         assert child.row_subset_of(base.token)
 
     def test_chain_is_transitive(self):
@@ -139,7 +138,7 @@ def test_dense_matches_arange(start, count):
     assert np.array_equal(
         column_values(d), np.arange(start, start + count, dtype=np.int64)
     )
-    assert column_length(d) == count
+    assert len(d) == count
 
 
 @given(st.lists(st.integers(min_value=-2**31, max_value=2**31), max_size=64))

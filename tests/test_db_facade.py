@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.errors import CatalogError, UpdateError
+from repro.errors import CatalogError, DataError, UpdateError
 
 
 @pytest.fixture
@@ -58,6 +58,76 @@ class TestDml:
         d.create_table("t", {"a": "int64"}, {"a": [1, 2]})
         d.insert("t", {"a": [3]})
         assert d.execute("select count(*) from t").value.scalar() == 3
+
+
+class TestDmlInputErrors:
+    """Bad DML and DDL input raises a typed error and leaves the table as
+    it was: the column keeps its type and contents."""
+
+    @pytest.fixture
+    def plain(self):
+        d = Database(recycle=False)
+        d.create_table("t", {"x": "int64", "s": "U4"},
+                       {"x": [1, 2, 3], "s": ["a", "b", "c"]})
+        return d
+
+    @staticmethod
+    def assert_unchanged(d):
+        table = d.catalog.table("t")
+        assert table.column_array("x").dtype == np.int64
+        assert table.column_array("x").tolist() == [1, 2, 3]
+        assert table.column_array("s").tolist() == ["a", "b", "c"]
+        r = d.execute("select count(*) from t where x > 2")
+        assert r.value.scalar() == 1
+
+    @pytest.mark.parametrize("oid", [-1, 3, 10])
+    def test_update_oid_out_of_range(self, plain, oid):
+        with pytest.raises(UpdateError, match="out of range"):
+            plain.update_column("t", "x", [oid], [99])
+        self.assert_unchanged(plain)
+
+    def test_update_needs_one_value_per_oid(self, plain):
+        with pytest.raises(UpdateError, match="1 values"):
+            plain.update_column("t", "x", [0, 1], [99])
+        self.assert_unchanged(plain)
+
+    def test_update_value_of_another_kind(self, plain):
+        with pytest.raises(UpdateError, match="float64"):
+            plain.update_column("t", "x", [0], [1.5])
+        self.assert_unchanged(plain)
+
+    @pytest.mark.parametrize("x", [[1.5], ["zz"]])
+    def test_insert_cannot_change_column_type(self, plain, x):
+        with pytest.raises(UpdateError, match="int64 column"):
+            plain.insert("t", {"x": x, "s": ["f"]})
+        self.assert_unchanged(plain)
+
+    @pytest.mark.parametrize("x", [[[1, 2]], 5])
+    def test_insert_values_not_one_dimensional(self, plain, x):
+        with pytest.raises(UpdateError, match="one-dimensional"):
+            plain.insert("t", {"x": x, "s": ["f"]})
+        self.assert_unchanged(plain)
+
+    def test_insert_of_a_compatible_kind_keeps_the_type(self, plain):
+        plain.insert("t", {"x": np.array([4], dtype=np.int8),
+                           "s": ["longer"]})
+        table = plain.catalog.table("t")
+        assert table.column_array("x").dtype == np.int64
+        assert table.column_array("s").tolist()[-1] == "longer"
+
+    def test_update_widens_a_string_column(self, plain):
+        plain.update_column("t", "s", [0], ["longer"])
+        assert plain.catalog.table("t").column_array("s")[0] == "longer"
+
+    def test_create_table_unknown_dtype(self, plain):
+        with pytest.raises(CatalogError, match="nosuchtype"):
+            plain.create_table("u", {"x": "nosuchtype"}, {"x": [1]})
+        assert not plain.catalog.has_table("u")
+
+    def test_create_table_data_of_another_type(self, plain):
+        with pytest.raises(DataError, match="int64"):
+            plain.create_table("u", {"x": "int64"}, {"x": ["a"]})
+        assert not plain.catalog.has_table("u")
 
 
 class TestTemplates:

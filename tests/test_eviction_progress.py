@@ -51,7 +51,7 @@ def build_view_chains(db, n=8):
 def _fake_invocation(db):
     rec = db.recycler
     program = MalProgram("pressure", [], nvars=0, params={})
-    return rec.begin_invocation(program, ExecutionStats(), db.clock)
+    return rec.begin_invocation(program, ExecutionStats())
 
 
 # ---------------------------------------------------------------------------

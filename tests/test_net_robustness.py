@@ -149,6 +149,19 @@ class TestBadMessages:
         sock.close()
         server_is_healthy(served)
 
+    @pytest.mark.parametrize("tagged", [{"$dt64": "garbage"}, {"$dt64": 5}])
+    def test_malformed_tagged_param_gets_an_error(self, served, tagged):
+        sock = raw_conn(served)
+        send_message(sock, {"type": "execute", "params": [tagged],
+                            "sql": "select count(*) from t where x > ?"})
+        reply = recv_message(sock)   # a typed reply, not a dropped socket
+        assert reply["type"] == "error", reply
+        # ProtocolError travels as its PEP 249 base class.
+        assert reply["error"] == "OperationalError"
+        assert "undecodable frame payload" in reply["message"]
+        sock.close()
+        server_is_healthy(served)
+
     @pytest.mark.parametrize("fetch", [-3, 0, "abc", 2.5, True, None])
     def test_execute_row_count_must_be_positive_integer(self, served, fetch):
         sock = raw_conn(served)

@@ -85,7 +85,7 @@ class TestSemijoinFamily:
         r = bat([2, 3, 9], [0, 0, 0])
         out = algebra_semijoin(None, l, r)
         assert list(out.head_values()) == [2, 3]
-        assert out.subset_of == l.token
+        assert out.subset_chain[-1] == l.token
 
     def test_semijoin_shares_owned_sorted_heads(self):
         l = dense_bat(np.arange(10) * 1.5)

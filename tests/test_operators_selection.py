@@ -64,7 +64,7 @@ class TestRangeSelect:
     def test_subset_lineage_set(self):
         bat = make_bat([1, 2, 3])
         out = algebra_select(None, bat, 1, 2, True, True)
-        assert out.subset_of == bat.token
+        assert out.subset_chain[-1] == bat.token
 
 
 class TestOtherSelects:

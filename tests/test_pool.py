@@ -1,5 +1,7 @@
 """Recycle pool tests: signatures, dependency graph, leaves, removal."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,7 @@ class TestPoolBasics:
         b = bat()
         e = entry(("op",), b)
         pool.add(e)
-        assert pool.entry_for_token(b.token) is e
+        assert pool.by_token[b.token] is e
 
     def test_candidates_indexed_by_first_bat_arg(self):
         pool = RecyclePool()
@@ -194,3 +196,52 @@ class TestStaleEntries:
         cat.drop_table("orders")
         assert rec.on_update("orders", cat) == 1
         assert len(rec.pool) == 0
+
+
+def _bump(obj, attr):
+    setattr(obj, attr, getattr(obj, attr) + 1)
+
+
+def _swap_token_slot(pool):
+    first, second = pool.entries()[:2]
+    pool.by_token[first.result_token] = second
+
+
+#: (book, corruption of a consistent pool, what check_pool must name)
+CORRUPTIONS = [
+    ("total_bytes", lambda pool: _bump(pool, "total_bytes"),
+     "total_bytes drift"),
+    ("spilled_bytes", lambda pool: _bump(pool, "spilled_bytes"),
+     "spilled_bytes drift"),
+    ("dependents",
+     lambda pool: _bump(next(e for e in pool.entries() if e.dependents),
+                        "dependents"),
+     "dependents drift on"),
+    ("leaf_sigs", lambda pool: pool.leaf_sigs.popitem(), "leaf set drift"),
+    ("by_token", _swap_token_slot, "maps to a stale entry"),
+    ("result_token",
+     lambda pool: setattr(pool.entries()[0], "value", bat()),
+     "is not its result token"),
+    ("spill directory",
+     lambda pool: open(os.path.join(pool.spill.directory, "bat-0"),
+                       "wb").close(),
+     "stray file bat-0"),
+]
+
+
+@pytest.mark.parametrize("book,corrupt,named", CORRUPTIONS,
+                         ids=[c[0] for c in CORRUPTIONS])
+def test_check_pool_names_a_corrupted_book(tmp_path, book, corrupt, named):
+    """check_invariants is the suite's oracle: it must catch each book
+    going wrong on its own, and say which."""
+    from repro import Database
+
+    db = Database(spill_dir=str(tmp_path))
+    db.create_table("t", {"x": "int64"}, {"x": np.arange(100)})
+    db.execute("select count(*) from t where x >= 10 and x < 50")
+    pool = db.recycler.pool
+    db.recycler.check_invariants()
+    corrupt(pool)
+    with pytest.raises(RecyclerError, match=named):
+        db.recycler.check_invariants()
+    db.close()

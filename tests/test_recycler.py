@@ -143,7 +143,7 @@ class TestResourceLimits:
         tokens = {e.result_token for e in pool.entries()}
         for e in pool.entries():
             for t in e.arg_tokens:
-                if pool.entry_for_token(t) is not None:
+                if t in pool.by_token:
                     assert t in tokens
 
     def test_results_correct_under_pressure(self):

@@ -40,7 +40,6 @@ def assert_same_bat(a: BAT, b: BAT) -> None:
     """Lineage equality plus byte-identical column values."""
     assert a.token == b.token
     assert a.sources == b.sources
-    assert a.subset_of == b.subset_of
     assert a.subset_chain == b.subset_chain
     assert a.owned_nbytes == b.owned_nbytes
     assert a.tail_sorted == b.tail_sorted
@@ -166,7 +165,7 @@ def test_stub_carries_matching_metadata():
     stub = SpilledStub.of(bat)
     assert stub.token == bat.token
     assert stub.sources == bat.sources
-    assert stub.row_subset_of(parent.token)
+    assert stub.subset_chain == bat.subset_chain == (parent.token,)
     assert len(stub) == len(bat)
 
 
@@ -348,8 +347,8 @@ def test_corrupt_spill_drops_stranded_thread(tmp_path):
     db = make_db(tmp_path, max_bytes=400_000)
     overflow_pool(db)
     pool = db.recycler.pool
-    spilled = [e for e in pool.spilled_entries()
-               if e.opname == "algebra.select"]
+    spilled = [e for e in pool.entries()
+               if e.is_spilled and e.opname == "algebra.select"]
     assert spilled
     victim = spilled[0]
     store = db.recycler.spill
@@ -379,8 +378,8 @@ def test_subsumption_over_spilled_entry_promotes(tmp_path):
     overflow_pool(db)
     totals = db.recycler.totals
     assert totals.demotions > 0
-    spilled = [e for e in db.recycler.pool.spilled_entries()
-               if e.opname == "algebra.select"]
+    spilled = [e for e in db.recycler.pool.entries()
+               if e.is_spilled and e.opname == "algebra.select"]
     assert spilled
     # A range nested just inside a *spilled* select subsumes from it:
     # the entry is promoted implicitly and the result must stay exact.

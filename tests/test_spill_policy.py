@@ -74,7 +74,7 @@ def files(store: SpillStore):
 
 def fake_invocation(db: Database):
     program = MalProgram("probe", [], nvars=0, params={})
-    return db.recycler.begin_invocation(program, ExecutionStats(), db.clock)
+    return db.recycler.begin_invocation(program, ExecutionStats())
 
 
 def make_entry(opname, value, args=(), cost=1.0, **fields) -> RecycleEntry:
@@ -179,7 +179,8 @@ def test_should_demote_decision_table(tmp_path, cost, reuses, global_reuses,
                                       expected):
     store = measured_store(tmp_path, *measured)
     value = BAT.from_tail(np.arange(4))
-    entry = make_entry("op", value, cost=cost, reuse_count=reuses,
+    entry = make_entry("op", value, cost=cost,
+                       local_reuses=reuses - global_reuses,
                        global_reuses=global_reuses,
                        dependents=spilled_deps,
                        spilled_dependents=spilled_deps)
@@ -193,7 +194,7 @@ def test_stable_token_producers_are_never_demoted():
     # the spilled dependents stay matchable without the entry.
     bind = make_entry("sql.bind", BAT.persistent(
         "t.x", np.arange(1000), sources=frozenset()), cost=10.0,
-        reuse_count=9, global_reuses=9, dependents=3, spilled_dependents=3)
+        global_reuses=9, dependents=3, spilled_dependents=3)
     assert bind.token_is_stable
     assert not should_demote(bind, 0.0)
 
@@ -231,8 +232,8 @@ def count_writes(store: SpillStore):
 
 
 def spilled_selects(db: Database):
-    return [e for e in db.recycler.pool.spilled_entries()
-            if e.opname == "algebra.select"]
+    return [e for e in db.recycler.pool.entries()
+            if e.is_spilled and e.opname == "algebra.select"]
 
 
 def test_promote_then_redemote_writes_nothing(tmp_path):
