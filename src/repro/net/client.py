@@ -99,7 +99,7 @@ class NetCursor(BaseCursor):
         self.description = [tuple(d) for d in description]
         self.rowcount = reply.get("rowcount", -1)
         self._result = reply.get("result_id", 0)
-        self._rows = [tuple(r) for r in reply.get("rows", [])]
+        self._rows = _frame_rows(reply)
         self._complete = reply.get("complete", True)
 
     def _pull(self) -> List[Tuple]:
@@ -108,7 +108,13 @@ class NetCursor(BaseCursor):
             "n": self.connection.fetch_batch,
         })
         self._complete = reply.get("complete", True)
-        return [tuple(r) for r in reply.get("rows", [])]
+        return _frame_rows(reply)
+
+
+def _frame_rows(reply: Dict[str, Any]) -> List[Tuple]:
+    """A RESULT/ROWS frame's rows, built a column at a time as
+    ``ResultSet.rows()`` builds them embedded."""
+    return list(zip(*reply.get("columns", [])))
 
 
 class NetConnection(BaseConnection):

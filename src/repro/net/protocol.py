@@ -22,11 +22,16 @@ carrying the PEP 249 class name (``"ProgrammingError"``, ...), which
 :func:`raise_wire_error` maps back onto :mod:`repro.errors` client-side
 so network and embedded code paths raise identically.
 
-Values are JSON-safe with two tagged extensions (numpy types dominate
-both parameters and result rows): ``{"$dt64": "1998-12-01"}`` for
-``numpy.datetime64`` / ``datetime.date`` and ``{"$b64": "..."}`` for
-bytes.  :func:`to_wire` / :func:`from_wire` apply the tagging
-recursively; numpy scalars degrade to their Python equivalents.
+Values are JSON-safe with three tagged extensions (numpy types dominate
+both parameters and results): ``{"$dt64": "1998-12-01"}`` for
+``numpy.datetime64`` / ``datetime.date``, ``{"$b64": "..."}`` for bytes
+and ``{"$col": dtype.str, ...}`` for a whole numpy column — its raw
+bytes in base64 (``"b64"``), or for unicode its cells as a JSON list
+(``"list"``).  Numpy scalars degrade to their Python equivalents, and a
+column decodes to its ``tolist()``, the cells an embedded cursor
+returns.  Frames are tagged by the JSON encoder's ``default`` hook and
+untagged by the decoder's ``object_hook``; :func:`to_wire` /
+:func:`from_wire` build the same structures in Python.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ from repro.errors import (
 )
 from repro import errors as _errors_module
 
-#: Protocol revision, exchanged in HELLO/WELCOME.
-PROTOCOL_VERSION = 1
+#: Protocol revision, exchanged in HELLO/WELCOME (2: results travel as
+#: ``$col`` columns).
+PROTOCOL_VERSION = 2
 
 #: Default server port (unregistered/private range).
 DEFAULT_PORT = 6414
@@ -85,27 +91,74 @@ class ProtocolError(OperationalError):
 # ----------------------------------------------------------------------
 # Value tagging (numpy / dates / bytes <-> JSON-safe structures)
 # ----------------------------------------------------------------------
-def to_wire(value: Any) -> Any:
-    """Recursively convert *value* into a JSON-safe structure."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
+def _tag(value: Any) -> Any:
+    """One value JSON cannot hold, as its tagged JSON form: the
+    ``default`` hook of :func:`encode_frame`'s encoder."""
     if isinstance(value, np.datetime64):
         return {"$dt64": str(value)}
-    if isinstance(value, np.generic):        # scalar: int64, float64, str_
-        return to_wire(value.item())
+    if isinstance(value, np.generic):        # scalar: int64, bool_, ...
+        return value.item()
     if isinstance(value, datetime.date):     # datetime.datetime too
         return {"$dt64": value.isoformat()}
     if isinstance(value, (bytes, bytearray)):
         return {"$b64": base64.b64encode(bytes(value)).decode("ascii")}
+    if isinstance(value, np.ndarray):
+        return _column_to_wire(value)
+    raise ProtocolError(
+        f"value of type {type(value).__name__} is not wire-encodable"
+    )
+
+
+def to_wire(value: Any) -> Any:
+    """*value* as the JSON-safe structure a frame carries for it."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
     if isinstance(value, dict):
         return {str(k): to_wire(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_wire(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [to_wire(v) for v in value.tolist()]
-    raise ProtocolError(
-        f"value of type {type(value).__name__} is not wire-encodable"
-    )
+    return to_wire(_tag(value))
+
+
+#: Column kinds that travel as raw bytes.  Unicode goes as a JSON list
+#: (its cells already are JSON strings, and UCS-4 bytes would be 4x
+#: larger); any other kind (object, ...) and any array that is not one
+#: column go cell by cell.
+_RAW_KINDS = "biufmMS"
+
+
+def _column_to_wire(col: np.ndarray) -> Any:
+    """One numpy column as one tagged value (see the module docstring)."""
+    kind = col.dtype.kind if col.ndim == 1 else "O"
+    if kind in _RAW_KINDS:
+        return {"$col": col.dtype.str,
+                "b64": base64.b64encode(col.tobytes()).decode("ascii")}
+    if kind == "U":
+        return {"$col": col.dtype.str, "list": col.tolist()}
+    return col.tolist()
+
+
+def _column_from_wire(value: Dict[str, Any]) -> list:
+    """A ``$col`` back to its cells; raises on anything
+    :func:`_column_to_wire` cannot have sent."""
+    spec = value["$col"]
+    if not isinstance(spec, str):
+        raise ProtocolError(f"$col dtype must be a string, not {spec!r}")
+    dtype = np.dtype(spec)
+    if dtype.kind not in _RAW_KINDS + "U" or dtype.itemsize == 0:
+        raise ProtocolError(f"$col dtype {spec!r} is not a column dtype")
+    if dtype.kind == "U":
+        if value.keys() == {"$col", "list"} and \
+                isinstance(value["list"], list):
+            return value["list"]
+    elif value.keys() == {"$col", "b64"}:
+        raw = base64.b64decode(value["b64"], validate=True)
+        if len(raw) % dtype.itemsize:
+            raise ProtocolError(
+                f"$col of {len(raw)} bytes is not a whole number of "
+                f"{dtype.itemsize}-byte {spec!r} items")
+        return np.frombuffer(raw, dtype).tolist()
+    raise ProtocolError(f"malformed {spec!r} $col")
 
 
 def _datetime_from_wire(text: str) -> Any:
@@ -120,15 +173,23 @@ def _datetime_from_wire(text: str) -> Any:
     return item if isinstance(item, datetime.date) else value
 
 
+def _untag(obj: Dict[str, Any]) -> Any:
+    """A JSON object back to its value (tagged ones to rich values): the
+    ``object_hook`` of :func:`decode_payload`'s decoder."""
+    if "$col" in obj:
+        return _column_from_wire(obj)
+    if len(obj) == 1:
+        if "$dt64" in obj:
+            return _datetime_from_wire(obj["$dt64"])
+        if "$b64" in obj:
+            return base64.b64decode(obj["$b64"])
+    return obj
+
+
 def from_wire(value: Any) -> Any:
     """Inverse of :func:`to_wire` (tagged dicts back to rich values)."""
     if isinstance(value, dict):
-        if len(value) == 1:
-            if "$dt64" in value:
-                return _datetime_from_wire(value["$dt64"])
-            if "$b64" in value:
-                return base64.b64decode(value["$b64"])
-        return {k: from_wire(v) for k, v in value.items()}
+        return _untag({k: from_wire(v) for k, v in value.items()})
     if isinstance(value, list):
         return [from_wire(v) for v in value]
     return value
@@ -139,9 +200,17 @@ def from_wire(value: Any) -> Any:
 # ----------------------------------------------------------------------
 def encode_frame(message: Dict[str, Any], *,
                  max_frame: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialise one message dict into a complete wire frame."""
-    body = json.dumps(to_wire(message), separators=(",", ":"),
-                      allow_nan=True).encode("utf-8")
+    """Serialise one message dict into a complete wire frame.
+
+    The encoder walks the message in C and calls :func:`_tag` only for
+    the values JSON cannot hold — a result column is one such call.
+    """
+    try:
+        text = json.dumps(message, separators=(",", ":"), allow_nan=True,
+                          default=_tag)
+    except (TypeError, ValueError) as exc:    # a non-string key, a cycle
+        raise ProtocolError(f"unencodable message: {exc}") from exc
+    body = text.encode("utf-8")
     length = len(body) + 1
     if length > max_frame:
         raise ProtocolError(
@@ -155,7 +224,7 @@ def decode_payload(codec: int, body: bytes) -> Dict[str, Any]:
     if codec != CODEC_JSON:
         raise ProtocolError(f"unknown codec id {codec}")
     try:
-        message = from_wire(json.loads(body.decode("utf-8")))
+        message = json.loads(body.decode("utf-8"), object_hook=_untag)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:

@@ -41,7 +41,9 @@ import dataclasses
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
+
+import numpy as np
 
 from repro.db import Database
 from repro.errors import (
@@ -81,19 +83,23 @@ class _Connection:
         self.task = asyncio.current_task()
         self.session: Optional[Session] = None      # opened after HELLO
         self.prepared: Dict[str, Any] = {}   # name -> PreparedStatement
-        self.results: Dict[int, Dict[str, Any]] = {}  # rid -> cursor state
+        #: rid -> the unfinished result's columns and rows sent so far.
+        self.results: Dict[int, Dict[str, Any]] = {}
         self._next_rid = 1
         #: The pending frame read, which drain cancels.
         self.read_task: Optional[asyncio.Task] = None
 
-    def new_result(self, rows, batch: int) -> Dict[str, Any]:
+    def new_result(self, columns: List[np.ndarray],
+                   batch: int) -> Dict[str, Any]:
         """Register a result set, returning the RESULT message fields."""
         rid = self._next_rid
         self._next_rid += 1
-        first, rest = rows[:batch], rows[batch:]
-        out = {"result_id": rid, "rows": first, "complete": not rest}
-        if rest:
-            self.results[rid] = {"rows": rest, "pos": 0}
+        rowcount = len(columns[0]) if columns else 0
+        out = {"result_id": rid, "rowcount": rowcount,
+               "columns": [c[:batch] for c in columns],
+               "complete": rowcount <= batch}
+        if rowcount > batch:
+            self.results[rid] = {"columns": columns, "pos": batch}
             while len(self.results) > MAX_PENDING_RESULTS:
                 self.results.pop(next(iter(self.results)))
         return out
@@ -382,13 +388,13 @@ class ReproServer:
             result = session.run_statement(stmt, params)
             value = result.value
             if isinstance(value, ResultSet):
-                return value.rows(), value.description, result.stats
+                return value.columns, value.description, result.stats
             return None, None, result.stats
 
         fut = asyncio.get_running_loop().run_in_executor(
             self._executor, work)
         try:
-            rows, description, stats = await asyncio.wait_for(
+            columns, description, stats = await asyncio.wait_for(
                 asyncio.shield(fut), self.query_timeout)
         except asyncio.TimeoutError:
             # The engine thread cannot be interrupted: end the
@@ -405,12 +411,12 @@ class ReproServer:
             "type": "result",
             "stats": stats.as_dict(),
             "description": description,
-            "rowcount": len(rows) if rows is not None else -1,
         }
-        if rows is None:
-            response.update(result_id=0, rows=[], complete=True)
+        if columns is None:
+            response.update(rowcount=-1, result_id=0, columns=[],
+                            complete=True)
         else:
-            response.update(conn.new_result(rows, batch))
+            response.update(conn.new_result(columns, batch))
         return response
 
     def _on_fetch(self, conn: _Connection,
@@ -421,13 +427,13 @@ class ReproServer:
             raise ProgrammingError(
                 f"no fetchable result set #{rid!r} on this connection")
         n = _row_count(msg, "n")
-        pos = state["pos"]
-        chunk = state["rows"][pos:pos + n]
-        state["pos"] = pos + len(chunk)
-        complete = state["pos"] >= len(state["rows"])
+        columns, pos = state["columns"], state["pos"]
+        state["pos"] = pos + n
+        complete = state["pos"] >= len(columns[0])
         if complete:
             del conn.results[rid]
-        return {"type": "rows", "result_id": rid, "rows": chunk,
+        return {"type": "rows", "result_id": rid,
+                "columns": [c[pos:pos + n] for c in columns],
                 "complete": complete}
 
     def _on_stats(self) -> Dict[str, Any]:

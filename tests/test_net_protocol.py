@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime
+import json
 
 import numpy as np
 import pytest
@@ -67,6 +68,50 @@ class TestValueTagging:
         assert out["params"]["date"] == np.datetime64("1995-03-15")
         assert out["rows"][0] == [1, 2.5]
 
+    @pytest.mark.parametrize("column", [
+        np.array([True, False]),
+        np.array([-1, 2**40], dtype=">i8"),
+        np.array([0, 2**32 - 1], dtype="uint32"),
+        np.array([1.5, np.nan, -np.inf], dtype="float32"),
+        np.array([3, -2, "NaT"], dtype="timedelta64[D]"),
+        np.array(["1998-12-01", "NaT"], dtype="datetime64[D]"),
+        np.array(["1998-12-01T10:20:30"], dtype="datetime64[s]"),
+        np.array(["1998-12-01T00:00:00.000000001"], dtype="datetime64[ns]"),
+        np.array([b"a\x00b", b""], dtype="S3"),
+        np.array(["ab", "", "\u00e9\u4e2d"], dtype="U4"),
+        np.array([], dtype="int64"),
+        np.array([], dtype="U1"),
+    ], ids=lambda c: c.dtype.str)
+    def test_column_roundtrip_is_tolist(self, column):
+        wire = to_wire(column)
+        assert wire["$col"] == column.dtype.str
+        frame = encode_frame({"type": "rows", "columns": [column]})
+        framed = decode_payload(frame[4], frame[5:])["columns"][0]
+        want = [(type(c), repr(c)) for c in column.tolist()]
+        for out in (from_wire(wire), framed):
+            assert [(type(c), repr(c)) for c in out] == want
+
+    def test_object_column_goes_cell_by_cell(self):
+        column = np.array([1, "x", None], dtype=object)
+        assert to_wire(column) == [1, "x", None]
+
+    @pytest.mark.parametrize("tagged", [
+        {"$col": "|O", "b64": "AAAAAAAAAAA="},          # object
+        {"$col": "|V8", "b64": "AAAAAAAAAAA="},         # void
+        {"$col": "<i4,<i4", "b64": "AAAAAAAAAAA="},     # structured
+        {"$col": "no-such-dtype", "b64": ""},
+        {"$col": "|S0", "b64": ""},                     # zero item size
+        {"$col": "<i8", "b64": "not base64!"},
+        {"$col": "<i8", "b64": "AAAAAAAAAA=="},         # 7 bytes
+        {"$col": "<i8", "list": [1, 2]},                # wrong payload
+        {"$col": "<U2", "list": "ab"},
+        {"$col": 8, "b64": ""},
+    ])
+    def test_malformed_column_is_a_protocol_error(self, tagged):
+        body = json.dumps({"type": "rows", "columns": [tagged]}).encode()
+        with pytest.raises(ProtocolError, match="undecodable"):
+            decode_payload(CODEC_JSON, body)
+
     def test_unencodable_type_raises(self):
         with pytest.raises(ProtocolError):
             to_wire(object())
@@ -85,6 +130,15 @@ class TestFraming:
         big = {"type": "execute", "sql": "x" * 4096}
         with pytest.raises(ProtocolError, match="exceeds"):
             encode_frame(big, max_frame=1024)
+
+    @pytest.mark.parametrize("message", [
+        {"type": "execute", "params": [object()]},
+        {"type": "execute", "params": [np.timedelta64(3, "D")]},
+        {"type": "execute", "params": {(1, 2): 3}},
+    ])
+    def test_unencodable_message_rejected_on_encode(self, message):
+        with pytest.raises(ProtocolError):
+            encode_frame(message)
 
     def test_oversized_length_prefix_rejected_before_read(self):
         header = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")

@@ -149,7 +149,9 @@ class TestBadMessages:
         sock.close()
         server_is_healthy(served)
 
-    @pytest.mark.parametrize("tagged", [{"$dt64": "garbage"}, {"$dt64": 5}])
+    @pytest.mark.parametrize("tagged", [
+        {"$dt64": "garbage"}, {"$dt64": 5},
+        {"$col": "|O", "b64": ""}, {"$col": "<i8", "b64": "AAAAAAAAAA=="}])
     def test_malformed_tagged_param_gets_an_error(self, served, tagged):
         sock = raw_conn(served)
         send_message(sock, {"type": "execute", "params": [tagged],
@@ -188,14 +190,15 @@ class TestBadMessages:
         # The refused frame moved nothing; no "n" takes the default.
         send_message(sock, {"type": "fetch", "result_id": rid})
         rest = recv_message(sock)
-        assert len(rest["rows"]) == 498 and rest["complete"]
+        assert rest["columns"] == [list(range(2, 500))] and rest["complete"]
         sock.close()
 
     def test_missing_row_count_takes_the_default(self, served):
         sock = raw_conn(served)
         send_message(sock, {"type": "execute", "sql": "select x from t"})
         reply = recv_message(sock)
-        assert len(reply["rows"]) == 500 and reply["complete"]
+        assert [len(c) for c in reply["columns"]] == [500] and \
+            reply["complete"]
         sock.close()
 
     def test_no_hello_first(self, served):
@@ -210,6 +213,16 @@ class TestBadMessages:
         sock = raw_conn(served, do_hello=False)
         send_message(sock, {"type": "hello", "version": 999})
         expect_error_or_close(sock, match="version")
+        sock.close()
+        server_is_healthy(served)
+
+    def test_version_1_hello_gets_an_interface_error(self, served):
+        # Version 1 carried rows, not columns: its HELLO is refused.
+        sock = raw_conn(served, do_hello=False)
+        send_message(sock, {"type": "hello", "version": 1})
+        reply = recv_message(sock)
+        assert reply["type"] == "error", reply
+        assert reply["error"] == "InterfaceError"
         sock.close()
         server_is_healthy(served)
 

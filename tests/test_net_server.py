@@ -174,17 +174,33 @@ def any_cursor(request, small_db):
             yield conn.cursor()
 
 
+#: Table ``d``: one column per numpy dtype kind a cell can come from, 10
+#: rows so a parity query crosses ``fetch`` frames.
+DATED = {
+    "k": np.arange(10, dtype="int64"),
+    "day": np.datetime64("1998-11-28")
+    + np.arange(10).astype("timedelta64[D]"),
+    "v": np.array([0.5, 1.5, np.nan, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5]),
+    "s": np.array(["a", "bb", "ccc", "dddd", "", "f", "g", "h", "i", "j"],
+                  dtype="U4"),
+    "flag": np.arange(10) % 3 == 0,
+    "u": np.arange(10, dtype="uint32") * 4_000_000,
+    "f": np.linspace(-1, 1, 10, dtype="float32"),
+    "td": np.arange(10).astype("timedelta64[D]") - np.timedelta64(3, "D"),
+    "ts": np.datetime64("1998-12-01T10:20:30")
+    + np.arange(10).astype("timedelta64[s]"),
+    "ns": np.datetime64("1998-12-01T00:00:00.000000001")
+    + np.arange(10).astype("timedelta64[ns]"),
+    "raw": np.array([b"a\x00b", b"", b"xyz", b"\x00", b"q", b"r", b"s",
+                     b"t", b"u", b"v"], dtype="S3"),
+}
+
+
 @pytest.fixture
 def dated(small_db):
-    """Table ``d`` in ``small_db``: one column per wire cell type."""
+    """Table ``d`` in ``small_db``, holding :data:`DATED`."""
     small_db.create_table(
-        "d", {"k": "int64", "day": "datetime64[D]", "v": "float64",
-              "s": "U4"},
-        {"k": range(6),
-         "day": np.datetime64("1998-11-28")
-         + np.arange(6).astype("timedelta64[D]"),
-         "v": [0.5, 1.5, float("nan"), 3.5, 4.5, 5.5],
-         "s": ["a", "bb", "ccc", "dddd", "", "f"]})
+        "d", {name: col.dtype.str for name, col in DATED.items()}, DATED)
 
 
 def _typed(rows):
@@ -235,12 +251,14 @@ class TestCursorParity:
         assert cur.fetchmany(5) == [] and cur.fetchall() == []
 
     def test_cell_types(self, any_cursor, dated):
+        # Every cell is what ``tolist()`` gives for its column: a
+        # datetime.date, datetime.timedelta, int nanoseconds, bytes with
+        # a NUL, NaN... on both transports.
         cur = any_cursor.execute(
-            "select k, day, v, s from d where day >= ? order by k",
+            f"select {', '.join(DATED)} from d where day >= ? order by k",
             (datetime.date(1998, 11, 30),))
-        want = [(k, datetime.date(1998, 11, 28) + datetime.timedelta(k), v, s)
-                for k, v, s in [(2, float("nan"), "ccc"), (3, 3.5, "dddd"),
-                                (4, 4.5, ""), (5, 5.5, "f")]]
+        want = list(zip(*(col[2:].tolist() for col in DATED.values())))
+        assert len(want) > PARITY_FETCH_BATCH
         assert _typed(cur.fetchall()) == _typed(want)
 
     def test_executemany(self, any_cursor):
@@ -309,9 +327,9 @@ class TestCursorParity:
         for day in (datetime.date(1998, 12, 1), np.datetime64("1998-12-01"),
                     datetime.datetime(1998, 12, 1)):
             assert cur.execute("select count(*) from d where day >= ?",
-                               (day,)).fetchone() == (3,)
+                               (day,)).fetchone() == (7,)
             assert cur.execute("select count(*) from d where day >= :day",
-                               {"day": day}).fetchone() == (3,)
+                               {"day": day}).fetchone() == (7,)
 
     def test_negative_fetchmany_size_is_refused(self, any_cursor):
         cur = any_cursor
@@ -542,7 +560,8 @@ class TestTimeoutsAndBackpressure:
                 "type": "execute",
                 "sql": "select count(*) from t where x >= ?",
                 "params": [lo]}) for lo in (0, 100, 200)))
-            assert [recv_message(sock)["rows"] for _ in range(3)] == \
+            # One column of one cell each.
+            assert [recv_message(sock)["columns"] for _ in range(3)] == \
                 [[[2000]], [[1900]], [[1800]]]
         finally:
             sock.close()
