@@ -29,9 +29,9 @@ and ``{"$col": dtype.str, ...}`` for a whole numpy column — its raw
 bytes in base64 (``"b64"``), or for unicode its cells as a JSON list
 (``"list"``).  Numpy scalars degrade to their Python equivalents, and a
 column decodes to its ``tolist()``, the cells an embedded cursor
-returns.  Frames are tagged by the JSON encoder's ``default`` hook and
-untagged by the decoder's ``object_hook``; :func:`to_wire` /
-:func:`from_wire` build the same structures in Python.
+returns.  Frames are tagged by the JSON encoder's ``default`` hook
+(:func:`_tag`) and untagged by the decoder's ``object_hook``
+(:func:`_untag`).
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ def _tag(value: Any) -> Any:
     )
 
 
-def to_wire(value: Any) -> Any:
-    """*value* as the JSON-safe structure a frame carries for it."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): to_wire(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_wire(v) for v in value]
-    return to_wire(_tag(value))
-
-
 #: Column kinds that travel as raw bytes.  Unicode goes as a JSON list
 #: (its cells already are JSON strings, and UCS-4 bytes would be 4x
 #: larger); any other kind (object, ...) and any array that is not one
@@ -184,15 +173,6 @@ def _untag(obj: Dict[str, Any]) -> Any:
         if "$b64" in obj:
             return base64.b64decode(obj["$b64"])
     return obj
-
-
-def from_wire(value: Any) -> Any:
-    """Inverse of :func:`to_wire` (tagged dicts back to rich values)."""
-    if isinstance(value, dict):
-        return _untag({k: from_wire(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return [from_wire(v) for v in value]
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -19,26 +19,31 @@ from repro.net.protocol import (
     CODEC_JSON,
     MAX_FRAME_BYTES,
     ProtocolError,
+    _column_to_wire,
     decode_payload,
     encode_frame,
     error_message,
-    from_wire,
     raise_wire_error,
     split_header,
-    to_wire,
 )
+
+
+def roundtrip(value):
+    """*value* as a peer decodes it after one trip through a frame."""
+    frame = encode_frame({"type": "rows", "value": value})
+    return decode_payload(frame[4], frame[5:])["value"]
 
 
 class TestValueTagging:
     def test_scalars_pass_through(self):
         for v in (1, 1.5, "x", True, None):
-            assert from_wire(to_wire(v)) == v
+            assert roundtrip(v) == v
 
     def test_numpy_scalars_degrade_to_python(self):
-        assert to_wire(np.int64(7)) == 7
-        assert to_wire(np.float64(2.5)) == 2.5
-        assert to_wire(np.str_("hi")) == "hi"
-        assert to_wire(np.bool_(True)) is True
+        for value, want in ((np.int64(7), 7), (np.float64(2.5), 2.5),
+                            (np.str_("hi"), "hi"), (np.bool_(True), True)):
+            out = roundtrip(value)
+            assert type(out) is type(want) and out == want
 
     def test_datetime64_roundtrip(self):
         # Dates decode to what .item() gives, as an embedded cursor
@@ -48,15 +53,15 @@ class TestValueTagging:
                       np.datetime64("1998-12-01T10:20:30"),
                       datetime.datetime(1998, 12, 1, 10, 20, 30, 5),
                       np.datetime64("1998-12", "M")):
-            out = from_wire(to_wire(value))
+            out = roundtrip(value)
             want = value.item() if isinstance(value, np.generic) else value
             assert type(out) is type(want) and out == want
         ns = np.datetime64("1998-12-01T00:00:00.000000001")
-        out = from_wire(to_wire(ns))
+        out = roundtrip(ns)
         assert isinstance(out, np.datetime64) and out == ns
 
     def test_bytes_roundtrip(self):
-        assert from_wire(to_wire(b"\x00\xffbin")) == b"\x00\xffbin"
+        assert roundtrip(b"\x00\xffbin") == b"\x00\xffbin"
 
     def test_nested_structures(self):
         msg = {
@@ -64,7 +69,7 @@ class TestValueTagging:
                        "modes": ["MAIL", "SHIP"]},
             "rows": [[np.int64(1), 2.5], [np.int64(2), 3.5]],
         }
-        out = from_wire(to_wire(msg))
+        out = roundtrip(msg)
         assert out["params"]["date"] == np.datetime64("1995-03-15")
         assert out["rows"][0] == [1, 2.5]
 
@@ -83,17 +88,14 @@ class TestValueTagging:
         np.array([], dtype="U1"),
     ], ids=lambda c: c.dtype.str)
     def test_column_roundtrip_is_tolist(self, column):
-        wire = to_wire(column)
-        assert wire["$col"] == column.dtype.str
-        frame = encode_frame({"type": "rows", "columns": [column]})
-        framed = decode_payload(frame[4], frame[5:])["columns"][0]
+        assert _column_to_wire(column)["$col"] == column.dtype.str
         want = [(type(c), repr(c)) for c in column.tolist()]
-        for out in (from_wire(wire), framed):
-            assert [(type(c), repr(c)) for c in out] == want
+        assert [(type(c), repr(c)) for c in roundtrip(column)] == want
 
     def test_object_column_goes_cell_by_cell(self):
         column = np.array([1, "x", None], dtype=object)
-        assert to_wire(column) == [1, "x", None]
+        assert _column_to_wire(column) == [1, "x", None]
+        assert roundtrip(column) == [1, "x", None]
 
     @pytest.mark.parametrize("tagged", [
         {"$col": "|O", "b64": "AAAAAAAAAAA="},          # object
@@ -113,8 +115,8 @@ class TestValueTagging:
             decode_payload(CODEC_JSON, body)
 
     def test_unencodable_type_raises(self):
-        with pytest.raises(ProtocolError):
-            to_wire(object())
+        with pytest.raises(ProtocolError, match="not wire-encodable"):
+            encode_frame({"type": "rows", "value": object()})
 
 
 class TestFraming:
