@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database
-from repro.workloads.skyserver import build_sky_templates, load_skyserver
+from repro.workloads.skyserver import load_skyserver
 from repro.workloads.tpch import ParamGenerator, build_templates, load_tpch
 
 SF = 0.01
@@ -41,5 +41,4 @@ def make_tpch_db(**kwargs) -> Database:
 def make_sky_db(n_obj: int = SKY_OBJECTS, **kwargs) -> Database:
     db = Database(**kwargs)
     load_skyserver(db, n_obj=n_obj)
-    build_sky_templates(db)
     return db

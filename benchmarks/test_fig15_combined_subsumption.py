@@ -19,10 +19,7 @@ import time
 from conftest import make_sky_db
 
 from repro.bench import render_series, render_table
-from repro.workloads.skyserver import (
-    build_range_template,
-    combined_subsumption_batch,
-)
+from repro.workloads.skyserver import RANGE_SQL, combined_subsumption_batch
 
 
 #: The paper's micro-benchmarks run against 10M objects; we scale to 400k
@@ -32,19 +29,17 @@ MICRO_OBJECTS = 400_000
 
 def run_micro(k: int, n_seeds: int):
     db = make_sky_db(n_obj=MICRO_OBJECTS)
-    build_range_template(db)
     naive = make_sky_db(n_obj=MICRO_OBJECTS, recycle=False)
-    build_range_template(naive)
     batch = combined_subsumption_batch(n_seeds, k, seed=7)
     ratios, seed_flags, algo_ms = [], [], []
     prev_algo = 0.0
     for rq in batch:
         params = {"lo": rq.lo, "hi": rq.hi}
         t0 = time.perf_counter()
-        db.run_template("sky_range", params)
+        db.execute(RANGE_SQL, params)
         rec = time.perf_counter() - t0
         t0 = time.perf_counter()
-        naive.run_template("sky_range", params)
+        naive.execute(RANGE_SQL, params)
         nav = time.perf_counter() - t0
         ratios.append(rec / nav if nav > 0 else 1.0)
         seed_flags.append(rq.is_seed)

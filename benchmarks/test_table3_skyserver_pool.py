@@ -26,7 +26,7 @@ def run_table3():
     log = SkyQueryLog(spec, seed=9, subsumable_fraction=0.05)
     hits = potential = 0
     for qi in log.sample(100):
-        r = db.run_template(qi.template, qi.params)
+        r = db.execute(*qi.as_sql())
         hits += r.stats.hits
         potential += r.stats.n_marked
     return db, pool_report(db.recycler.pool), hits, potential

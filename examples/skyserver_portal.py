@@ -2,7 +2,8 @@
 
 Simulates the astronomy portal the paper evaluates: a dominant spatial
 cone-search template with overlapping parameter sets, documentation-table
-lookups, and occasional point queries, driven through DB-API cursors.
+lookups, and occasional point queries, written in SQL (``SKY_SQL``) and
+driven through DB-API cursors.
 The recycler self-organises around the workload — no DBA, no
 materialised views — and narrower cone searches are answered by
 *subsuming* cached wider ones.
@@ -13,11 +14,7 @@ Run:  python examples/skyserver_portal.py
 import time
 
 import repro
-from repro.workloads.skyserver import (
-    SkyQueryLog,
-    build_sky_templates,
-    load_skyserver,
-)
+from repro.workloads.skyserver import SKY_SQL, SkyQueryLog, load_skyserver
 
 
 def run_log(conn, batch):
@@ -25,7 +22,7 @@ def run_log(conn, batch):
     t0 = time.perf_counter()
     hits = potential = subsumed = 0
     for qi in batch:
-        cur.execute_template(qi.template, qi.params)
+        cur.execute(*qi.as_sql())
         hits += cur.stats.hits
         potential += cur.stats.n_marked
         subsumed += cur.stats.subsumed_hits
@@ -35,7 +32,6 @@ def run_log(conn, batch):
 def make_conn(**config):
     conn = repro.connect(**config)
     load_skyserver(conn.database, n_obj=100_000)
-    build_sky_templates(conn.database)
     return conn
 
 
@@ -67,7 +63,7 @@ def main() -> None:
     print("\nzoom-in search (inside a cached cone -> range subsumption):")
     cur = conn.cursor()
     t0 = time.perf_counter()
-    cur.execute_template("sky_nearby", {"ra": 195.05, "dec": 2.55,
+    cur.execute(SKY_SQL["sky_nearby"], {"ra": 195.05, "dec": 2.55,
                                         "r": 0.2})
     dt = (time.perf_counter() - t0) * 1e3
     print(f"  fGetNearbyObjEq(195.05, 2.55, 0.2): {cur.rowcount} row(s) "

@@ -98,7 +98,6 @@ class RecyclerConfig:
     max_bytes: Optional[int] = None
     max_entries: Optional[int] = None
     subsumption: bool = True
-    combined_subsumption: bool = True
     propagate_selects: bool = False
     spill_dir: Optional[str] = None
     spill_limit_bytes: Optional[int] = None
@@ -683,8 +682,7 @@ class Recycler:
             if singles:
                 # Cost model: the smallest intermediate wins (§5.1).
                 cover = [(min(singles, key=lambda e: e.tuples), args[1:])]
-            elif (self.config.combined_subsumption
-                    and opname == "algebra.select"):
+            elif opname == "algebra.select":
                 search_start = self.clock()
                 chosen = find_combined_cover(
                     target,

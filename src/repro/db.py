@@ -211,7 +211,8 @@ class Database:
         admission/eviction: recycler policies (default keepall + LRU).
         max_bytes/max_entries: recycle-pool resource limits (None =
             unlimited).
-        subsumption/combined_subsumption: enable §5 features.
+        subsumption: enable §5 run-time subsumption (single and
+            combined covers).
         propagate_selects: enable the §6.3 delta-propagation extension.
         spill_dir: directory for the disk tier of the recycle pool;
             eviction victims whose benefit exceeds the measured cost of
@@ -237,7 +238,6 @@ class Database:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         subsumption: bool = True,
-        combined_subsumption: bool = True,
         propagate_selects: bool = False,
         spill_dir: Optional[str] = None,
         spill_limit_bytes: Optional[int] = None,
@@ -253,7 +253,6 @@ class Database:
                     max_bytes=max_bytes,
                     max_entries=max_entries,
                     subsumption=subsumption,
-                    combined_subsumption=combined_subsumption,
                     propagate_selects=propagate_selects,
                     spill_dir=spill_dir,
                     spill_limit_bytes=spill_limit_bytes,

@@ -2,11 +2,12 @@
 
 The real SDSS DR4 data and query logs are not available offline; this
 package generates the closest synthetic equivalent (see
-``docs/BENCHMARKS.md``): a PhotoObj-like catalogue, the ``fGetNearbyObjEq``
-spatial-search template, the documentation-table and point-query templates,
-and a query-log sampler reproducing the mix the paper reports (>60 %
-spatial template with two overlapping parameter sets, ~36 % documentation
-queries, ~2 % point queries).
+``docs/BENCHMARKS.md``): a PhotoObj-like catalogue; the
+``fGetNearbyObjEq`` spatial search, the documentation-table and the
+point-query templates, written once in SQL (``SKY_SQL``), plus the
+Fig. 15 range query (``RANGE_SQL``); and a query-log sampler reproducing
+the mix the paper reports (>60 % spatial template with two overlapping
+parameter sets, ~36 % documentation queries, ~2 % point queries).
 """
 
 from repro.workloads.skyserver.generator import load_skyserver
@@ -14,11 +15,10 @@ from repro.workloads.skyserver.workload import (
     SKY_SQL,
     QueryInstance,
     SkyQueryLog,
-    build_sky_templates,
 )
 from repro.workloads.skyserver.microbench import (
+    RANGE_SQL,
     combined_subsumption_batch,
-    build_range_template,
 )
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "SKY_SQL",
     "QueryInstance",
     "SkyQueryLog",
-    "build_sky_templates",
+    "RANGE_SQL",
     "combined_subsumption_batch",
-    "build_range_template",
 ]

@@ -16,26 +16,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.db import Database
-from repro.mal.program import MalProgram
 from repro.workloads.skyserver.generator import RA_RANGE
 
 
-def build_range_template(db: Database) -> MalProgram:
-    """The micro-benchmark query: RA range scan + count.
-
-    A single ``algebra.select`` dominates, isolating the subsumption
-    machinery the figure measures.
-    """
-    q = db.builder("sky_range")
-    lo = q.param("lo")
-    hi = q.param("hi")
-    q.scan("photoobj", "p")
-    q.filter_range("p", "ra", lo=lo, hi=hi)
-    count = q.agg_scalar("count")
-    q.select_scalar("n", count)
-    db.register_template(q.build())
-    return db.template("sky_range")
+#: The micro-benchmark query: an RA range scan plus a count.  It compiles
+#: to one two-sided ``algebra.select`` over the ``ra`` bind, isolating the
+#: subsumption machinery the figure measures.
+RANGE_SQL = "select count(*) as n from photoobj where ra between :lo and :hi"
 
 
 @dataclass(frozen=True)

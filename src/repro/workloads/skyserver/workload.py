@@ -1,6 +1,9 @@
 """SkyServer query templates and the query-log sampler (paper §8.1-8.2).
 
-Three template classes reproduce the observed log composition:
+The workload is written once, in SQL (:data:`SKY_SQL`): every engine,
+benchmark and example runs these statements, so the plans the recycler
+sees are the ones the SQL front end compiles (§2.2).  Three template
+classes reproduce the observed log composition:
 
 * ``sky_nearby`` (>60 %): the dominant web pattern — a spatial cone search
   through the PhotoPrimary view joined back for 19 photometric
@@ -17,90 +20,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.db import Database
-from repro.mal.program import MalProgram
 from repro.workloads.skyserver.generator import DOC_NAMES
 
 
-def build_nearby_template(db: Database) -> MalProgram:
-    """``fGetNearbyObjEq(ra, dec, r) JOIN PhotoPrimary`` with 19 outputs.
-
-    The spatial function is lowered the way a relational engine would run
-    it: a bounding-box range selection on ``ra``/``dec`` (the recycler's
-    prime subsumption target) followed by the exact circle test.
-    """
-    q = db.builder("sky_nearby")
-    ra = q.param("ra")
-    dec = q.param("dec")
-    radius = q.param("r")
-    ra_lo = q.scalar_op("calc.sub", ra, radius)
-    ra_hi = q.scalar_op("calc.add", ra, radius)
-    dec_lo = q.scalar_op("calc.sub", dec, radius)
-    dec_hi = q.scalar_op("calc.add", dec, radius)
-    r2 = q.scalar_op("calc.mul", radius, radius)
-
-    q.scan("photoobj", "p")
-    q.filter_eq("p", "mode", 1)          # the PhotoPrimary view
-    q.filter_range("p", "ra", lo=ra_lo, hi=ra_hi)
-    q.filter_range("p", "dec", lo=dec_lo, hi=dec_hi)
-    ra_col = q.col("p", "ra")
-    dec_col = q.col("p", "dec")
-    d_ra = q.sub(ra_col, ra)
-    d_dec = q.sub(dec_col, dec)
-    dist2 = q.add(q.mul(d_ra, d_ra), q.mul(d_dec, d_dec))
-    q.filter_expr(q.cmp("le", dist2, r2))
-
-    attrs = ["objid", "run", "rerun", "camcol", "field", "obj", "type",
-             "flags", "status", "psfmag_u", "psfmag_g", "psfmag_r",
-             "psfmag_i", "psfmag_z", "petror50_r", "specobjid"]
-    outputs = [("ra", ra_col), ("dec", dec_col), ("dist2", dist2)]
-    outputs += [(a, q.col("p", a)) for a in attrs]
-    q.select(outputs, limit=1)
-    return q.build()
-
-
-def build_doc_template(db: Database) -> MalProgram:
-    """Documentation lookup: schema-object description by name."""
-    q = db.builder("sky_doc")
-    name = q.param("name")
-    q.scan("dbobjects", "d")
-    q.filter_eq("d", "name", name)
-    q.select([
-        ("name", q.col("d", "name")),
-        ("type", q.col("d", "type")),
-        ("description", q.col("d", "description")),
-    ])
-    return q.build()
-
-
-def build_point_template(db: Database) -> MalProgram:
-    """Point query: ``SELECT * FROM ELRedshift WHERE specObjId = :id``."""
-    q = db.builder("sky_point")
-    sid = q.param("specobjid")
-    q.scan("elredshift", "e")
-    q.filter_eq("e", "specobjid", sid)
-    cols = ["specobjid", "z", "zerr", "quality", "restwave", "ew"]
-    q.select([(c, q.col("e", c)) for c in cols])
-    return q.build()
-
-
-def build_sky_templates(db: Database) -> Dict[str, MalProgram]:
-    """Compile and register the three SkyServer templates."""
-    templates = {
-        "sky_nearby": build_nearby_template(db),
-        "sky_doc": build_doc_template(db),
-        "sky_point": build_point_template(db),
-    }
-    for program in templates.values():
-        db.register_template(program)
-    return templates
-
-
-#: Parameterized SQL forms of the three templates (``:name``
-#: placeholders) — the DB-API front door's way to issue the same
-#: workload.  The spatial statement lowers ``fGetNearbyObjEq`` exactly
-#: like the builder template: a bounding-box range selection (the
-#: recycler's subsumption target) followed by the exact circle test.
+#: The three templates as parameterized SQL (``:name`` placeholders).
+#: The spatial statement lowers ``fGetNearbyObjEq`` the way a relational
+#: engine would run it: a bounding-box range selection on ``ra``/``dec``
+#: (the recycler's subsumption target) followed by the exact circle test.
 SKY_SQL: Dict[str, str] = {
     "sky_nearby": (
         "select ra, dec, "
@@ -133,12 +59,7 @@ class QueryInstance:
     params: Dict[str, Any]
 
     def as_sql(self) -> Tuple[str, Dict[str, Any]]:
-        """This entry as a parameterized ``(sql, params)`` statement.
-
-        The parameter names of :data:`SKY_SQL` match the builder
-        templates', so the sampled bindings feed both execution paths
-        unchanged.
-        """
+        """This entry as a parameterized ``(sql, params)`` statement."""
         return SKY_SQL[self.template], dict(self.params)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Database
-from repro.workloads.skyserver import build_sky_templates, load_skyserver
+from repro.workloads.skyserver import load_skyserver
 from repro.workloads.tpch import build_templates, load_tpch
 
 
@@ -58,8 +58,7 @@ def tpch_db() -> Database:
 
 @pytest.fixture
 def sky_db() -> Database:
-    """A synthetic SkyServer database with the three templates."""
+    """A synthetic SkyServer database (its queries are ``SKY_SQL``)."""
     db = Database()
     load_skyserver(db, n_obj=20_000, seed=5)
-    build_sky_templates(db)
     return db

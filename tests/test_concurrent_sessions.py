@@ -300,8 +300,7 @@ def test_skyserver_concurrent_log(sky_db):
 
     spec = sky_db.catalog.table("elredshift").column_array("specobjid")
     log = SkyQueryLog(spec_ids=spec, seed=3)
-    result = run_workload(
-        sky_db, [(q.template, q.params) for q in log.sample(40)], sessions=4)
+    result = run_workload(sky_db, log.sample_sql(40), sessions=4)
     assert not result.errors
     assert len(result.records) == 40
     assert result.hit_ratio > 0

@@ -43,6 +43,24 @@ def _dim_data(rng: np.random.Generator):
     }
 
 
+def build_db(seed: int, **kwargs) -> Database:
+    """One database over the random tables drawn from *seed*."""
+    rng = np.random.default_rng(seed)
+    db = Database(**kwargs)
+    db.create_table(
+        "fact",
+        {"k": "int64", "a": "int64", "v": "float64", "s": "U4"},
+        _fact_data(rng),
+    )
+    db.create_table(
+        "dim",
+        {"d_key": "int64", "d_cat": "U8", "d_w": "float64"},
+        _dim_data(rng),
+    )
+    db.add_foreign_key("fk_kd", "fact", "k", "dim", "d_key")
+    return db
+
+
 def build_pair(seed: int, **recycler_kwargs):
     """Two databases with identical random data: recycled and naive."""
     if recycler_kwargs.get("spill_dir") == "AUTO":
@@ -51,24 +69,8 @@ def build_pair(seed: int, **recycler_kwargs):
         recycler_kwargs["spill_dir"] = tempfile.mkdtemp(
             prefix="repro-diff-spill-"
         )
-    pair = []
-    for kwargs in (dict(recycle=True, **recycler_kwargs),
-                   dict(recycle=False)):
-        rng = np.random.default_rng(seed)
-        db = Database(**kwargs)
-        db.create_table(
-            "fact",
-            {"k": "int64", "a": "int64", "v": "float64", "s": "U4"},
-            _fact_data(rng),
-        )
-        db.create_table(
-            "dim",
-            {"d_key": "int64", "d_cat": "U8", "d_w": "float64"},
-            _dim_data(rng),
-        )
-        db.add_foreign_key("fk_kd", "fact", "k", "dim", "d_key")
-        pair.append(db)
-    return pair[0], pair[1]
+    return (build_db(seed, recycle=True, **recycler_kwargs),
+            build_db(seed, recycle=False))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +147,8 @@ def gen_query(rng: np.random.Generator) -> str:
     return gen_query_forms(rng)[0]
 
 
-def gen_update(rng: np.random.Generator, db_on: Database, db_off: Database):
-    """One random DML statement, applied identically to both databases."""
+def gen_update(rng: np.random.Generator, *dbs: Database):
+    """One random DML statement, applied identically to every database."""
     kind = int(rng.integers(0, 3))
     if kind == 0:
         n = int(rng.integers(1, 50))
@@ -156,19 +158,19 @@ def gen_update(rng: np.random.Generator, db_on: Database, db_off: Database):
             "v": np.round(rng.random(n) * 100, 6),
             "s": rng.choice(STRINGS, n),
         }
-        db_on.insert("fact", {c: v.copy() for c, v in rows.items()})
-        db_off.insert("fact", {c: v.copy() for c, v in rows.items()})
+        for db in dbs:
+            db.insert("fact", {c: v.copy() for c, v in rows.items()})
     elif kind == 1:
-        nrows = db_on.catalog.table("fact").nrows
+        nrows = dbs[0].catalog.table("fact").nrows
         oids = np.unique(rng.integers(0, nrows, int(rng.integers(1, 30))))
-        db_on.delete_oids("fact", oids.copy())
-        db_off.delete_oids("fact", oids.copy())
+        for db in dbs:
+            db.delete_oids("fact", oids.copy())
     else:
-        nrows = db_on.catalog.table("fact").nrows
+        nrows = dbs[0].catalog.table("fact").nrows
         oids = np.unique(rng.integers(0, nrows, int(rng.integers(1, 40))))
         values = np.round(rng.random(len(oids)) * 100, 6)
-        db_on.update_column("fact", "v", oids.copy(), values.copy())
-        db_off.update_column("fact", "v", oids.copy(), values.copy())
+        for db in dbs:
+            db.update_column("fact", "v", oids.copy(), values.copy())
 
 
 def assert_same_result(sql: str, got, expected):
@@ -188,7 +190,7 @@ def assert_same_result(sql: str, got, expected):
 
 CONFIGS = [
     dict(),
-    dict(subsumption=False, combined_subsumption=False),
+    dict(subsumption=False),
     dict(max_entries=24),
     dict(max_bytes=200_000),
     dict(propagate_selects=True),

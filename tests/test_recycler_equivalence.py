@@ -73,7 +73,6 @@ policies = st.sampled_from([
     dict(admission=None, max_entries=10),
     dict(max_bytes=200_000),
     dict(subsumption=False),
-    dict(combined_subsumption=False),
 ])
 
 

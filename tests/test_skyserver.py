@@ -3,8 +3,9 @@
 import pytest
 
 from repro.workloads.skyserver import (
+    RANGE_SQL,
+    SKY_SQL,
     SkyQueryLog,
-    build_range_template,
     combined_subsumption_batch,
 )
 from repro.workloads.skyserver.generator import DOC_NAMES, RA_RANGE
@@ -30,34 +31,27 @@ class TestGenerator:
         photo_spec = set(p.column_array("specobjid").tolist()) - {0}
         assert set(e.column_array("specobjid").tolist()) <= photo_spec
 
+
+def nearby_count_sql() -> str:
+    """The count twin of ``SKY_SQL["sky_nearby"]``: the statement's own
+    FROM and WHERE under ``count(*)``, without its ``limit 1``."""
+    sql = SKY_SQL["sky_nearby"]
+    body = sql[sql.index(" from photoobj "):]
+    assert body.endswith(" limit 1")
+    return "select count(*) as n" + body[:-len(" limit 1")]
+
+
 class TestTemplates:
     def test_nearby_results_within_radius(self, sky_db):
         params = {"ra": 200.0, "dec": 30.0, "r": 2.0}
-        r = sky_db.run_template("sky_nearby", params)
+        r = sky_db.execute(SKY_SQL["sky_nearby"], params)
         if len(r.value):
             assert r.value.column("dist2")[0] <= 4.0
 
     def test_nearby_matches_numpy(self, sky_db):
-        # Count (without LIMIT) cross-check through a modified template.
-        q = sky_db.builder("nearby_count")
-        ra, dec, rad = q.param("ra"), q.param("dec"), q.param("r")
-        ra_lo = q.scalar_op("calc.sub", ra, rad)
-        ra_hi = q.scalar_op("calc.add", ra, rad)
-        dec_lo = q.scalar_op("calc.sub", dec, rad)
-        dec_hi = q.scalar_op("calc.add", dec, rad)
-        r2 = q.scalar_op("calc.mul", rad, rad)
-        q.scan("photoobj", "p")
-        q.filter_eq("p", "mode", 1)
-        q.filter_range("p", "ra", lo=ra_lo, hi=ra_hi)
-        q.filter_range("p", "dec", lo=dec_lo, hi=dec_hi)
-        ra_c, dec_c = q.col("p", "ra"), q.col("p", "dec")
-        d_ra, d_dec = q.sub(ra_c, ra), q.sub(dec_c, dec)
-        dist2 = q.add(q.mul(d_ra, d_ra), q.mul(d_dec, d_dec))
-        q.filter_expr(q.cmp("le", dist2, r2))
-        q.select_scalar("n", q.agg_scalar("count"))
-        sky_db.register_template(q.build())
+        # The statement's own predicate, counted without its LIMIT.
         params = {"ra": 200.0, "dec": 30.0, "r": 3.0}
-        got = sky_db.run_template("nearby_count", params).value.scalar()
+        got = sky_db.execute(nearby_count_sql(), params).value.scalar()
         p = sky_db.catalog.table("photoobj")
         ra_v = p.column_array("ra")
         dec_v = p.column_array("dec")
@@ -66,7 +60,7 @@ class TestTemplates:
         assert got == int(((mode == 1) & (d2 <= 9.0)).sum())
 
     def test_doc_lookup(self, sky_db):
-        r = sky_db.run_template("sky_doc", {"name": "PhotoPrimary"})
+        r = sky_db.execute(SKY_SQL["sky_doc"], {"name": "PhotoPrimary"})
         assert len(r.value) == 1
         assert "PhotoPrimary" in r.value.column("description")[0]
 
@@ -74,9 +68,30 @@ class TestTemplates:
         sid = int(
             sky_db.catalog.table("elredshift").column_array("specobjid")[0]
         )
-        r = sky_db.run_template("sky_point", {"specobjid": sid})
+        r = sky_db.execute(SKY_SQL["sky_point"], {"specobjid": sid})
         assert len(r.value) >= 1
         assert r.value.column("specobjid")[0] == sid
+
+    def test_range_sql_is_one_two_sided_select_over_ra(self, sky_db):
+        # Fig. 15's combined subsumption covers one two-sided range
+        # select over the ``ra`` bind; a planner that split BETWEEN into
+        # two one-sided selects would leave it nothing to combine.
+        stmt = sky_db.prepare(RANGE_SQL)
+        bound = stmt.bind({"lo": 190.0, "hi": 200.0})
+        program = stmt.program
+        selects = [ins for ins in program.instrs if "select" in ins.opname]
+        assert [ins.opname for ins in selects] == ["algebra.select"]
+        (select,) = selects
+        operand, lo, hi, lo_incl, hi_incl = select.args
+        (bind,) = [ins for ins in program.instrs
+                   if ins.result == operand.index]
+        assert bind.opname == "sql.bind"
+        assert [a.value for a in bind.args] == ["photoobj", "ra"]
+        by_var = {var: name for name, var in program.params.items()}
+        assert bound[by_var[lo.index]] == 190.0
+        assert bound[by_var[hi.index]] == 200.0
+        assert (lo_incl.value, hi_incl.value) == (True, True)
+
 
 class TestQueryLog:
     def test_mix_proportions(self, sky_db):
@@ -104,7 +119,7 @@ class TestQueryLog:
         log = SkyQueryLog(spec, seed=2)
         hits = marked = 0
         for qi in log.sample(60):
-            r = sky_db.run_template(qi.template, qi.params)
+            r = sky_db.execute(*qi.as_sql())
             hits += r.stats.hits
             marked += r.stats.n_marked
         assert hits / marked > 0.5
@@ -132,11 +147,10 @@ class TestCombinedSubsumptionBatch:
             combined_subsumption_batch(1, 1)
 
     def test_batch_triggers_combined_subsumption(self, sky_db):
-        build_range_template(sky_db)
         batch = combined_subsumption_batch(6, 2, seed=4)
         ra = sky_db.catalog.table("photoobj").column_array("ra")
         for rq in batch:
-            r = sky_db.run_template("sky_range", {"lo": rq.lo, "hi": rq.hi})
+            r = sky_db.execute(RANGE_SQL, {"lo": rq.lo, "hi": rq.hi})
             expected = int(((ra >= rq.lo) & (ra <= rq.hi)).sum())
             assert r.value.scalar() == expected
         assert sky_db.recycler.totals.combined_hits >= 4

@@ -14,11 +14,7 @@ import pytest
 
 import repro
 from repro.bench import fresh_tpch_db, run_workload
-from repro.workloads.skyserver import (
-    SkyQueryLog,
-    build_sky_templates,
-    load_skyserver,
-)
+from repro.workloads.skyserver import SkyQueryLog, load_skyserver
 from repro.workloads.tpch import (
     SQL_STATEMENTS,
     SQL_TEMPLATES,
@@ -117,21 +113,8 @@ class TestSkyServerStatements:
     def sky(self):
         db = repro.Database()
         load_skyserver(db, n_obj=20_000, seed=17)
-        build_sky_templates(db)
         with repro.connect(database=db) as conn:
             yield conn
-
-    def test_as_sql_matches_builder_template(self, sky):
-        db = sky.database
-        spec = db.catalog.table("elredshift").column_array("specobjid")
-        log = SkyQueryLog(spec, seed=5)
-        cur = sky.cursor()
-        for qi in log.sample(40):
-            via_template = db.run_template(qi.template, qi.params)
-            sql, params = qi.as_sql()
-            cur.execute(sql, params)
-            assert cur.result.names == via_template.value.names
-            assert cur.fetchall() == via_template.value.rows()
 
     def test_sample_sql_compiles_three_plans(self, sky):
         db = sky.database
