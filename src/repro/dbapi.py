@@ -306,14 +306,21 @@ class BaseCursor:
     # ------------------------------------------------------------------
     def _buffer(self, n: Optional[int]) -> List[Tuple]:
         """The rows received, holding at least *n* past the position
-        (all of them when None) unless the result set ends first."""
+        (all of them when None) unless the result set ends first.
+
+        A close on another thread resets the cursor under this fetch:
+        the rows are held locally, and a fetch the close overlapped
+        raises :class:`InterfaceError` rather than return part of them.
+        """
+        rows = self._rows
         self._check_open()
-        if self._rows is None:
+        if rows is None:
             raise ProgrammingError("no result set: execute first")
         while not self._complete and (
-                n is None or len(self._rows) - self._pos < n):
-            self._rows += self._pull()
-        return self._rows
+                n is None or len(rows) - self._pos < n):
+            rows += self._pull()
+        self._check_open()
+        return rows
 
     def fetchone(self) -> Optional[Tuple]:
         rows = self.fetchmany(1)
@@ -353,6 +360,14 @@ class BaseCursor:
     def close(self) -> None:
         self._closed = True
         self._reset()
+
+    def _open_result(self) -> Any:
+        """The transport's handle on the current result set, for
+        ``_pull``; a close racing the fetch has reset it to None."""
+        result = self._result
+        if result is None:
+            raise InterfaceError("cursor is closed")
+        return result
 
     def _check_open(self) -> None:
         if self._closed:
@@ -410,8 +425,9 @@ class Cursor(BaseCursor):
             self.rowcount = len(value)
 
     def _pull(self) -> List[Tuple]:
+        result = self._open_result()
         self._complete = True
-        return self._result.rows()
+        return result.rows()
 
     def close(self) -> None:
         super().close()

@@ -16,6 +16,45 @@ from repro.storage.bat import BAT, Dense
 from repro.mal.operators import register
 
 
+def _rank_key(values: np.ndarray):
+    """An integer array ordered as *values*, or None when there is none.
+
+    Integers are their own key, a one-character string is its code
+    point and a datetime its int64 count.
+    """
+    if values.dtype.kind in "iu":
+        return values
+    if values.dtype == np.dtype("<U1"):
+        return values.view(np.uint32)
+    if values.dtype.kind == "M":
+        return values.view(np.int64)
+    return None
+
+
+def rank(values: np.ndarray) -> np.ndarray:
+    """Dense ranks in sorted-value order: the inverse ``np.unique``
+    returns, which is the group id of every row.
+
+    A narrow integer key (range at most 4 x len) ranks through a
+    presence table and a running count, in time linear in the input;
+    anything else sorts.
+    """
+    key = _rank_key(values)
+    if key is not None and len(key):
+        if key.dtype.itemsize < 8:
+            key = key.astype(np.int64)
+        lo = key.min()
+        span = int(key.max()) - int(lo) + 1
+        # NaT is the int64 minimum as a key but sorts last in np.unique.
+        nat = values.dtype.kind == "M" and lo == np.iinfo(np.int64).min
+        if span <= 4 * len(key) and not nat:
+            offsets = key - lo
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            return (np.cumsum(present) - 1)[offsets]
+    return np.unique(values, return_inverse=True)[1]
+
+
 def _group_ids(grp: BAT) -> np.ndarray:
     ids = grp.tail_values()
     if ids.dtype.kind not in "iu":
@@ -30,10 +69,9 @@ def _ngroups(ids: np.ndarray) -> int:
 @register("group.new", kind="group")
 def group_new(ctx, bat: BAT) -> BAT:
     """Group rows by tail value; result tail holds dense group ids."""
-    _, inverse = np.unique(bat.tail_values(), return_inverse=True)
     return BAT.materialized(
         bat.head if bat.head_dense else bat.head_values(),
-        inverse.astype(np.int64),
+        rank(bat.tail_values()).astype(np.int64),
         sources=bat.sources,
     )
 
@@ -46,12 +84,11 @@ def group_derive(ctx, grp: BAT, bat: BAT) -> BAT:
         raise InterpreterError(
             f"group.derive: misaligned operands ({len(ids)} vs {len(bat)})"
         )
-    _, inv2 = np.unique(bat.tail_values(), return_inverse=True)
+    inv2 = rank(bat.tail_values())
     combined = ids * (int(inv2.max()) + 1 if len(inv2) else 1) + inv2
-    _, new_ids = np.unique(combined, return_inverse=True)
     return BAT.materialized(
         grp.head if grp.head_dense else grp.head_values(),
-        new_ids.astype(np.int64),
+        rank(combined).astype(np.int64),
         sources=grp.sources | bat.sources,
     )
 
@@ -154,7 +191,7 @@ def aggr_max(ctx, vals: BAT, grp: BAT) -> BAT:
 def aggr_countdistinct(ctx, vals: BAT, grp: BAT) -> BAT:
     """Grouped COUNT(DISTINCT value)."""
     v, ids, ng = _aligned(vals, grp)
-    _, vinv = np.unique(v, return_inverse=True)
+    vinv = rank(v)
     pairs = ids * (int(vinv.max()) + 1 if len(vinv) else 1) + vinv
     uniq_pairs = np.unique(pairs)
     width = int(vinv.max()) + 1 if len(vinv) else 1

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InterpreterError
-from repro.storage.bat import BAT
+from repro.storage.bat import BAT, OID_DTYPE
 from repro.mal.operators import register
+from repro.mal.operators.selection import _subset
 
 
 def _merge_join_indices(lv: np.ndarray, rv: np.ndarray):
@@ -89,22 +90,50 @@ def algebra_leftfetchjoin(ctx, l: BAT, r: BAT) -> BAT:
     )
 
 
+def _dense_keys(l: BAT, r: BAT):
+    """R's head oids that name rows of dense-headed *l*, once each and in
+    oid order — or None when *l*'s head is materialised or R's heads are
+    not integers that fit an oid.
+
+    With a dense (void) head, a row's oid is its position plus
+    ``hseqbase`` (§2.1), so matching R against L needs no scan of L.
+    """
+    if not l.head_dense:
+        return None
+    rh = r.head_values()
+    if not np.can_cast(rh.dtype, OID_DTYPE):
+        return None
+    keys = rh.astype(OID_DTYPE, copy=False)
+    if not _increasing(keys):
+        keys = np.unique(keys)
+    lo, hi = l.hseqbase, l.hseqbase + len(l)
+    if len(keys) and (keys[0] < lo or keys[-1] >= hi):
+        keys = keys[np.searchsorted(keys, lo):np.searchsorted(keys, hi)]
+    # Share R's own array when it is all of the answer (operators never
+    # write in place); a slice is copied, as it would pin its whole base.
+    return keys if keys.base is None else keys.copy()
+
+
 @register("algebra.semijoin", kind="join")
 def algebra_semijoin(ctx, l: BAT, r: BAT) -> BAT:
     """Rows of ``L`` whose head occurs among ``R``'s head oids."""
-    lh = l.head_values()
-    rh = r.head_values()
-    mask = np.isin(lh, rh)
-    tails = l.tail_values()[mask]
-    # Both heads sorted and unique (rows of one table) and every R oid
-    # found: lh[mask] would equal R's heads, so share R's array instead of
-    # pooling a copy (operators never write in place; a view is not
-    # shared, as it would pin its whole base buffer).
-    if len(tails) == len(rh) and rh.base is None and rh.dtype == lh.dtype \
-            and (l.head_dense or _increasing(lh)) and _increasing(rh):
-        heads = rh
+    heads = _dense_keys(l, r)
+    if heads is not None:
+        tails = l.tail_values()[heads - l.hseqbase]
     else:
-        heads = lh[mask]
+        lh = l.head_values()
+        rh = r.head_values()
+        mask = np.isin(lh, rh)
+        tails = l.tail_values()[mask]
+        # Both heads sorted and unique (rows of one table) and every R
+        # oid found: lh[mask] would equal R's heads, so share R's array
+        # instead of pooling a copy.
+        if len(tails) == len(rh) and rh.base is None \
+                and rh.dtype == lh.dtype \
+                and (l.head_dense or _increasing(lh)) and _increasing(rh):
+            heads = rh
+        else:
+            heads = lh[mask]
     return BAT.materialized(
         heads,
         tails,
@@ -117,16 +146,13 @@ def algebra_semijoin(ctx, l: BAT, r: BAT) -> BAT:
 @register("algebra.kdifference", kind="join")
 def algebra_kdifference(ctx, l: BAT, r: BAT) -> BAT:
     """Anti-semijoin: rows of ``L`` whose head does *not* occur in ``R``."""
-    lh = l.head_values()
-    rh = r.head_values()
-    mask = ~np.isin(lh, rh)
-    return BAT.materialized(
-        lh[mask],
-        l.tail_values()[mask],
-        sources=l.sources | r.sources,
-        subset_parent=l,
-        tail_sorted=l.tail_sorted,
-    )
+    found = _dense_keys(l, r)
+    if found is not None:
+        keep = np.ones(len(l), dtype=bool)
+        keep[found - l.hseqbase] = False
+    else:
+        keep = ~np.isin(l.head_values(), r.head_values())
+    return _subset(l, keep, sources=l.sources | r.sources)
 
 
 @register("algebra.kunique", kind="join")

@@ -22,14 +22,27 @@ from repro.storage.bat import BAT
 from repro.mal.operators import register
 
 
-def _subset(bat: BAT, mask_or_idx) -> BAT:
-    """Materialise the qualifying rows of *bat* keeping head oids."""
-    heads = bat.head_values()[mask_or_idx]
-    tails = bat.tail_values()[mask_or_idx]
+def _subset(bat: BAT, mask: np.ndarray, sources=None) -> BAT:
+    """Materialise the rows of *bat* where *mask* is true, keeping head
+    oids; the result derives from *sources* (default: *bat*'s).
+
+    Rows are fetched by position, which costs what the result costs —
+    unless more than 15 in 16 qualify: then one boolean copy of the
+    mask's long runs is cheaper than a fetch per row.  A dense head is
+    never expanded; its oids are the positions plus ``hseqbase``.
+    """
+    nearly_all = np.count_nonzero(mask) * 16 > len(mask) * 15
+    idx = None if nearly_all and not bat.head_dense else np.flatnonzero(mask)
+    rows = mask if nearly_all else idx
+    if bat.head_dense:
+        heads = idx + bat.hseqbase
+    else:
+        heads = bat.head_values()[rows]
+    tails = bat.tail_values()[rows]
     return BAT.materialized(
         heads,
         tails,
-        sources=bat.sources,
+        sources=bat.sources if sources is None else sources,
         subset_parent=bat,
         tail_sorted=bat.tail_sorted,
     )

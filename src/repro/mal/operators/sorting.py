@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import InterpreterError, ProgrammingError
 from repro.storage.bat import BAT, Dense
 from repro.mal.operators import register
+from repro.mal.operators.groupby import rank
 
 
 def _sort_key(values: np.ndarray, ascending: bool) -> np.ndarray:
@@ -20,8 +21,7 @@ def _sort_key(values: np.ndarray, ascending: bool) -> np.ndarray:
     if values.dtype.kind == "M":
         return -values.astype(np.int64)
     # Strings (or anything else without unary minus): rank then negate.
-    _, inverse = np.unique(values, return_inverse=True)
-    return -inverse
+    return -rank(values)
 
 
 @register("algebra.lexsort", kind="sort")

@@ -104,7 +104,7 @@ class NetCursor(BaseCursor):
 
     def _pull(self) -> List[Tuple]:
         reply = self.connection._request({
-            "type": "fetch", "result_id": self._result,
+            "type": "fetch", "result_id": self._open_result(),
             "n": self.connection.fetch_batch,
         })
         self._complete = reply.get("complete", True)

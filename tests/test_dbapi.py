@@ -486,6 +486,36 @@ class TestClosedHandles:
             cur.execute("select count(*) from t")
         conn.close()                        # idempotent
 
+    def test_connection_close_inside_a_fetch(self, conn):
+        """``Connection.close()`` on another thread, landing between a
+        fetch's open check and its pull, ends the fetch with
+        InterfaceError (not an AttributeError on the reset cursor)."""
+        cur = conn.cursor().execute("select sale_id from sales")
+        pull = cur._pull
+
+        def closing_pull():
+            conn.close()
+            return pull()
+
+        cur._pull = closing_pull
+        with pytest.raises(InterfaceError, match="cursor is closed"):
+            cur.fetchall()
+
+    def test_connection_close_after_the_open_check(self, conn):
+        """A close landing just after the fetch's open check, before it
+        reads the rows, is an InterfaceError too — not "no result set",
+        and not an empty answer."""
+        cur = conn.cursor().execute("select sale_id from sales")
+        check = cur._check_open
+
+        def check_then_close():
+            check()
+            conn.close()
+
+        cur._check_open = check_then_close
+        with pytest.raises(InterfaceError, match="closed"):
+            cur.fetchall()
+
     def test_rollback_not_supported(self, conn):
         with pytest.raises(NotSupportedError):
             conn.rollback()

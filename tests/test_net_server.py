@@ -286,6 +286,21 @@ class TestCursorParity:
             with pytest.raises(InterfaceError, match="closed"):
                 call()
 
+    def test_close_inside_a_fetch(self, any_cursor):
+        """A close landing inside a fetch (as from another thread) ends
+        it with InterfaceError on both transports: the pull finds the
+        cursor reset and says so instead of using the dropped handle."""
+        cur = any_cursor.execute("select x from t where x < 20")
+        pull = cur._pull
+
+        def closing_pull():
+            cur.close()
+            return pull()
+
+        cur._pull = closing_pull
+        with pytest.raises(InterfaceError, match="cursor is closed"):
+            cur.fetchall()
+
     def test_failed_execute_clears_previous_rows(self, any_cursor):
         cur = any_cursor.execute("select x from t where x < 20")
         cur.fetchone()

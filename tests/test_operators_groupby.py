@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InterpreterError
@@ -22,6 +22,7 @@ from repro.mal.operators.groupby import (
     group_derive,
     group_extents,
     group_new,
+    rank,
 )
 from repro.storage.bat import BAT, Dense
 
@@ -173,3 +174,69 @@ def test_derive_equals_pairwise_grouping(k1):
         else:
             pair_to_id[(a, b)] = gid
     assert len(set(pair_to_id.values())) == len(pair_to_id)
+
+
+# ---------------------------------------------------------------------------
+# The rank helper equals np.unique's inverse, whichever path it takes
+# ---------------------------------------------------------------------------
+_INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+@st.composite
+def _rank_input(draw):
+    """Values of every kind group ids are taken over: integers signed or
+    unsigned with a narrow or a wide range, one-character and wider
+    strings, datetimes with NaT, floats with NaN; empty included."""
+    kind = draw(st.sampled_from(["int", "U1", "U10", "M8", "f8"]))
+    size = dict(max_size=40)
+    if kind == "int":
+        dtype = np.dtype(draw(st.sampled_from(
+            ["i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8"])))
+        info = np.iinfo(dtype)
+        lo = draw(st.integers(int(info.min), int(info.max)))
+        width = draw(st.one_of(st.integers(0, 200),
+                               st.just(int(info.max))))
+        return np.asarray(draw(st.lists(st.integers(
+            lo, min(lo + width, int(info.max))), **size)), dtype=dtype)
+    if kind in ("U1", "U10"):
+        return np.asarray(draw(st.lists(st.text(
+            max_size=int(kind[1:])), **size)), dtype="<" + kind)
+    if kind == "M8":
+        # The int64 minimum is NaT; its neighbour is a real (far) date.
+        day = draw(st.sampled_from([
+            st.integers(-50, 50),
+            st.one_of(st.integers(-50, 50), st.just(_INT64_MIN)),
+            st.sampled_from([_INT64_MIN, _INT64_MIN + 1])]))
+        return np.asarray(draw(st.lists(day, **size)),
+                          dtype=np.int64).view("M8[D]")
+    return np.asarray(draw(st.lists(st.one_of(
+        st.floats(-3, 3), st.just(float("nan"))), **size)), dtype="f8")
+
+
+@given(_rank_input())
+@example(np.array([-100, 0, 50] * 14, dtype=np.int8))  # offsets past int8
+@settings(max_examples=300)
+def test_rank_equals_unique_inverse(values):
+    want = np.unique(values, return_inverse=True)[1]
+    got = rank(values)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(
+    k1=st.lists(st.sampled_from("ARN"), max_size=60),
+    k2=st.lists(st.sampled_from("FO"), max_size=60),
+)
+@settings(max_examples=50)
+def test_one_char_group_ids_are_the_sorted_value_order(k1, k2):
+    """q01's grouping (returnflag, linestatus): ids number the distinct
+    pairs in sorted-value order, so group order and results are as a
+    sort would give them."""
+    n = min(len(k1), len(k2))
+    a = np.asarray(k1[:n], dtype="<U1")
+    b = np.asarray(k2[:n], dtype="<U1")
+    ids = group_derive(None, group_new(None, dense_bat(a)),
+                       dense_bat(b)).tail_values()
+    pairs = sorted(set(zip(a.tolist(), b.tolist())))
+    assert ids.tolist() == [pairs.index(p) for p in zip(a.tolist(),
+                                                        b.tolist())]

@@ -172,3 +172,86 @@ def test_semijoin_sorted_heads_match_isin(lset, rset, dense):
     assert out.head_values().tolist() == heads.tolist()
     assert out.tail_values().dtype == tails.dtype
     assert out.tail_values().tolist() == tails.tolist()
+
+
+# ---------------------------------------------------------------------------
+# The positional path over a dense-headed left operand equals np.isin
+# ---------------------------------------------------------------------------
+#: R head arrays: unsorted, duplicated, out of L's range or empty, in
+#: every integer width an oid can arrive in — plus float oids, which
+#: take the np.isin fallback, and dense (void) heads.
+_INT_OIDS = st.tuples(
+    st.lists(st.integers(min_value=-5, max_value=70), max_size=40),
+    st.sampled_from(["i8", "i4", "i1", "u1", "u2", "u4", "u8"]),
+).map(lambda t: np.asarray([v for v in t[0] if t[1][0] == "i" or v >= 0],
+                           dtype=t[1]))
+_SORTED_OIDS = st.sets(st.integers(min_value=0, max_value=70),
+                       max_size=40).map(lambda s: np.array(sorted(s),
+                                                           dtype=np.int64))
+_FLOAT_OIDS = st.lists(st.integers(min_value=-5, max_value=70),
+                       max_size=40).map(lambda v: np.asarray(v, np.float64))
+_DENSE_OIDS = st.tuples(st.integers(min_value=-5, max_value=70),
+                        st.integers(min_value=0, max_value=30)
+                        ).map(lambda t: Dense(*t))
+
+
+@st.composite
+def _dense_left(draw):
+    """A dense-headed L, hseqbase often not 0, with its own lineage."""
+    base = draw(st.integers(min_value=0, max_value=40))
+    n = draw(st.integers(min_value=0, max_value=40))
+    tail = draw(st.sampled_from([
+        np.arange(n) * 1.5, np.arange(n).astype("U3")]))
+    return BAT(Dense(base, n), tail, owned_nbytes=0,
+               subset_chain=draw(st.sampled_from([(), (3, 4)])),
+               tail_sorted=draw(st.booleans()))
+
+
+def _assert_subset(out, l, mask):
+    """*out* is ``l``'s rows under *mask*, recorded as boolean-mask
+    indexing records them."""
+    ref = BAT.materialized(l.head_values()[mask], l.tail_values()[mask],
+                           subset_parent=l, tail_sorted=l.tail_sorted)
+    for got, want in ((out.head, ref.head), (out.tail, ref.tail)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert out.tail_sorted == ref.tail_sorted
+    assert out.subset_chain == ref.subset_chain
+    assert out.owned_nbytes == ref.owned_nbytes
+
+
+@given(l=_dense_left(),
+       rh=st.one_of(_INT_OIDS, _SORTED_OIDS, _FLOAT_OIDS, _DENSE_OIDS))
+@settings(max_examples=200)
+def test_dense_semijoin_and_kdifference_equal_isin(l, rh):
+    r = BAT(rh, np.zeros(len(rh)), owned_nbytes=0)
+    found = np.isin(l.head_values(), r.head_values())
+    semi = algebra_semijoin(None, l, r)
+    _assert_subset(semi, l, found)
+    _assert_subset(algebra_kdifference(None, l, r), l, ~found)
+    # R's own head array is the answer's head exactly when it owns its
+    # buffer, is an oid array and every one of its oids names a row of
+    # L once, in order; no answer pins another array's buffer.
+    own = isinstance(rh, np.ndarray) and rh.base is None \
+        and rh.dtype == np.int64 and len(semi) == len(rh) \
+        and bool(np.all(rh[1:] > rh[:-1]))
+    assert (semi.head is rh) == own
+    assert semi.head.base is None
+
+
+def test_dense_paths_never_expand_a_dense_head(monkeypatch):
+    """Over a persistent (void-headed) L, semijoin and kdifference cost
+    O(|R|) and O(|L|) array work: L's head is never materialised."""
+    l = BAT.persistent("t.x", np.arange(100) * 2.0, sources=frozenset({"t"}),
+                       hseqbase=10)
+    r = bat(np.array([99, 12, 130, 12, 50], dtype=np.int64), np.zeros(5))
+
+    def no_expansion(self):
+        raise AssertionError("a dense head was expanded")
+
+    monkeypatch.setattr(Dense, "materialize", no_expansion)
+    semi = algebra_semijoin(None, l, r)
+    assert semi.head.tolist() == [12, 50, 99]
+    assert semi.tail.tolist() == [4.0, 80.0, 178.0]
+    anti = algebra_kdifference(None, l, r)
+    assert len(anti) == 97 and 12 not in anti.head.tolist()

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BatTypeError
 from repro.mal.operators.selection import (
+    _subset,
     algebra_inselect,
     algebra_likeselect,
     algebra_notlikeselect,
@@ -148,3 +149,65 @@ def test_sorted_select_equals_scan_select(values):
     sorted_out = algebra_select(None, make_bat(arr, True), 5, 20, True, True)
     scan_out = algebra_select(None, make_bat(arr, False), 5, 20, True, True)
     assert np.array_equal(sorted_out.tail_values(), scan_out.tail_values())
+
+
+# ---------------------------------------------------------------------------
+# Positional subsets equal boolean-mask indexing
+# ---------------------------------------------------------------------------
+@st.composite
+def _masked_bat(draw):
+    """A BAT with a dense head (hseqbase often not 0) or a materialised
+    one, a tail of some dtype, its own lineage, and a row mask."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    if draw(st.booleans()):
+        head = Dense(draw(st.integers(min_value=0, max_value=1000)), n)
+    else:
+        head = np.asarray(draw(st.lists(
+            st.integers(min_value=0, max_value=500), min_size=n,
+            max_size=n)), dtype=np.int64)
+    tail = draw(st.sampled_from([
+        np.arange(n) * 0.5, np.arange(n).astype("U4"),
+        np.arange(n) % 3 == 0,
+        np.datetime64("1998-01-01") + np.arange(n).astype("m8[D]")]))
+    bat = BAT(head, tail, owned_nbytes=0,
+              subset_chain=draw(st.sampled_from([(), (7,)])),
+              tail_sorted=draw(st.booleans()))
+    mask = np.asarray(draw(st.lists(st.booleans(), min_size=n,
+                                    max_size=n)), dtype=bool)
+    return bat, mask
+
+
+@given(_masked_bat())
+@example((BAT(np.arange(40, dtype=np.int64) * 3, np.arange(40) * 0.5,
+              owned_nbytes=0), np.arange(40) != 7))   # 39 of 40 qualify
+@example((BAT(Dense(5, 40), np.arange(40).astype("U4"), owned_nbytes=0),
+          np.arange(40) != 7))
+@settings(max_examples=150)
+def test_subset_equals_mask_indexing(case):
+    bat, mask = case
+    out = _subset(bat, mask)
+    ref = BAT.materialized(bat.head_values()[mask], bat.tail_values()[mask],
+                           sources=bat.sources, subset_parent=bat,
+                           tail_sorted=bat.tail_sorted)
+    for got, want in ((out.head, ref.head), (out.tail, ref.tail)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert out.tail_sorted == ref.tail_sorted
+    assert out.subset_chain == ref.subset_chain
+    assert out.owned_nbytes == ref.owned_nbytes
+
+
+def test_mask_selections_never_expand_a_dense_head(monkeypatch):
+    """Over a persistent (void-headed) column a mask selection fetches
+    heads by position: the dense head is never materialised."""
+    col = BAT.persistent("t.x", np.array([4, 1, 4, 2, 4]),
+                         sources=frozenset({"t"}), hseqbase=100)
+
+    def no_expansion(self):
+        raise AssertionError("a dense head was expanded")
+
+    monkeypatch.setattr(Dense, "materialize", no_expansion)
+    out = algebra_uselect(None, col, 4)
+    assert out.head.tolist() == [100, 102, 104]
+    assert out.tail.tolist() == [4, 4, 4]
+    assert algebra_select(None, col, 2, 3).head.tolist() == [103]
