@@ -16,6 +16,7 @@ from repro.core.pool import (
     RecyclePool,
     Signature,
     first_bat_token,
+    source_tables,
 )
 from repro.errors import RecyclerError
 
@@ -29,7 +30,8 @@ def check_pool(pool: RecyclePool) -> None:
     books, the token index, the consumer index
     and the dependency counts derived from it (with their resident /
     spilled split), the leaf and demotable sets, the subsumption buckets,
-    and the disk-tier contract — every spilled entry has an image, every
+    the by-table book (contents and admission order), and the
+    disk-tier contract — every spilled entry has an image, every
     image belongs to a pooled entry (a resident one is listed in
     ``resident_images``), the store's bytes are the sum of its images and
     its directory holds exactly their files.  Caller holds the pool lock.
@@ -164,6 +166,17 @@ def check_pool(pool: RecyclePool) -> None:
             if len(recorded) != len(bucket) or \
                     any(e not in recorded for e in bucket):
                 problems.append(f"bucket {key} contents drift")
+
+    # --- by-table book: every source table, in admission order ---
+    true_tables: Dict[str, List[RecycleEntry]] = {}
+    for e in entries:
+        for table in source_tables(e.value):
+            true_tables.setdefault(table, []).append(e)
+    recorded_tables = {t: list(book) for t, book in pool.by_table.items()}
+    if true_tables != recorded_tables:
+        drifted = [t for t in set(true_tables) | set(recorded_tables)
+                   if true_tables.get(t) != recorded_tables.get(t)]
+        problems.append(f"by-table book drift on tables {sorted(drifted)}")
 
     if problems:
         raise RecyclerError(

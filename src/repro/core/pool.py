@@ -69,6 +69,15 @@ def make_signature(opname: str, args: Iterable[Any]) -> Signature:
     return (opname,) + tuple(arg_identity(a) for a in args)
 
 
+def source_tables(value: Any) -> Set[str]:
+    """The tables a pooled value (BAT or spill stub) was derived from.
+
+    Derived on each use, never stored: a set that dies at once costs the
+    garbage collector nothing, where one kept per entry made it run more
+    often under a large pool."""
+    return {t for t, _c, _v in value.sources}
+
+
 def first_bat_token(sig: Signature) -> Optional[int]:
     """The token of the signature's first BAT argument — the key of its
     subsumption bucket (§5)."""
@@ -181,6 +190,10 @@ class RecyclePool:
         #: entries with no resident dependents (demotion candidates).
         self.leaf_sigs: Dict[Signature, RecycleEntry] = {}
         self.demotable_sigs: Dict[Signature, RecycleEntry] = {}
+        #: table -> the entries with a source in it, in admission order:
+        #: what a write to the table must visit (§6.4 invalidates by
+        #: table).
+        self.by_table: Dict[str, Dict[RecycleEntry, None]] = {}
         #: The disk tier, attached by the recycler when spilling is
         #: configured; None keeps the classic single-tier behaviour.
         self.spill: Optional[SpillStore] = None
@@ -208,6 +221,11 @@ class RecyclePool:
         is appended when admitted and re-appended when re-keyed)."""
         with self.lock:
             return list(self.by_sig.values())
+
+    def table_entries(self, table: str) -> List[RecycleEntry]:
+        """The entries with a source in *table*, in admission order."""
+        with self.lock:
+            return list(self.by_table.get(table, ()))
 
     def lookup(self, sig: Signature) -> Optional[RecycleEntry]:
         with self.lock:
@@ -251,6 +269,11 @@ class RecyclePool:
             if first is not None:
                 self.by_op_arg.setdefault(
                     (entry.opname, first), []).append(entry)
+            for table in source_tables(entry.value):
+                book = self.by_table.get(table)
+                if book is None:
+                    book = self.by_table[table] = {}
+                book[entry] = None
             for t in entry.arg_tokens:
                 consumers = self.consumers.get(t)
                 if consumers is None:
@@ -326,6 +349,11 @@ class RecyclePool:
                     pass
                 if not bucket:
                     del self.by_op_arg[(entry.opname, first)]
+        for table in source_tables(entry.value):
+            book = self.by_table[table]
+            del book[entry]
+            if not book:
+                del self.by_table[table]
         spilled = entry.is_spilled
         for t in entry.arg_tokens:
             consumers = self.consumers[t]
@@ -497,6 +525,7 @@ class RecyclePool:
             self.by_sig.clear()
             self.by_token.clear()
             self.by_op_arg.clear()
+            self.by_table.clear()
             self.leaf_sigs.clear()
             self.demotable_sigs.clear()
             self.consumers.clear()

@@ -64,7 +64,7 @@ def propagate_append(recycler, catalog, delta: TableDelta) -> int:
         return 0
     pool = recycler.pool
     propagated = 0
-    for entry in list(pool.entries()):
+    for entry in pool.table_entries(delta.table):
         if not _is_select_over_bind(entry, delta.table):
             continue
         value: BAT = entry.value

@@ -746,14 +746,16 @@ class Recycler:
         eligible select intermediates are refreshed in place first
         (§6.3).  Then every entry with a source ``(table, column,
         version)`` whose version is not the catalogue's current one goes
-        (§6.4); a dropped table has no current version.  The table
-        decides which versions a change bumps (all columns on insert and
-        delete, one on an update), so the rule needs no delta.  Spilled
-        entries take part through their stubs' ``sources``.  Stale sets
-        are dependency-closed: dependents inherit their producers'
-        sources.  Runs under the pool lock — the caller holds the table's
-        write lock (or the DDL lock), so no new derivation from this
-        table can race the sweep (see :mod:`repro.server.locks`).
+        (§6.4); a dropped table has no current version.  Only the
+        table's own entries are visited (the pool's ``by_table`` book).
+        The table decides which versions a change bumps (all columns on
+        insert and delete, one on an update), so the rule needs no delta.
+        Spilled entries take part through their stubs' ``sources``.
+        Stale sets are dependency-closed: dependents inherit their
+        producers' sources.  Runs under the pool lock — the caller holds
+        the table's write lock (or the DDL lock), so no new derivation
+        from this table can race the sweep (see
+        :mod:`repro.server.locks`).
         Returns the number of invalidated entries.
         """
         with self.pool.lock:
@@ -764,7 +766,7 @@ class Recycler:
             current = (catalog.table(table).versions
                        if catalog.has_table(table) else {})
             stale = []
-            for entry in self.pool.entries():
+            for entry in self.pool.table_entries(table):
                 for t, c, v in entry.value.sources:
                     if t == table and current.get(c) != v:
                         stale.append(entry)

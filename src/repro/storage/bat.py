@@ -185,7 +185,7 @@ class BAT:
             sources=sources,
             subset_chain=(
                 subset_parent.subset_chain + (subset_parent.token,)
-                if subset_parent
+                if subset_parent is not None
                 else ()
             ),
             tail_sorted=tail_sorted,

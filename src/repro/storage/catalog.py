@@ -47,6 +47,51 @@ class ForeignKey:
     pk_column: str
 
 
+def _key_table(pk_vals: np.ndarray) -> Optional[Tuple[int, np.ndarray]]:
+    """``(lo, table)`` with ``table[k - lo]`` the oid of primary key *k*
+    and ``table[-1] == -1``, when the keys are unique integers (cast
+    safely to int64) whose range is at most 4 x their number; else None.
+    """
+    if (not len(pk_vals) or pk_vals.dtype.kind not in "iu"
+            or not np.can_cast(pk_vals.dtype, np.int64)):
+        return None
+    lo, hi = int(pk_vals.min()), int(pk_vals.max())
+    span = hi - lo + 1
+    if span > 4 * len(pk_vals):
+        return None
+    table = np.full(span + 1, -1, dtype=np.int64)
+    table[pk_vals.astype(np.int64, copy=False) - lo] = np.arange(
+        len(pk_vals))
+    if np.count_nonzero(table >= 0) != len(pk_vals):
+        return None                     # duplicate keys
+    return lo, table
+
+
+def _join_targets(fk_vals: np.ndarray, pk_vals: np.ndarray) -> np.ndarray:
+    """The oid of the primary key equal to each foreign key, -1 where none
+    is (the first such oid when keys repeat).
+
+    Dense integer keys (TPC-H's are 0..n-1) take one lookup in a table
+    indexed by key; others binary-search the sorted primary keys.
+    """
+    keyed = _key_table(pk_vals)
+    if keyed is not None and fk_vals.dtype.kind in "iu" \
+            and np.can_cast(fk_vals.dtype, np.int64):
+        lo, table = keyed
+        span = len(table) - 1
+        offsets = fk_vals.astype(np.int64, copy=False) - lo
+        # Out of range (a wrapped difference included) -> the -1 slot.
+        offsets[(offsets < 0) | (offsets >= span)] = span
+        return table[offsets]
+    if not len(pk_vals):
+        return np.full(len(fk_vals), -1, dtype=np.int64)
+    order = np.argsort(pk_vals, kind="stable")
+    # Each fk value binary-searches the sorted pk column.
+    pos = np.searchsorted(pk_vals[order], fk_vals)
+    tgt = order[np.clip(pos, 0, len(pk_vals) - 1)]
+    return np.where(pk_vals[tgt] == fk_vals, tgt, -1).astype(np.int64)
+
+
 class Catalog:
     """Registry of tables and foreign keys for one database."""
 
@@ -163,17 +208,8 @@ class Catalog:
         cached = self._idx_cache.get(fk.name)
         if cached is not None and cached[0] == fk_ver and cached[1] == pk_ver:
             return cached[2]
-        fk_vals = fk_tab.column_array(fk.fk_column)
-        pk_vals = pk_tab.column_array(fk.pk_column)
-        order = np.argsort(pk_vals, kind="stable")
-        if len(pk_vals):
-            # Each fk value binary-searches the sorted pk column.
-            pos = np.searchsorted(pk_vals[order], fk_vals)
-            tgt = order[np.clip(pos, 0, len(pk_vals) - 1)]
-            target = np.where(pk_vals[tgt] == fk_vals, tgt,
-                              -1).astype(np.int64)
-        else:
-            target = np.full(len(fk_vals), -1, dtype=np.int64)
+        target = _join_targets(fk_tab.column_array(fk.fk_column),
+                              pk_tab.column_array(fk.pk_column))
         sources = frozenset({
             fk_tab.source_key(fk.fk_column),
             pk_tab.source_key(fk.pk_column),

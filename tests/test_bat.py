@@ -121,6 +121,20 @@ class TestSubsetLineage:
         b = BAT.from_tail([2])
         assert not a.row_subset_of(b.token)
 
+    def test_subset_of_empty_operand_keeps_lineage(self):
+        # An empty BAT is falsy by length; its subsets are still subsets.
+        from repro.mal.operators.joins import algebra_semijoin
+        from repro.mal.operators.selection import algebra_select
+
+        empty = BAT.from_tail(np.empty(0, dtype=np.int64))
+        sel = algebra_select(None, empty, 1, 5)
+        assert sel.subset_chain == (empty.token,)
+        semi = algebra_semijoin(None, empty, BAT.from_tail(np.arange(3)))
+        assert semi.subset_chain == (empty.token,)
+        child = BAT.materialized(Dense(0, 0), np.empty(0),
+                                 subset_parent=empty)
+        assert child.row_subset_of(empty.token)
+
     def test_views_carry_chain(self):
         base = BAT.from_tail(np.arange(4))
         child = BAT.materialized(Dense(0, 2), np.arange(2),

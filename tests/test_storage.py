@@ -45,6 +45,43 @@ class TestTable:
         cat.insert("t", {"k": [0], "v": [0.0]})  # breaks sortedness
         assert not cat.bind("t", "k").tail_sorted
 
+    def test_sorted_detection_compares_neighbours(self):
+        # A difference wraps for unsigned integers and is != for bools.
+        t = Table("t", {"b": np.array([True, False, True]),
+                        "u": np.array([3, 1, 2], dtype=np.uint32),
+                        "w": np.array([0, 5, 2**32 - 1], dtype=np.uint32)})
+        assert not t.column_sorted("b")
+        assert not t.column_sorted("u")
+        assert t.column_sorted("w")
+        assert not Table("t", {"v": np.r_[np.arange(10**5), 0]}
+                         ).column_sorted("v")
+
+    def test_range_count_over_unsigned_column(self):
+        from repro import Database
+
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 1000, 200).astype(np.uint32)
+        db = Database(recycle=False)
+        db.create_table("t", {"a": "uint32"}, {"a": a})
+        for _ in range(20):
+            lo, hi = sorted(int(x) for x in rng.integers(0, 1000, 2))
+            got = db.execute("select count(*) from t where a >= :lo and "
+                             "a <= :hi", {"lo": lo, "hi": hi}).value.rows()
+            assert got == [(int(((a >= lo) & (a <= hi)).sum()),)]
+
+    def test_sorted_cache_keeps_one_key_per_column(self):
+        cat = make_catalog()
+        t = cat.table("t")
+        for i in range(50):
+            cat.insert("t", {"k": [i], "v": [0.5]})
+            assert not t.column_sorted("k")   # 0..9, then 0, 1, ...
+            t.column_sorted("v")
+        cat.update_column("t", "v", [0], [2.0])
+        t.column_sorted("v")
+        assert len(t._sorted_cache) <= 2
+        assert set(t._sorted_cache) <= {("k", t.versions["k"]),
+                                        ("v", t.versions["v"])}
+
     def test_insert_validates_columns(self):
         cat = make_catalog()
         with pytest.raises(UpdateError):
