@@ -2,9 +2,11 @@
 """Timing-free capacity counters of the recycler on the smoke stream.
 
 Plays the seed-77 smoke statement stream of ``perf/run.py``, cut at
-400 statements the way ``run.py`` cuts it, under three capacity
+400 statements the way ``run.py`` cuts it, under four capacity
 configurations:
 
+* ``keepall`` — unlimited, no DML: every warm statement is a run of
+  exact hits, which is where the top-down pool probe books the most;
 * ``bytes_spill`` — ``max_bytes`` 1 MiB with a spill tier (quota 2 MiB)
   and the spill store's clock pinned at 0, so demotion never depends on
   measured I/O;
@@ -14,7 +16,8 @@ configurations:
 
 For each it checks the pool invariants and prints, as one JSON object
 on the last line, every integer field of ``recycler.totals`` plus a
-digest of the final pool order as ``(opname, seq, tier)``.  No field
+digest of the final pool order as ``(opname, seq, tier, local_reuses,
+global_reuses, subsumed_reuses)``.  No field
 depends on a measured time, so the output is exact::
 
     PYTHONHASHSEED=0 python3 scripts/capacity_counters.py
@@ -65,6 +68,8 @@ def _engine(config: str, spill_dir: str) -> repro.Database:
         db.recycler.spill.clock = lambda: 0.0
     elif config == "entries":
         db = repro.Database(max_entries=300)
+    elif config == "keepall":
+        db = repro.Database()
     else:
         db = repro.Database(propagate_selects=True)
     load_tpch(db, sf=SMOKE.sf, seed=TPCH_DATA_SEED)
@@ -97,7 +102,9 @@ def play(config: str, stream) -> dict:
         out = {f.name: getattr(totals, f.name)
                for f in dataclasses.fields(totals)
                if isinstance(getattr(totals, f.name), int)}
-        order = [(e.opname, e.seq, e.state) for e in db.recycler.pool.entries()]
+        order = [(e.opname, e.seq, e.state, e.local_reuses,
+                  e.global_reuses, e.subsumed_reuses)
+                 for e in db.recycler.pool.entries()]
         out["pool_entries"] = len(order)
         out["pool_order_sha256"] = hashlib.sha256(
             json.dumps(order).encode()).hexdigest()
@@ -111,7 +118,8 @@ def main() -> int:
     stream = make_stream(SEED, N_STATEMENTS, sky_spec_ids(SMOKE),
                          SMOKE.sf)[:N_STATEMENTS]
     print(json.dumps({config: play(config, stream)
-                      for config in ("bytes_spill", "entries", "propagate")},
+                      for config in ("keepall", "bytes_spill", "entries",
+                                     "propagate")},
                      sort_keys=True))
     return 0
 
