@@ -24,15 +24,25 @@ progress guarantee in ``Recycler._ensure_capacity_locked``, pinned by
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+import operator
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.pool import RecycleEntry
 
 
 class EvictionPolicy:
-    """Chooses leaves to evict given the resource pressure."""
+    """Chooses leaves to evict given the resource pressure.
+
+    ``leaf_key``, when set, is the order :meth:`pick` uses under entry
+    pressure alone (``need_bytes <= 0``): the smallest ``(leaf_key(e),
+    seq)`` first.  It must change only when an entry is reused; the pool
+    then keeps its leaves in that order (:class:`~repro.core.pool.
+    LeafOrder`) and the recycler pops victims from it instead of calling
+    :meth:`pick`.
+    """
 
     name = "base"
+    leaf_key: Optional[Callable[[RecycleEntry], float]] = None
 
     def pick(self, leaves: Sequence[RecycleEntry], need_bytes: int,
              need_entries: int, now: float) -> List[RecycleEntry]:
@@ -62,6 +72,7 @@ class LruEviction(EvictionPolicy):
     """Evict the least recently used leaves."""
 
     name = "lru"
+    leaf_key = operator.attrgetter("last_used")
 
     def pick(self, leaves, need_bytes, need_entries, now):
         if need_bytes <= 0 and need_entries <= 1:
@@ -186,13 +197,17 @@ class BenefitEviction(_CostBasedEviction):
     """BP: evict the leaves contributing least ``Cost * Weight``."""
 
     name = "bp"
+    leaf_key = staticmethod(benefit)
 
     def _benefit(self, entry: RecycleEntry, now: float) -> float:
         return benefit(entry)
 
 
 class HistoryEviction(_CostBasedEviction):
-    """HP: BP aged by time since admission (Watchman-style profit)."""
+    """HP: BP aged by time since admission (Watchman-style profit).
+
+    Its key reorders as time passes, so no static order holds: HP keeps
+    the scan over every leaf."""
 
     name = "hp"
 

@@ -27,9 +27,10 @@ def check_pool(pool: RecyclePool) -> None:
     Checked: the value's token against the admitted result token (promotion
     swaps the value) and the de-duplicated operands of every entry, the
     admission order of the signature index, the per-tier byte
-    books, the token index, the consumer index
+    books, the token index, the lineage book, the consumer index
     and the dependency counts derived from it (with their resident /
-    spilled split), the leaf and demotable sets, the subsumption buckets,
+    spilled split), the leaf and demotable sets and the leaf order, the
+    subsumption buckets,
     the by-table book (contents and admission order), and the
     disk-tier contract — every spilled entry has an image, every
     image belongs to a pooled entry (a resident one is listed in
@@ -147,6 +148,9 @@ def check_pool(pool: RecyclePool) -> None:
                 f"{len(true)} recomputed"
             )
 
+    if pool.leaf_order is not None:
+        problems.extend(pool.leaf_order.problems(pool.leaf_sigs))
+
     # --- subsumption buckets ---
     true_buckets: Dict[Tuple[str, int], List[RecycleEntry]] = {}
     for e in entries:
@@ -166,6 +170,15 @@ def check_pool(pool: RecyclePool) -> None:
             if len(recorded) != len(bucket) or \
                     any(e not in recorded for e in bucket):
                 problems.append(f"bucket {key} contents drift")
+
+    # --- lineage book: pooled entries, each under its own key ---
+    for e in pool.by_lineage.values():
+        if pool.by_sig.get(e.sig) is not e:
+            problems.append(f"lineage book holds unpooled {e.opname}")
+        elif e.lineage is None or pool.by_lineage.get(e.lineage) is not e:
+            problems.append(f"lineage book key of {e.opname} is not its own")
+    if len(set(pool.by_lineage.values())) != len(pool.by_lineage):
+        problems.append("lineage book holds an entry under two keys")
 
     # --- by-table book: every source table, in admission order ---
     true_tables: Dict[str, List[RecycleEntry]] = {}

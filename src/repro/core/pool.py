@@ -32,11 +32,12 @@ Eviction-candidate lists are ordered by admission sequence number.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RecyclerError
 from repro.storage.bat import BAT
@@ -115,6 +116,9 @@ class RecycleEntry:
     dependents: int = 0              # pool entries consuming our result
     spilled_dependents: int = 0      # ... of which currently on disk
     seq: int = 0                     # pool admission order
+    #: The lineage key the entry is booked under in
+    #: :attr:`RecyclePool.by_lineage` (None: found by signature only).
+    lineage: Optional[Tuple] = None
     #: The result token (a demoted entry's stub carries the same one).
     result_token: int = field(init=False, repr=False)
 
@@ -157,6 +161,76 @@ class RecycleEntry:
         return getattr(self.value, "persistent_name", None) is not None
 
 
+class LeafOrder:
+    """The pool's leaves in an eviction policy's order: ``(key(entry),
+    seq)``, smallest first — exactly the order in which the policy's scan
+    (a ``min``/stable sort over the leaves in admission order) picks
+    them.  A heap with lazy deletion: a leaf whose key changed is pushed
+    again, and stale items are skipped when popped.  Only for keys that
+    change when the entry is reused and at no other time (LRU's last use,
+    BP's benefit)."""
+
+    def __init__(self, key: Callable[[RecycleEntry], float],
+                 leaves: Iterable[RecycleEntry] = ()):
+        self.key = key
+        self._tie = itertools.count()
+        #: Leaf -> its live heap item ``(key, seq, tie, entry)``.
+        self.live: Dict[RecycleEntry, Tuple] = {}
+        self._heap: List[Tuple] = []
+        for entry in leaves:
+            self.push(entry)
+
+    def push(self, entry: RecycleEntry) -> None:
+        """(Re)insert a leaf under its current key."""
+        item = (self.key(entry), entry.seq, next(self._tie), entry)
+        self.live[entry] = item
+        heapq.heappush(self._heap, item)
+        if len(self._heap) > 2 * len(self.live) + 64:
+            self._heap = list(self.live.values())
+            heapq.heapify(self._heap)
+
+    def update(self, entry: RecycleEntry) -> None:
+        """Re-key *entry* after a reuse, if it is a leaf."""
+        if entry in self.live:
+            self.push(entry)
+
+    def discard(self, entry: RecycleEntry) -> None:
+        self.live.pop(entry, None)
+
+    def pop(self, n: int, protected: Set[Signature]) -> List[RecycleEntry]:
+        """Take the first *n* leaves whose signature is not *protected*
+        out of the order (the caller evicts them)."""
+        out: List[RecycleEntry] = []
+        held: List[Tuple] = []
+        heap, live = self._heap, self.live
+        while heap and len(out) < n:
+            item = heapq.heappop(heap)
+            entry = item[3]
+            if live.get(entry) is not item:
+                continue  # stale: re-keyed, or no longer a leaf
+            if entry.sig in protected:
+                held.append(item)
+                continue
+            del live[entry]
+            out.append(entry)
+        for item in held:
+            heapq.heappush(heap, item)
+        return out
+
+    def problems(self, leaves: Dict[Signature, RecycleEntry]) -> List[str]:
+        """How the order disagrees with the leaf set (for the invariant
+        check)."""
+        out = []
+        if set(self.live) != set(leaves.values()):
+            out.append("leaf order does not list exactly the leaves")
+        queued = {id(item) for item in self._heap}
+        for entry, item in self.live.items():
+            if item[:2] != (self.key(entry), entry.seq) \
+                    or id(item) not in queued:
+                out.append(f"leaf order key of {entry.opname} is stale")
+        return out
+
+
 class RecyclePool:
     """Signature-keyed store of :class:`RecycleEntry`, guarded by
     :attr:`lock` (see the module docstring)."""
@@ -179,6 +253,11 @@ class RecyclePool:
         self.spilled_bytes = 0
         #: Result token -> the entry producing it.
         self.by_token: Dict[int, RecycleEntry] = {}
+        #: Lineage key -> the pooled entry most recently booked under it:
+        #: where a warm invocation finds its frontier top-down (see
+        #: :class:`~repro.mal.program.ConePlan`).  Holds pooled entries
+        #: only, so it pins nothing the pool has let go.
+        self.by_lineage: Dict[Tuple, RecycleEntry] = {}
         #: arg-token -> the pool entries consuming it (a producer's
         #: ``dependents`` is the size of its token's set).  Kept even for
         #: tokens whose producer is not (or no longer) pooled: a persistent
@@ -190,6 +269,10 @@ class RecyclePool:
         #: entries with no resident dependents (demotion candidates).
         self.leaf_sigs: Dict[Signature, RecycleEntry] = {}
         self.demotable_sigs: Dict[Signature, RecycleEntry] = {}
+        #: The leaves in the eviction policy's order, kept once the
+        #: recycler first evicts under entry pressure alone
+        #: (:meth:`order_leaves`); None until then.
+        self.leaf_order: Optional[LeafOrder] = None
         #: table -> the entries with a source in it, in admission order:
         #: what a write to the table must visit (§6.4 invalidates by
         #: table).
@@ -256,6 +339,8 @@ class RecyclePool:
             self.by_sig[entry.sig] = entry
             token = entry.result_token
             self.by_token[token] = entry
+            if entry.lineage is not None:
+                self.by_lineage[entry.lineage] = entry
             # Consumers admitted while our token had no pooled producer
             # (possible for stable persistent-bind tokens) count from the
             # start — otherwise their later removal drives us negative.
@@ -283,10 +368,10 @@ class RecyclePool:
                 parent = self.by_token.get(t)
                 if parent is not None:
                     parent.dependents += 1
-                    self.leaf_sigs.pop(parent.sig, None)
+                    self._unset_leaf(parent)
                     self._update_demotable(parent)
             if entry.dependents == 0:
-                self.leaf_sigs[entry.sig] = entry
+                self._set_leaf(entry)
             self._update_demotable(entry)
             self.total_bytes += entry.nbytes
             return True
@@ -317,6 +402,39 @@ class RecyclePool:
                 self._discard(e, skip_parent_tokens=doomed_tokens)
             return len(doomed)
 
+    def _set_leaf(self, entry: RecycleEntry) -> None:
+        self.leaf_sigs[entry.sig] = entry
+        if self.leaf_order is not None:
+            self.leaf_order.push(entry)
+
+    def _unset_leaf(self, entry: RecycleEntry) -> None:
+        self.leaf_sigs.pop(entry.sig, None)
+        if self.leaf_order is not None:
+            self.leaf_order.discard(entry)
+
+    def order_leaves(self, key: Callable[[RecycleEntry], float]
+                     ) -> LeafOrder:
+        """The leaves ordered by *key* (built on first call, then kept up
+        to date).  Caller holds the lock."""
+        if self.leaf_order is None:
+            self.leaf_order = LeafOrder(key, self.leaf_sigs.values())
+        return self.leaf_order
+
+    def book_lineage(self, entry: RecycleEntry, key: Tuple) -> None:
+        """Book the pooled *entry* under lineage *key*, in place of
+        whatever either held before."""
+        with self.lock:
+            if self.by_sig.get(entry.sig) is not entry:
+                return
+            self._unbook_lineage(entry)
+            entry.lineage = key
+            self.by_lineage[key] = entry
+
+    def _unbook_lineage(self, entry: RecycleEntry) -> None:
+        key = entry.lineage
+        if key is not None and self.by_lineage.get(key) is entry:
+            del self.by_lineage[key]
+
     def _update_demotable(self, entry: RecycleEntry) -> None:
         """Re-derive one entry's membership in the demotable set.
 
@@ -336,9 +454,10 @@ class RecyclePool:
     def _discard(self, entry: RecycleEntry,
                  skip_parent_tokens: Optional[Set[int]] = None) -> None:
         del self.by_sig[entry.sig]
-        self.leaf_sigs.pop(entry.sig, None)
+        self._unset_leaf(entry)
         self.demotable_sigs.pop(entry.sig, None)
         self.by_token.pop(entry.result_token, None)
+        self._unbook_lineage(entry)
         first = first_bat_token(entry.sig)
         if first is not None:
             bucket = self.by_op_arg.get((entry.opname, first))
@@ -368,7 +487,7 @@ class RecyclePool:
                 if spilled:
                     parent.spilled_dependents -= 1
                 if parent.dependents == 0:
-                    self.leaf_sigs[parent.sig] = parent
+                    self._set_leaf(parent)
                 self._update_demotable(parent)
         if spilled:
             self.spilled_bytes -= entry.nbytes
@@ -524,9 +643,12 @@ class RecyclePool:
             removed = list(self.by_sig.values())
             self.by_sig.clear()
             self.by_token.clear()
+            self.by_lineage.clear()
             self.by_op_arg.clear()
             self.by_table.clear()
             self.leaf_sigs.clear()
+            if self.leaf_order is not None:
+                self.leaf_order = LeafOrder(self.leaf_order.key)
             self.demotable_sigs.clear()
             self.consumers.clear()
             self.total_bytes = 0

@@ -111,6 +111,9 @@ def _rekey(pool, entry: RecycleEntry, new_sig, bytes_delta: int) -> None:
     """Move *entry* to a new signature after propagation."""
     pool.remove_set([entry])
     entry.sig = new_sig
+    # The lineage key names the old bind token; a warm walk that hits
+    # the entry at a frontier instruction books it under the new one.
+    entry.lineage = None
     entry.nbytes += bytes_delta
     # arg_tokens: the first BAT arg is now the new bind (not pooled; count
     # adjustments for non-pool parents are no-ops).

@@ -71,7 +71,7 @@ from repro.core.subsumption import (
 )
 from repro.errors import SpillError
 from repro.mal.interpreter import ExecutionStats
-from repro.mal.program import Instr, MalProgram
+from repro.mal.program import ConePlan, Instr, MalProgram
 from repro.storage.bat import BAT
 from repro.storage.spill import SpilledStub, SpillStore
 
@@ -153,7 +153,8 @@ class RecyclerTotals:
 class Invocation:
     """Per-invocation recycler state: protection set and statistics."""
 
-    __slots__ = ("id", "program", "stats", "touched")
+    __slots__ = ("id", "program", "stats", "touched", "cones", "params",
+                 "served")
 
     def __init__(self, inv_id: int, program: MalProgram, stats):
         self.id = inv_id
@@ -164,6 +165,14 @@ class Invocation:
         #: lock: the owning session adds while eviction sweeps (other
         #: sessions) read.
         self.touched: Set[Signature] = set()
+        #: The program's cone plan (None on its first invocation) and the
+        #: parameter values in its slot order, set by
+        #: :meth:`Recycler.serve_frontier`.
+        self.cones: Optional[ConePlan] = None
+        self.params: Tuple = ()
+        #: pc -> value of every marked instruction, once the invocation
+        #: has been served from the pool (already booked).
+        self.served: Optional[Dict[int, BAT]] = None
 
 
 class Recycler:
@@ -227,9 +236,112 @@ class Recycler:
                 invocation.touched.clear()
                 self.totals.add(invocation.stats)
 
+    def serve_frontier(self, inv: Invocation, stack: List[Any]) -> bool:
+        """Serve every marked instruction of the invocation from the pool
+        top-down, or nothing (§3.4's bottom-up walk then runs as before).
+
+        Each frontier entry is found by its lineage key and its cone by
+        following signature tokens down ``by_token``.  This is exact: the
+        entry was keyed by a run with the same parameters and leaf
+        tokens, so each signature in its cone is the one that run
+        computed at that instruction, and the walk would compute it again
+        from the same leaves.  So when every marked instruction maps to a
+        resident entry this way — one entry per instruction, each the
+        producer of the token its consumers name — each is booked as the
+        exact hit the walk would have made, in program order, under one
+        hold of the pool lock, and :meth:`recycle_entry` then answers each
+        marked instruction from that booking without touching the pool.
+        Anything else (a missing or spilled entry, a token that leads
+        elsewhere) serves nothing.  Returns whether the invocation was
+        served.
+        """
+        cones = inv.program.warm_cones()
+        if cones is None:
+            return False
+        inv.cones = cones
+        inv.params = params = tuple(stack[v] for v in cones.params)
+        if not cones.fast:
+            return False
+        pool = self.pool
+        with pool.lock:
+            by_sig, by_token = pool.by_sig, pool.by_token
+            leaves = []
+            for sig in cones.leaves:
+                entry = by_sig.get(sig)
+                if entry is None or not isinstance(entry.value, BAT):
+                    return False
+                leaves.append(entry)
+            values = params + tuple(e.result_token for e in leaves)
+            by_lineage, keys = pool.by_lineage, cones.keys
+            found: Dict[int, RecycleEntry] = {}
+            for pc, _var, leaf in cones.frontier:
+                if leaf >= 0:
+                    entry = leaves[leaf]
+                else:
+                    shape, pick, _leaves = keys[pc]
+                    entry = by_lineage.get((shape, pick(values)))
+                    if entry is None or not isinstance(entry.value, BAT):
+                        return False
+                found[pc] = entry
+            for pc, children in cones.walk:
+                entry = found.get(pc)
+                if entry is None:
+                    return False
+                sig = entry.sig
+                for pos, child_pc, leaf, opname in children:
+                    part = sig[pos]
+                    if part[0] != "b":
+                        return False
+                    child = by_token.get(part[1])
+                    if leaf >= 0:
+                        if child is not leaves[leaf]:
+                            return False
+                    elif (child is None or child.opname != opname
+                          or not isinstance(child.value, BAT)):
+                        return False
+                    if found.setdefault(child_pc, child) is not child:
+                        return False
+            if len(found) != len(cones.book):
+                return False
+            self._book_served(inv, [found[pc] for pc, _opdef in cones.book],
+                              cones.n_nonbind)
+        inv.served = {pc: entry.value for pc, entry in found.items()}
+        return True
+
+    def _book_served(self, inv: Invocation, entries: List[RecycleEntry],
+                     n_nonbind: int) -> None:
+        """Book *entries* (in program order) as the resident exact hits
+        :meth:`_book_exact` would book one by one.  Every hit is global:
+        a served invocation has admitted nothing yet.  Caller holds the
+        pool lock."""
+        stats, touched, clock = inv.stats, inv.touched, self.clock
+        on_global_reuse = self.admission.on_global_reuse
+        saved_time, saved_global = stats.saved_time, stats.saved_global
+        for entry in entries:
+            cost = entry.cost
+            entry.last_used = clock()
+            entry.saved_time += cost
+            entry.global_reuses += 1
+            on_global_reuse(entry)
+            saved_time += cost
+            saved_global += cost
+            touched.add(entry.sig)
+        stats.saved_time, stats.saved_global = saved_time, saved_global
+        if self.pool.leaf_order is not None:
+            for entry in entries:
+                self.pool.leaf_order.update(entry)
+        stats.exact_hits += len(entries)
+        stats.global_hits += len(entries)
+        stats.global_hits_nonbind += n_nonbind
+
     def recycle_entry(self, inv: Invocation, instr: Instr, opdef,
                       args: Tuple) -> Optional[BAT]:
-        """Pool lookup (exact, then subsumption).  None means: execute."""
+        """Pool lookup (exact, then subsumption).  None means: execute.
+
+        An instruction of a served invocation (:meth:`serve_frontier`)
+        gets the value booked for it; its *args* are not read."""
+        if inv.served is not None:
+            return inv.served[instr.pc]
         sig = make_signature(instr.opname, args)
         with self.pool.lock:
             entry = self.pool.lookup(sig)
@@ -239,6 +351,13 @@ class Recycler:
                 value, promoted = self._resident(inv, entry)
                 if value is not None:
                     self._book_exact(inv, entry, opdef, promoted)
+                    if inv.cones is not None and instr.pc in inv.cones.keys:
+                        # A frontier entry another program admitted, or
+                        # one admitted before this program was planned.
+                        key = self._lineage(inv, instr.pc)
+                        if (key is not None
+                                and self.pool.by_lineage.get(key) is not entry):
+                            self.pool.book_lineage(entry, key)
                     return value
         if (self.config.subsumption
                 and instr.opname in self.SUBSUMABLE_OPS
@@ -279,6 +398,21 @@ class Recycler:
                 inv.stats.global_hits_nonbind += 1
         inv.touched.add(entry.sig)
 
+    def _lineage(self, inv: Invocation, pc: int) -> Optional[Tuple]:
+        """The lineage key of frontier instruction *pc* in this invocation,
+        or None while a leaf of its cone is not pooled.  Caller holds the
+        pool lock."""
+        cones = inv.cones
+        shape, pick, leaves = cones.keys[pc]
+        values = list(inv.params) + [0] * len(cones.leaves)
+        base = len(inv.params)
+        for i in leaves:
+            entry = self.pool.by_sig.get(cones.leaves[i])
+            if entry is None:
+                return None
+            values[base + i] = entry.result_token
+        return shape, pick(values)
+
     def _record_reuse(self, inv: Invocation, entry: RecycleEntry,
                       subsumed: bool = False,
                       saved: Optional[float] = None) -> bool:
@@ -292,15 +426,18 @@ class Recycler:
         entry.saved_time += entry.cost if saved is None else saved
         if subsumed:
             entry.subsumed_reuses += 1
-        if entry.invocation_id == inv.id:
+        local = entry.invocation_id == inv.id
+        if local:
             entry.local_reuses += 1
             inv.stats.local_hits += 1
             self.admission.on_local_reuse(entry)
-            return True
-        entry.global_reuses += 1
-        inv.stats.global_hits += 1
-        self.admission.on_global_reuse(entry)
-        return False
+        else:
+            entry.global_reuses += 1
+            inv.stats.global_hits += 1
+            self.admission.on_global_reuse(entry)
+        if self.pool.leaf_order is not None:
+            self.pool.leaf_order.update(entry)
+        return local
 
     def _admit(self, inv: Invocation, instr: Instr, opdef, sig: Signature,
                args: Tuple, value: Any, elapsed: float) -> None:
@@ -318,7 +455,8 @@ class Recycler:
             if self._limited:
                 self._ensure_capacity_locked(inv, nbytes)
             now = self.clock()
-            self.pool.add(RecycleEntry(
+            cones = inv.cones
+            entry = RecycleEntry(
                 sig=sig,
                 opname=instr.opname,
                 kind=opdef.kind,
@@ -333,7 +471,11 @@ class Recycler:
                 arg_tokens=tuple(
                     a.token for a in args if isinstance(a, BAT)
                 ),
-            ))
+                lineage=(self._lineage(inv, instr.pc)
+                         if cones is not None and instr.pc in cones.keys
+                         else None),
+            )
+            self.pool.add(entry)
             self.admission.on_admit(key)
             inv.touched.add(sig)
         inv.stats.admissions += 1
@@ -535,7 +677,15 @@ class Recycler:
             # pressure a spilled entry still occupies a cache line, so
             # victims must be destroyed outright.
             byte_mode = nb > 0 and ne <= 0
-            if byte_mode and self.spill is not None and not stalled:
+            indexed = nb <= 0 and self.eviction.leaf_key is not None
+            if indexed:
+                # Entry pressure alone: the policy's order changes only
+                # on reuse, so the pool keeps its leaves in it and the
+                # victims are the first unprotected ones — what pick()'s
+                # scan over every leaf would choose.
+                leaves = self.pool.order_leaves(
+                    self.eviction.leaf_key).pop(ne, protected)
+            elif byte_mode and self.spill is not None and not stalled:
                 # Two-tier byte pressure draws from the demotable set —
                 # resident entries with no *resident* dependents — so a
                 # parent can follow its spilled children to disk and the
@@ -552,7 +702,9 @@ class Recycler:
                     protected = set()
                     continue
                 break
-            if byte_mode and stalled:
+            if indexed:
+                victims = leaves
+            elif byte_mode and stalled:
                 # No-progress fallback (see below): byte-oriented victim
                 # selection found only zero-byte views, so switch to
                 # entry-count eviction — destroying leaves exposes the

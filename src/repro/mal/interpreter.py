@@ -163,11 +163,16 @@ class Interpreter:
 
         started = self.clock()
         try:
-            for pc, instr in enumerate(program.instrs):
-                value = self._step(program, instr, stack, stats, invocation)
-                stack[instr.result] = value
-                for victim in program.free_after.get(pc, ()):
-                    stack[victim] = None
+            if (invocation is not None
+                    and recycler.serve_frontier(invocation, stack)):
+                self._run_served(program, stack, stats, invocation)
+            else:
+                for pc, instr in enumerate(program.instrs):
+                    value = self._step(program, instr, stack, stats,
+                                       invocation)
+                    stack[instr.result] = value
+                    for victim in program.free_after.get(pc, ()):
+                        stack[victim] = None
         finally:
             if recycler is not None:
                 recycler.end_invocation(invocation)
@@ -180,6 +185,26 @@ class Interpreter:
             else None
         )
         return InvocationResult(result, stats)
+
+    def _run_served(self, program: MalProgram, stack: List[Any],
+                    stats: ExecutionStats, invocation) -> None:
+        """Run an invocation whose marked instructions the recycler has
+        served and booked from the pool: each still enters
+        ``recycleEntry``, which returns its pooled value; the unmarked
+        ones above the frontier execute.  Parameter-only scalar
+        expressions that only the served instructions read are skipped.
+        Nothing is freed early: the served values are pooled."""
+        cones = invocation.cones
+        stats.n_marked += len(cones.book)
+        stats.n_marked_nonbind += cones.n_nonbind
+        recycle_entry = self.recycler.recycle_entry
+        for _pc, instr, opdef in cones.steps:
+            if opdef is None:
+                stack[instr.result] = self._step(program, instr, stack,
+                                                 stats, None)
+            else:
+                stack[instr.result] = recycle_entry(invocation, instr,
+                                                    opdef, ())
 
     # ------------------------------------------------------------------
     def _resolve(self, arg, stack):

@@ -14,8 +14,9 @@ the recycler's design leans on the linear, interpretable form of MAL.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import PlanError
 
@@ -104,6 +105,20 @@ class MalProgram:
         #: per-instruction index of the last instruction using each var,
         #: filled in by the garbage-collection optimiser.
         self.free_after: Dict[int, List[int]] = {}
+        self._cones: Optional[ConePlan] = None
+        self._started = False
+
+    def warm_cones(self) -> Optional["ConePlan"]:
+        """The program's recycled frontier and the cones below it — None
+        on the program's first invocation, built on its second.  A
+        statement run once (a preparation run, an ad-hoc query) never pays
+        for the analysis."""
+        if self._cones is None:
+            if not self._started:
+                self._started = True
+                return None
+            self._cones = ConePlan(self)
+        return self._cones
 
     def _validate(self) -> None:
         defined = set(self.params.values())
@@ -140,6 +155,204 @@ class MalProgram:
             f"MalProgram({self.name!r}, {len(self.instrs)} instrs, "
             f"{self.n_marked} marked)"
         )
+
+
+class LineageShape:
+    """The plan-constant half of a lineage key: one cone's instructions in
+    a canonical order, arguments naming constants by value, parameters and
+    leaves by slot, and other cone members by position.  Equal
+    computations in different programs get equal shapes.  The hash is
+    computed once, so a key costs what its slot values cost to hash."""
+
+    __slots__ = ("nodes", "_hash")
+
+    def __init__(self, nodes: Tuple):
+        self.nodes = nodes
+        self._hash = hash(nodes)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, LineageShape) and self._hash == other._hash
+            and self.nodes == other.nodes)
+
+
+def _picker(slots: Tuple[int, ...]):
+    """``vals -> tuple(vals[i] for i in slots)``, at C speed."""
+    if len(slots) >= 2:
+        return operator.itemgetter(*slots)
+    return lambda vals: tuple(vals[i] for i in slots)
+
+
+class ConePlan:
+    """What serving a warm invocation top-down needs; built once per
+    program (:meth:`MalProgram.warm_cones`).
+
+    The *frontier* is every marked instruction whose result leaves the
+    recycled part of the plan: it feeds an instruction that still runs,
+    is the program's result, or feeds nothing.  A frontier instruction's
+    *cone* is itself, the marked instructions below it, and the
+    *transparent* ones they read (unmarked scalar expressions over
+    parameters, as the marking optimiser calls them).  *Leaves* are marked
+    instructions with constant arguments only (``sql.bind``,
+    ``sql.bindidx``): the plan fixes their signature, so the pool finds
+    them by it.
+
+    A lineage key is ``(shape, values)``: the frontier's
+    :class:`LineageShape` and the values of its slots, taken from
+    ``params values + leaf result tokens`` — a parameter by value, a leaf
+    by the token of its pooled entry, which names the table instance and
+    column version.  Building one costs a tuple of the cone's parameters
+    and leaves, however many instructions the cone holds.
+
+    Attributes:
+        params: parameter variables; slot ``i`` is ``params[i]``'s value.
+        leaves: the distinct leaf signatures; slot ``len(params) + j``
+            is the token of ``leaves[j]``'s pooled entry.
+        keys: frontier pc (leaves excluded) -> ``(shape, picker, leaf
+            indices)``; ``picker(values)`` selects the key's slot values.
+        frontier: ``(pc, result variable, leaf index or -1)`` per
+            frontier instruction.
+        walk: marked non-leaf pcs, top-down, each with its marked
+            children as ``(signature position, child pc, leaf index or
+            -1, child opname)``.
+        book: ``(pc, operator definition)`` of every marked
+            instruction, in program order.
+        steps: ``(pc, instruction, operator definition if marked else
+            None)`` of what a served invocation still enters: every
+            instruction but the transparent ones only the cones read.
+        fast: whether the program can be served at all (it has marked
+            instructions, and every cone is built of marked, transparent
+            and leaf instructions over hashable constants).
+    """
+
+    __slots__ = ("params", "leaves", "keys", "frontier", "walk", "book",
+                 "n_nonbind", "steps", "fast")
+
+    def __init__(self, program: MalProgram):
+        from repro.mal.operators import get_op
+
+        instrs = program.instrs
+        self.params = tuple(sorted(program.params.values()))
+        param_slot = {v: i for i, v in enumerate(self.params)}
+        producer: Dict[int, int] = {}
+        consumers: Dict[int, List[int]] = {}
+        fast = True
+        for pc, ins in enumerate(instrs):
+            for v in ins.arg_vars():
+                if v in producer:
+                    consumers.setdefault(producer[v], []).append(pc)
+            if ins.result in producer:
+                fast = False   # a redefined variable: keep to the walk
+            producer[ins.result] = pc
+        kinds = [get_op(ins.opname) for ins in instrs]
+        marked = [pc for pc, ins in enumerate(instrs) if ins.recycle]
+        is_marked = set(marked)
+        transparent: Set[int] = set()
+        for pc, ins in enumerate(instrs):
+            op = kinds[pc]
+            if (not ins.recycle and op.kind == "scalar" and not op.sideeffect
+                    and all(v in param_slot or producer[v] in transparent
+                            for v in ins.arg_vars())):
+                transparent.add(pc)
+
+        leaf_of: Dict[int, int] = {}
+        leaves: Dict[Tuple, int] = {}
+        for pc in marked:
+            args = instrs[pc].args
+            if all(isinstance(a, Const) for a in args):
+                sig = (instrs[pc].opname,) + tuple(("c", a.value)
+                                                   for a in args)
+                try:
+                    leaf_of[pc] = leaves.setdefault(sig, len(leaves))
+                except TypeError:
+                    fast = False
+            elif not all(v in param_slot or producer[v] in is_marked
+                         or producer[v] in transparent
+                         for v in instrs[pc].arg_vars()):
+                fast = False   # reads an unmarked, non-scalar result
+        self.leaves = tuple(leaves)
+
+        skipped = set(is_marked)
+        for pc in reversed(range(len(instrs))):
+            if (pc in transparent and instrs[pc].result != program.result_var
+                    and all(c in skipped for c in consumers.get(pc, ()))):
+                skipped.add(pc)
+        self.steps = tuple((pc, ins, kinds[pc] if ins.recycle else None)
+                           for pc, ins in enumerate(instrs)
+                           if ins.recycle or pc not in skipped)
+        frontier = [
+            pc for pc in marked
+            if instrs[pc].result == program.result_var
+            or not consumers.get(pc)
+            or any(c not in skipped for c in consumers[pc])
+        ]
+        self.frontier = tuple((pc, instrs[pc].result, leaf_of.get(pc, -1))
+                              for pc in frontier)
+        self.keys: Dict[int, Tuple] = {}
+        if fast:
+            try:
+                for pc in frontier:
+                    if pc not in leaf_of:
+                        self.keys[pc] = self._key_maker(
+                            pc, instrs, producer, param_slot, leaf_of)
+            except (TypeError, RecursionError):
+                fast = False
+                self.keys = {}
+        self.walk = tuple(
+            (pc, tuple((1 + j, producer[a.index], leaf_of.get(
+                producer[a.index], -1), instrs[producer[a.index]].opname)
+                for j, a in enumerate(instrs[pc].args)
+                if isinstance(a, VarRef)
+                and producer.get(a.index) in is_marked))
+            for pc in reversed(marked) if pc not in leaf_of)
+        self.book = tuple((pc, kinds[pc]) for pc in marked)
+        self.n_nonbind = sum(kinds[pc].kind != "bind" for pc in marked)
+        self.fast = fast and bool(marked)
+
+    def _key_maker(self, root: int, instrs: List[Instr],
+                   producer: Dict[int, int], param_slot: Dict[int, int],
+                   leaf_of: Dict[int, int]) -> Tuple:
+        """``(shape, picker, leaf indices)`` of *root*'s lineage key:
+        the cone in post-order, each slot numbered at first sight."""
+        nodes: List[Tuple] = []
+        position: Dict[int, int] = {}
+        slots: List[int] = []
+        slot_of: Dict[Tuple[str, int], int] = {}
+        nparams = len(self.params)
+
+        def slot(kind: str, ident: int, value_index: int) -> int:
+            if (kind, ident) not in slot_of:
+                slot_of[kind, ident] = len(slots)
+                slots.append(value_index)
+            return slot_of[kind, ident]
+
+        def arg(a: Arg) -> Tuple:
+            if isinstance(a, Const):
+                return ("c", a.value)
+            if a.index in param_slot:
+                return ("p", slot("p", a.index, param_slot[a.index]))
+            return ("n", visit(producer[a.index]))
+
+        def visit(pc: int) -> int:
+            if pc not in position:
+                ins = instrs[pc]
+                if pc in leaf_of:
+                    node = ("l", ins.opname,
+                            tuple(a.value for a in ins.args),
+                            slot("l", pc, nparams + leaf_of[pc]))
+                else:
+                    node = ("m" if ins.recycle else "t", ins.opname,
+                            tuple(arg(a) for a in ins.args))
+                position[pc] = len(nodes)
+                nodes.append(node)
+            return position[pc]
+
+        visit(root)
+        leaf_indices = tuple(i - nparams for i in slots if i >= nparams)
+        return LineageShape(tuple(nodes)), _picker(tuple(slots)), leaf_indices
 
 
 class ProgramBuilder:
