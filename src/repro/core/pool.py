@@ -11,6 +11,11 @@ The pool also maintains the dependency graph between entries (who consumes
 whose result), which the eviction policies need: only *leaf* entries — no
 dependents in the pool — may be evicted (§4.3).
 
+Entries at a program's frontier are also booked under a *lineage key*
+(``by_lineage``), which the plan and the parameters determine without
+executing anything: the top-down probe of
+:meth:`~repro.core.recycler.Recycler.serve_frontier` starts there.
+
 The pool is **two-tiered**: every entry is either ``RESIDENT`` (its BAT
 in memory, counted in ``total_bytes``) or ``SPILLED`` (only its image in
 the attached :class:`~repro.storage.spill.SpillStore`, a
@@ -424,7 +429,8 @@ class RecyclePool:
         """Book the pooled *entry* under lineage *key*, in place of
         whatever either held before."""
         with self.lock:
-            if self.by_sig.get(entry.sig) is not entry:
+            if (self.by_sig.get(entry.sig) is not entry
+                    or self.by_lineage.get(key) is entry):
                 return
             self._unbook_lineage(entry)
             entry.lineage = key

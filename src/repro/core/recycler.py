@@ -11,6 +11,12 @@ instruction:
   the admission policy, cleaning the cache first when a resource limit
   (bytes and/or entries) would be exceeded.
 
+Before that walk, :meth:`Recycler.serve_frontier` tries to serve the
+whole invocation top-down: it finds the entries at the program's
+frontier by lineage key, checks their cones down the token index, and
+books every marked instruction as the exact hit the walk would make.
+The walk runs unchanged whenever that cannot be proven exact.
+
 Update synchronisation (§6.4) enters through :meth:`on_update`, after DML
 and after ``DROP TABLE`` alike: an entry is stale when one of its sources
 names a column version that is no longer the catalogue's current one.
@@ -271,35 +277,33 @@ class Recycler:
                 if entry is None or not isinstance(entry.value, BAT):
                     return False
                 leaves.append(entry)
-            values = params + tuple(e.result_token for e in leaves)
-            by_lineage, keys = pool.by_lineage, cones.keys
-            found: Dict[int, RecycleEntry] = {}
-            for pc, _var, leaf in cones.frontier:
-                if leaf >= 0:
-                    entry = leaves[leaf]
-                else:
-                    shape, pick, _leaves = keys[pc]
-                    entry = by_lineage.get((shape, pick(values)))
-                    if entry is None or not isinstance(entry.value, BAT):
-                        return False
+            tokens = tuple(e.result_token for e in leaves)
+            values = params + tokens
+            leaf_parts = [("b", t) for t in tokens]
+            found = {pc: leaves[leaf] for pc, leaf in cones.leaf_pcs}
+            by_lineage = pool.by_lineage
+            for pc, shape, pick in cones.keys:
+                entry = by_lineage.get((shape, pick(values)))
+                if entry is None or not isinstance(entry.value, BAT):
+                    return False
                 found[pc] = entry
-            for pc, children in cones.walk:
+            for pc, leaf_args, args in cones.walk:
                 entry = found.get(pc)
                 if entry is None:
                     return False
                 sig = entry.sig
-                for pos, child_pc, leaf, opname in children:
+                for pos, leaf in leaf_args:
+                    if sig[pos] != leaf_parts[leaf]:
+                        return False
+                for pos, child_pc, opname in args:
                     part = sig[pos]
                     if part[0] != "b":
                         return False
                     child = by_token.get(part[1])
-                    if leaf >= 0:
-                        if child is not leaves[leaf]:
-                            return False
-                    elif (child is None or child.opname != opname
-                          or not isinstance(child.value, BAT)):
-                        return False
-                    if found.setdefault(child_pc, child) is not child:
+                    if (child is None or child.opname != opname
+                            or not isinstance(child.value, BAT)
+                            or found.setdefault(child_pc, child)
+                            is not child):
                         return False
             if len(found) != len(cones.book):
                 return False
@@ -351,12 +355,12 @@ class Recycler:
                 value, promoted = self._resident(inv, entry)
                 if value is not None:
                     self._book_exact(inv, entry, opdef, promoted)
-                    if inv.cones is not None and instr.pc in inv.cones.keys:
+                    if (inv.cones is not None
+                            and instr.pc in inv.cones.key_of):
                         # A frontier entry another program admitted, or
                         # one admitted before this program was planned.
                         key = self._lineage(inv, instr.pc)
-                        if (key is not None
-                                and self.pool.by_lineage.get(key) is not entry):
+                        if key is not None:
                             self.pool.book_lineage(entry, key)
                     return value
         if (self.config.subsumption
@@ -403,7 +407,7 @@ class Recycler:
         or None while a leaf of its cone is not pooled.  Caller holds the
         pool lock."""
         cones = inv.cones
-        shape, pick, leaves = cones.keys[pc]
+        shape, pick, leaves = cones.key_of[pc]
         values = list(inv.params) + [0] * len(cones.leaves)
         base = len(inv.params)
         for i in leaves:
@@ -472,7 +476,7 @@ class Recycler:
                     a.token for a in args if isinstance(a, BAT)
                 ),
                 lineage=(self._lineage(inv, instr.pc)
-                         if cones is not None and instr.pc in cones.keys
+                         if cones is not None and instr.pc in cones.key_of
                          else None),
             )
             self.pool.add(entry)

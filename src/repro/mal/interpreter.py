@@ -9,6 +9,12 @@ two recycler hooks of Algorithm 1:
 * ``recycleExit`` — after a genuine execution, offer the result to the pool
   under the active admission policy.
 
+Before the walk, the recycler may *serve* the whole invocation: when the
+pool holds every marked instruction's result, found top-down from the
+program's frontier, it books them all at once and ``recycleEntry`` hands
+each back without a pool lookup (:meth:`Recycler.serve_frontier
+<repro.core.recycler.Recycler.serve_frontier>`).
+
 The interpreter itself stays policy-free: everything recycling-related is
 delegated to the :class:`~repro.core.recycler.Recycler` passed in.
 
@@ -194,11 +200,11 @@ class Interpreter:
         ones above the frontier execute.  Parameter-only scalar
         expressions that only the served instructions read are skipped.
         Nothing is freed early: the served values are pooled."""
-        cones = invocation.cones
+        cones = program.warm_cones()
         stats.n_marked += len(cones.book)
         stats.n_marked_nonbind += cones.n_nonbind
         recycle_entry = self.recycler.recycle_entry
-        for _pc, instr, opdef in cones.steps:
+        for instr, opdef in cones.steps:
             if opdef is None:
                 stack[instr.result] = self._step(program, instr, stack,
                                                  stats, None)

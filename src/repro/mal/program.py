@@ -211,16 +211,17 @@ class ConePlan:
         params: parameter variables; slot ``i`` is ``params[i]``'s value.
         leaves: the distinct leaf signatures; slot ``len(params) + j``
             is the token of ``leaves[j]``'s pooled entry.
-        keys: frontier pc (leaves excluded) -> ``(shape, picker, leaf
+        key_of: frontier pc (leaves excluded) -> ``(shape, picker, leaf
             indices)``; ``picker(values)`` selects the key's slot values.
-        frontier: ``(pc, result variable, leaf index or -1)`` per
-            frontier instruction.
-        walk: marked non-leaf pcs, top-down, each with its marked
-            children as ``(signature position, child pc, leaf index or
-            -1, child opname)``.
+        keys: ``(pc, shape, picker)`` of the same frontier instructions.
+        leaf_pcs: ``(pc, leaf index)`` of every leaf instruction.
+        walk: marked non-leaf pcs, top-down, each with its leaf
+            children as ``(signature position, leaf index)`` and its
+            other marked children as ``(signature position, child pc,
+            child opname)``.
         book: ``(pc, operator definition)`` of every marked
             instruction, in program order.
-        steps: ``(pc, instruction, operator definition if marked else
+        steps: ``(instruction, operator definition if marked else
             None)`` of what a served invocation still enters: every
             instruction but the transparent ones only the cones read.
         fast: whether the program can be served at all (it has marked
@@ -228,8 +229,8 @@ class ConePlan:
             and leaf instructions over hashable constants).
     """
 
-    __slots__ = ("params", "leaves", "keys", "frontier", "walk", "book",
-                 "n_nonbind", "steps", "fast")
+    __slots__ = ("params", "leaves", "key_of", "keys", "leaf_pcs", "walk",
+                 "book", "n_nonbind", "steps", "fast")
 
     def __init__(self, program: MalProgram):
         from repro.mal.operators import get_op
@@ -280,7 +281,7 @@ class ConePlan:
             if (pc in transparent and instrs[pc].result != program.result_var
                     and all(c in skipped for c in consumers.get(pc, ()))):
                 skipped.add(pc)
-        self.steps = tuple((pc, ins, kinds[pc] if ins.recycle else None)
+        self.steps = tuple((ins, kinds[pc] if ins.recycle else None)
                            for pc, ins in enumerate(instrs)
                            if ins.recycle or pc not in skipped)
         frontier = [
@@ -289,25 +290,33 @@ class ConePlan:
             or not consumers.get(pc)
             or any(c not in skipped for c in consumers[pc])
         ]
-        self.frontier = tuple((pc, instrs[pc].result, leaf_of.get(pc, -1))
-                              for pc in frontier)
-        self.keys: Dict[int, Tuple] = {}
+        self.key_of: Dict[int, Tuple] = {}
         if fast:
             try:
                 for pc in frontier:
                     if pc not in leaf_of:
-                        self.keys[pc] = self._key_maker(
+                        self.key_of[pc] = self._key_maker(
                             pc, instrs, producer, param_slot, leaf_of)
             except (TypeError, RecursionError):
                 fast = False
-                self.keys = {}
-        self.walk = tuple(
-            (pc, tuple((1 + j, producer[a.index], leaf_of.get(
-                producer[a.index], -1), instrs[producer[a.index]].opname)
-                for j, a in enumerate(instrs[pc].args)
-                if isinstance(a, VarRef)
-                and producer.get(a.index) in is_marked))
-            for pc in reversed(marked) if pc not in leaf_of)
+                self.key_of = {}
+        self.keys = tuple((pc, shape, pick) for pc, (shape, pick, _leaves)
+                          in self.key_of.items())
+        self.leaf_pcs = tuple(leaf_of.items())
+
+        def children(pc: int, leaf: bool) -> Tuple:
+            refs = [(1 + j, producer[a.index])
+                    for j, a in enumerate(instrs[pc].args)
+                    if isinstance(a, VarRef)
+                    and producer.get(a.index) in is_marked]
+            if leaf:
+                return tuple((pos, leaf_of[c]) for pos, c in refs
+                             if c in leaf_of)
+            return tuple((pos, c, instrs[c].opname) for pos, c in refs
+                         if c not in leaf_of)
+
+        self.walk = tuple((pc, children(pc, True), children(pc, False))
+                          for pc in reversed(marked) if pc not in leaf_of)
         self.book = tuple((pc, kinds[pc]) for pc in marked)
         self.n_nonbind = sum(kinds[pc].kind != "bind" for pc in marked)
         self.fast = fast and bool(marked)
