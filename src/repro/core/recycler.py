@@ -282,7 +282,7 @@ class Recycler:
             leaf_parts = [("b", t) for t in tokens]
             found = {pc: leaves[leaf] for pc, leaf in cones.leaf_pcs}
             by_lineage = pool.by_lineage
-            for pc, shape, pick in cones.keys:
+            for pc, (shape, pick, _leaves) in cones.key_of.items():
                 entry = by_lineage.get((shape, pick(values)))
                 if entry is None or not isinstance(entry.value, BAT):
                     return False

@@ -213,7 +213,6 @@ class ConePlan:
             is the token of ``leaves[j]``'s pooled entry.
         key_of: frontier pc (leaves excluded) -> ``(shape, picker, leaf
             indices)``; ``picker(values)`` selects the key's slot values.
-        keys: ``(pc, shape, picker)`` of the same frontier instructions.
         leaf_pcs: ``(pc, leaf index)`` of every leaf instruction.
         walk: marked non-leaf pcs, top-down, each with its leaf
             children as ``(signature position, leaf index)`` and its
@@ -221,6 +220,7 @@ class ConePlan:
             child opname)``.
         book: ``(pc, operator definition)`` of every marked
             instruction, in program order.
+        n_nonbind: how many of them are not binds.
         steps: ``(instruction, operator definition if marked else
             None)`` of what a served invocation still enters: every
             instruction but the transparent ones only the cones read.
@@ -229,8 +229,8 @@ class ConePlan:
             and leaf instructions over hashable constants).
     """
 
-    __slots__ = ("params", "leaves", "key_of", "keys", "leaf_pcs", "walk",
-                 "book", "n_nonbind", "steps", "fast")
+    __slots__ = ("params", "leaves", "key_of", "leaf_pcs", "walk", "book",
+                 "n_nonbind", "steps", "fast")
 
     def __init__(self, program: MalProgram):
         from repro.mal.operators import get_op
@@ -300,8 +300,6 @@ class ConePlan:
             except (TypeError, RecursionError):
                 fast = False
                 self.key_of = {}
-        self.keys = tuple((pc, shape, pick) for pc, (shape, pick, _leaves)
-                          in self.key_of.items())
         self.leaf_pcs = tuple(leaf_of.items())
 
         def children(pc: int, leaf: bool) -> Tuple:
