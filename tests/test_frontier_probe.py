@@ -18,6 +18,7 @@ import dataclasses
 import itertools
 import random
 import shutil
+import sys
 import tempfile
 import threading
 from contextlib import contextmanager
@@ -173,7 +174,10 @@ def test_the_probe_serves_warm_statements(config, spill_root):
 # ---------------------------------------------------------------------------
 # Concurrency: one session evicts while the other is served
 # ---------------------------------------------------------------------------
-def test_a_session_evicting_while_another_is_served(spill_root):
+def test_sessions_evicting_while_others_are_served(spill_root):
+    """Two sessions replay warm statements (served) while a third
+    churns a bounded pool with a spill tier (evictions, demotions), with
+    a short switch interval so threads interleave inside the probe."""
     db = Database(max_bytes=400_000, spill_dir=spill_root,
                   spill_limit_bytes=4_000_000)
     naive = Database(recycle=False)
@@ -208,20 +212,27 @@ def test_a_session_evicting_while_another_is_served(spill_root):
                         got = rows_of(s.execute(sql, params).value)
                         if got != expected[offset + i]:
                             wrong.append(offset + i)
-        except BaseException as exc:  # surfaced below
+        except Exception as exc:  # the thread's boundary: surfaced below
             errors.append(exc)
 
+    interval = sys.getswitchinterval()
     with mock.patch.object(Recycler, "_book_served", checked_book), \
             counting_served(served):
         for sql, params in warm * 3:
             db.execute(sql, params)
-        threads = [threading.Thread(target=session, args=(warm, 0, 40)),
+        threads = [threading.Thread(target=session, args=(warm, 0, 30)),
+                   threading.Thread(target=session, args=(warm, 0, 30)),
                    threading.Thread(target=session,
                                     args=(churn, len(warm), 2))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(120)
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     assert not errors, errors
     assert not wrong and not booked_wrong
     assert any(served)
