@@ -11,8 +11,8 @@ configurations:
   and the spill store's clock pinned at 0, so demotion never depends on
   measured I/O;
 * ``entries`` — ``max_entries`` 300;
-* ``propagate`` — ``propagate_selects=True`` with one RF1+RF2 refresh
-  block after every 25th statement.
+* ``refresh`` — unlimited, with one RF1+RF2 refresh block after every
+  25th statement, so invalidation drops what each block makes stale.
 
 For each it checks the pool invariants and prints, as one JSON object
 on the last line, every integer field of ``recycler.totals`` plus a
@@ -68,10 +68,8 @@ def _engine(config: str, spill_dir: str) -> repro.Database:
         db.recycler.spill.clock = lambda: 0.0
     elif config == "entries":
         db = repro.Database(max_entries=300)
-    elif config == "keepall":
-        db = repro.Database()
     else:
-        db = repro.Database(propagate_selects=True)
+        db = repro.Database()
     load_tpch(db, sf=SMOKE.sf, seed=TPCH_DATA_SEED)
     load_skyserver(db, n_obj=SMOKE.sky_objects, seed=SKY_DATA_SEED)
     with repro.connect(database=db) as conn:
@@ -88,7 +86,7 @@ def play(config: str, stream) -> dict:
     spill_dir = tempfile.mkdtemp(prefix="capacity-")
     try:
         db = _engine(config, spill_dir)
-        refresh = (refresh_stream(db, SEED) if config == "propagate"
+        refresh = (refresh_stream(db, SEED) if config == "refresh"
                    else None)
         with repro.connect(database=db) as conn:
             cur = conn.cursor()
@@ -119,7 +117,7 @@ def main() -> int:
                          SMOKE.sf)[:N_STATEMENTS]
     print(json.dumps({config: play(config, stream)
                       for config in ("keepall", "bytes_spill", "entries",
-                                     "propagate")},
+                                     "refresh")},
                      sort_keys=True))
     return 0
 
