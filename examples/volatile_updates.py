@@ -1,13 +1,9 @@
-"""Recycling in a volatile database (paper §6, §7.4).
+"""Recycling in a volatile database (paper §6.4).
 
-Interleaves TPC-H refresh blocks (RF1 inserts + RF2 deletes) with an
-analytics stream and shows the two synchronisation modes:
-
-* immediate column-wise invalidation (the paper's implemented mode) —
-  updates wipe the affected part of the pool, queries then re-warm it;
-* delta *propagation* for append-only changes (the §6.3 design, an
-  extension in this library) — cached selections are refreshed in place
-  and keep their hits across inserts.
+Interleaves bursts of inserts with an analytics query and shows the
+paper's synchronisation mode, immediate column-wise invalidation: each
+insert drops the pooled intermediates over the changed table, so the
+query after it recomputes them and the pool re-warms.
 
 Run:  python examples/volatile_updates.py
 """
@@ -17,8 +13,8 @@ import numpy as np
 import repro
 
 
-def make_conn(**config) -> repro.Connection:
-    conn = repro.connect(**config)
+def make_conn() -> repro.Connection:
+    conn = repro.connect()
     rng = np.random.default_rng(7)
     n = 100_000
     conn.create_table(
@@ -33,38 +29,29 @@ def make_conn(**config) -> repro.Connection:
     return conn
 
 
-def stream(conn, label: str) -> None:
-    print(f"\n== {label} ==")
+def main() -> None:
+    conn = make_conn()
     rng = np.random.default_rng(11)
     cur = conn.cursor()
     query = "select count(*) from events where severity >= ?"
     for step in range(6):
         cur.execute(query, (7,))
-        print(f"  step {step}: count={cur.fetchone()[0]:>6}  "
+        print(f"step {step}: count={cur.fetchone()[0]:>6}  "
               f"hits {cur.stats.hits}/{cur.stats.n_marked}  "
               f"pool {conn.database.pool_entries} entries")
-        # Append a burst of fresh events between queries.
+        # Repeating the query before the next burst hits in full.
+        cur.execute(query, (7,))
+        print(f"        repeat  hits {cur.stats.hits}/{cur.stats.n_marked}")
+        # Append a burst of fresh events: the pooled slice over `events`
+        # is invalidated, so the next query starts cold again.
         k = 500
         conn.insert("events", {
             "ts": np.arange(k) + 10_000_000 * (step + 1),
             "severity": rng.integers(0, 10, k),
             "value": rng.random(k) * 1000,
         })
+    print(f"invalidated entries: {conn.database.recycler.totals.invalidations}")
     conn.close()
-
-
-def main() -> None:
-    # Mode 1: immediate invalidation — every insert empties the affected
-    # pool slice, so each query after an update starts cold again.
-    stream(make_conn(), "immediate invalidation (paper §6.4)")
-
-    # Mode 2: append-only delta propagation — the cached selection is
-    # refreshed from the insert delta and keeps answering with full hits.
-    stream(make_conn(propagate_selects=True),
-           "delta propagation extension (paper §6.3)")
-
-    print("\nNote how propagation preserves hits across inserts, while")
-    print("invalidation falls back to recomputation after every burst.")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@
   per-entry and knapsack memory variants (§4.3).
 * :mod:`repro.core.subsumption` — singleton and combined instruction
   subsumption (§5).
-* :mod:`repro.core.invalidation` / :mod:`repro.core.propagation` —
-  update synchronisation (§6).
+
+Update synchronisation (§6.4) is :meth:`Recycler.on_update
+<repro.core.recycler.Recycler.on_update>`: immediate invalidation of
+every entry derived from a column version that is no longer current.
 """
 
 from repro.core.pool import RecycleEntry, RecyclePool

@@ -305,8 +305,7 @@ class RecyclePool:
         return sig in self.by_sig
 
     def entries(self) -> List[RecycleEntry]:
-        """Every entry, in admission order (``by_sig`` keeps it: an entry
-        is appended when admitted and re-appended when re-keyed)."""
+        """Every entry, in admission order (``by_sig`` keeps it)."""
         with self.lock:
             return list(self.by_sig.values())
 

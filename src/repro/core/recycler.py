@@ -20,8 +20,6 @@ The walk runs unchanged whenever that cannot be proven exact.
 Update synchronisation (§6.4) enters through :meth:`on_update`, after DML
 and after ``DROP TABLE`` alike: an entry is stale when one of its sources
 names a column version that is no longer the catalogue's current one.
-Optional delta propagation refreshes eligible select intermediates first
-(the §6.3 design, see :mod:`repro.core.propagation`).
 
 Two-tier pool: with ``spill_dir`` configured, eviction under *memory*
 pressure **demotes** a victim to a disk-backed
@@ -35,7 +33,7 @@ destroys, since a spilled entry occupies a cache line all the same.
 Concurrency contract (multi-session mode, :mod:`repro.server`): every
 pool operation — exact lookup and hit booking, the §5 subsumption
 search, admission with its eviction sweep, promotion, invalidation,
-delta propagation, ``recycle_reset``/``close``, ``check_invariants`` —
+``recycle_reset``/``close``, ``check_invariants`` —
 runs under the one :attr:`RecyclePool.lock <repro.core.pool.RecyclePool.lock>`.
 The same lock guards the lifetime totals, the admission policy's state,
 the in-flight invocation registry and each invocation's touched set.
@@ -66,7 +64,6 @@ from repro.core.pool import (
     Signature,
     make_signature,
 )
-from repro.core.propagation import propagate_append
 from repro.core.subsumption import (
     covers,
     find_combined_cover,
@@ -104,7 +101,6 @@ class RecyclerConfig:
     max_bytes: Optional[int] = None
     max_entries: Optional[int] = None
     subsumption: bool = True
-    propagate_selects: bool = False
     spill_dir: Optional[str] = None
     spill_limit_bytes: Optional[int] = None
 
@@ -128,7 +124,6 @@ class RecyclerTotals:
     admissions: int = 0
     evictions: int = 0
     invalidations: int = 0
-    propagated: int = 0
     #: Disk-tier counters (two-tier pool; all zero without ``spill_dir``).
     demotions: int = 0           # victims moved to disk instead of destroyed
     spill_writes: int = 0        # ... of which wrote their image
@@ -895,17 +890,15 @@ class Recycler:
     # ------------------------------------------------------------------
     # Update synchronisation (paper §6) and whole-pool operations
     # ------------------------------------------------------------------
-    def on_update(self, table: str, catalog, delta=None) -> int:
+    def on_update(self, table: str, catalog) -> int:
         """Synchronise the pool after DML on, or the drop of, *table*.
 
-        With ``propagate_selects`` enabled and an append-only *delta*,
-        eligible select intermediates are refreshed in place first
-        (§6.3).  Then every entry with a source ``(table, column,
-        version)`` whose version is not the catalogue's current one goes
-        (§6.4); a dropped table has no current version.  Only the
-        table's own entries are visited (the pool's ``by_table`` book).
-        The table decides which versions a change bumps (all columns on
-        insert and delete, one on an update), so the rule needs no delta.
+        Every entry with a source ``(table, column, version)`` whose
+        version is not the catalogue's current one goes (§6.4); a
+        dropped table has no current version.  Only the table's own
+        entries are visited (the pool's ``by_table`` book).  The table
+        decides which versions a change bumps (all columns on insert and
+        delete, one on an update), so the rule needs no delta.
         Spilled entries take part through their stubs' ``sources``.
         Stale sets are dependency-closed: dependents inherit their
         producers' sources.  Runs under the pool lock — the caller holds
@@ -915,10 +908,6 @@ class Recycler:
         Returns the number of invalidated entries.
         """
         with self.pool.lock:
-            if (self.config.propagate_selects and delta is not None
-                    and delta.append_only):
-                self.totals.propagated += propagate_append(self, catalog,
-                                                           delta)
             current = (catalog.table(table).versions
                        if catalog.has_table(table) else {})
             stale = []

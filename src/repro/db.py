@@ -54,7 +54,6 @@ from typing import (
 
 from repro.core.admission import AdmissionPolicy
 from repro.core.eviction import EvictionPolicy
-from repro.core.invalidation import synchronize
 from repro.core.recycler import Recycler, RecyclerConfig
 from repro.core.stats import PoolReport, pool_report
 from repro.errors import CatalogError, InterfaceError, ProgrammingError
@@ -202,6 +201,17 @@ class PreparedStatement:
         )
 
 
+def synchronize(recycler: Recycler, catalog: Catalog, table: str) -> int:
+    """Drop the pool entries that a write to, or the drop of, *table*
+    made stale (§6.4 immediate invalidation); returns how many went.
+
+    The one invalidation seam: every DML method and ``drop_table`` call
+    it through this module's global, after the catalogue has bumped the
+    versions, so a wrapper here sees every invalidation event.
+    """
+    return recycler.on_update(table, catalog)
+
+
 class Database:
     """An embedded column-store instance with an optional recycler.
 
@@ -213,7 +223,6 @@ class Database:
             unlimited).
         subsumption: enable §5 run-time subsumption (single and
             combined covers).
-        propagate_selects: enable the §6.3 delta-propagation extension.
         spill_dir: directory for the disk tier of the recycle pool;
             eviction victims whose benefit exceeds the measured cost of
             a disk round trip are demoted there instead of destroyed,
@@ -238,7 +247,6 @@ class Database:
         max_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
         subsumption: bool = True,
-        propagate_selects: bool = False,
         spill_dir: Optional[str] = None,
         spill_limit_bytes: Optional[int] = None,
         clock: Callable[[], float] = time.perf_counter,
@@ -253,7 +261,6 @@ class Database:
                     max_bytes=max_bytes,
                     max_entries=max_entries,
                     subsumption=subsumption,
-                    propagate_selects=propagate_selects,
                     spill_dir=spill_dir,
                     spill_limit_bytes=spill_limit_bytes,
                 ),
@@ -351,7 +358,7 @@ class Database:
             self.catalog.drop_table(name)
             if self.recycler is not None:
                 # Dependent intermediates must go at once (§6.3 DDL).
-                self.recycler.on_update(name, self.catalog)
+                synchronize(self.recycler, self.catalog, name)
 
     def add_foreign_key(self, name: str, fk_table: str, fk_column: str,
                         pk_table: str, pk_column: str) -> None:
@@ -366,24 +373,24 @@ class Database:
     def insert(self, table: str, rows: Mapping[str, Sequence]) -> None:
         self._check_open()
         with self.locks.dml_locked(table):
-            delta = self.catalog.insert(table, rows)
+            self.catalog.insert(table, rows)
             if self.recycler is not None:
-                synchronize(self.recycler, self.catalog, delta)
+                synchronize(self.recycler, self.catalog, table)
 
     def delete_oids(self, table: str, oids: Sequence[int]) -> None:
         self._check_open()
         with self.locks.dml_locked(table):
-            delta = self.catalog.delete_oids(table, oids)
+            self.catalog.delete_oids(table, oids)
             if self.recycler is not None:
-                synchronize(self.recycler, self.catalog, delta)
+                synchronize(self.recycler, self.catalog, table)
 
     def update_column(self, table: str, column: str, oids: Sequence[int],
                       values: Sequence) -> None:
         self._check_open()
         with self.locks.dml_locked(table):
-            delta = self.catalog.update_column(table, column, oids, values)
+            self.catalog.update_column(table, column, oids, values)
             if self.recycler is not None:
-                synchronize(self.recycler, self.catalog, delta)
+                synchronize(self.recycler, self.catalog, table)
 
     # ------------------------------------------------------------------
     # Templates

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import CatalogError, UpdateError
 from repro.storage.bat import BAT, Dense
-from repro.storage.deltas import TableDelta
 from repro.storage.table import Table
 
 
@@ -225,14 +224,14 @@ class Catalog:
         return bat
 
     # ------------------------------------------------------------------
-    # Update entry points (each returns its delta for the recycler)
+    # Update entry points (each bumps the versions it changes)
     # ------------------------------------------------------------------
-    def insert(self, table: str, rows: Mapping[str, Sequence]) -> TableDelta:
-        return self.table(table).insert(rows)
+    def insert(self, table: str, rows: Mapping[str, Sequence]) -> None:
+        self.table(table).insert(rows)
 
-    def delete_oids(self, table: str, oids: Sequence[int]) -> TableDelta:
-        return self.table(table).delete_oids(oids)
+    def delete_oids(self, table: str, oids: Sequence[int]) -> None:
+        self.table(table).delete_oids(oids)
 
     def update_column(self, table: str, column: str, oids: Sequence[int],
-                      values: Sequence) -> TableDelta:
-        return self.table(table).update_column(column, oids, values)
+                      values: Sequence) -> None:
+        self.table(table).update_column(column, oids, values)

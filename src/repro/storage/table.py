@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import StorageError, UpdateError
 from repro.storage.bat import BAT
-from repro.storage.deltas import TableDelta
 
 
 def _is_sorted(values: np.ndarray) -> bool:
@@ -245,8 +244,8 @@ class Table:
             return v
         return v.astype(dtype, copy=False)
 
-    def insert(self, rows: Mapping[str, Sequence]) -> TableDelta:
-        """Append rows (column-wise mapping) and return the delta."""
+    def insert(self, rows: Mapping[str, Sequence]) -> None:
+        """Append rows (column-wise mapping)."""
         missing = set(self._columns) - set(rows)
         extra = set(rows) - set(self._columns)
         if missing or extra:
@@ -260,20 +259,18 @@ class Table:
         if len(set(n.values())) > 1:
             raise UpdateError(f"insert into {self.name}: ragged rows {n}")
         with self._bind_lock:
-            start = self.nrows
             self.nrows += next(iter(n.values()), 0)
             # The log keeps its own copy: a caller may reuse its arrays.
             self._log_append(
                 ("append", {c: v.copy() for c, v in arrays.items()}))
             self._bump_all()
-        return TableDelta(self.name, insert_start=start, inserted=arrays)
 
-    def delete_oids(self, oids: Sequence[int]) -> TableDelta:
+    def delete_oids(self, oids: Sequence[int]) -> None:
         """Delete rows by oid, physically compacting the table."""
         oids = np.unique(np.asarray(oids, dtype=np.int64))
         if len(oids) == 0:
-            return TableDelta(self.name)
-        if len(oids) and (oids[0] < 0 or oids[-1] >= self.nrows):
+            return
+        if oids[0] < 0 or oids[-1] >= self.nrows:
             raise UpdateError(
                 f"delete from {self.name}: oid out of range "
                 f"(nrows={self.nrows})"
@@ -282,10 +279,9 @@ class Table:
             self.nrows -= len(oids)
             self._log_append(("delete", oids))
             self._bump_all()
-        return TableDelta(self.name, deleted_oids=oids, renumbered=True)
 
     def update_column(self, column: str, oids: Sequence[int],
-                      values: Sequence) -> TableDelta:
+                      values: Sequence) -> None:
         """In-place update of *column* at *oids* (bumps only that column)."""
         if column not in self._columns:
             raise UpdateError(f"table {self.name} has no column {column!r}")
@@ -306,7 +302,3 @@ class Table:
             self.versions[column] += 1
             self._bind_cache.pop(old, None)
             self._sorted_cache.pop(old, None)
-        # An in-place update is modelled as delete+insert of the same oids.
-        return TableDelta(self.name, deleted_oids=oids, renumbered=False,
-                          inserted={column: values},
-                          insert_start=None)

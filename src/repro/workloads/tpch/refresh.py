@@ -6,9 +6,9 @@ orders, which effectively adds 7-8 rows into orders and 25-56 rows into
 lineitem ... Similarly, it deletes a set of old orders from both tables."
 
 :class:`RefreshStream` reproduces that: each ``update_block`` performs one
-RF1 insert batch and one RF2 delete batch against the database, flowing
-through the catalogue's delta machinery so the recycler synchronises
-(invalidation, or propagation when enabled).
+RF1 insert batch and one RF2 delete batch against the database; each
+bumps the written tables' column versions, and the recycler drops the
+intermediates derived from the old ones (§6.4 invalidation).
 """
 
 from __future__ import annotations

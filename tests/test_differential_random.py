@@ -193,14 +193,12 @@ CONFIGS = [
     dict(subsumption=False),
     dict(max_entries=24),
     dict(max_bytes=200_000),
-    dict(propagate_selects=True),
     # Two-tier pool: a tight memory tier forces constant demotion, and
     # re-matches promote — results must still be byte-exact.
     dict(max_bytes=200_000, spill_dir="AUTO", spill_limit_bytes=4_000_000),
 ]
 
-CONFIG_IDS = ["default", "nosub", "entries24", "bytes200k", "propagate",
-              "spill200k"]
+CONFIG_IDS = ["default", "nosub", "entries24", "bytes200k", "spill200k"]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)

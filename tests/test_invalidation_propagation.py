@@ -1,4 +1,4 @@
-"""Update synchronisation tests: invalidation (§6.4) and propagation (§6.3)."""
+"""Update synchronisation tests: immediate invalidation (§6.4)."""
 
 import numpy as np
 
@@ -108,70 +108,34 @@ class TestInvalidation:
         )
 
 
-class TestPropagation:
-    def test_append_propagates_select_entry(self):
-        db = make_db(propagate_selects=True)
-        count_template(db)
-        db.run_template("q", {"lo": 10.0, "hi": 90.0})
-        assert db.recycler.totals.propagated == 0
-        db.insert("t", {"v": [50.0, 200.0], "w": [0.0, 0.0]})
-        assert db.recycler.totals.propagated >= 1
-        # The propagated entry answers the repeat exactly (no recompute of
-        # the select) and includes the qualifying new row.
-        r = db.run_template("q", {"lo": 10.0, "hi": 90.0})
-        v = db.catalog.table("t").column_array("v")
-        assert r.value.scalar() == int(((v >= 10.0) & (v <= 90.0)).sum())
-        assert r.stats.exact_hits >= 1
 
-    def test_propagated_entry_keeps_select_hit(self):
-        db = make_db(propagate_selects=True)
-        count_template(db)
-        db.run_template("q", {"lo": 10.0, "hi": 90.0})
-        db.insert("t", {"v": [55.5], "w": [0.0]})
-        r = db.run_template("q", {"lo": 10.0, "hi": 90.0})
-        select_entries = [
-            e for e in db.recycler.pool.entries()
-            if e.opname == "algebra.select"
-        ]
-        assert any(e.reuse_count > 0 for e in select_entries)
+def test_every_write_passes_through_synchronize(monkeypatch):
+    """``repro.db.synchronize`` is the one invalidation seam: each DML
+    method and ``drop_table`` calls it once, and what it returns adds up
+    to the recycler's ``invalidations`` total."""
+    from repro import db as db_mod
 
-    def test_non_matching_delta_keeps_entry_unchanged(self):
-        db = make_db(propagate_selects=True)
-        count_template(db)
-        r1 = db.run_template("q", {"lo": 10.0, "hi": 20.0})
-        db.insert("t", {"v": [999.0], "w": [0.0]})  # outside the range
-        r2 = db.run_template("q", {"lo": 10.0, "hi": 20.0})
-        assert r2.value.scalar() == r1.value.scalar()
+    dropped = []
+    synchronize = db_mod.synchronize
 
-    def test_delete_falls_back_to_invalidation(self):
-        db = make_db(propagate_selects=True)
-        count_template(db)
-        db.run_template("q", {"lo": 0.0, "hi": 99.0})
-        db.delete_oids("t", [5])
-        # Renumbering delta -> no propagation, full invalidation.
-        t_entries = [
-            e for e in db.recycler.pool.entries()
-            if any(tab == "t" for (tab, _c, _v) in e.value.sources)
-        ]
-        assert t_entries == []
-        r = db.run_template("q", {"lo": 0.0, "hi": 99.0})
-        v = db.catalog.table("t").column_array("v")
-        assert r.value.scalar() == int(((v >= 0.0) & (v <= 99.0)).sum())
+    def counted(recycler, catalog, table):
+        removed = synchronize(recycler, catalog, table)
+        dropped.append(removed)
+        return removed
 
-    def test_propagation_drops_stale_children(self):
-        db = make_db(propagate_selects=True)
-        q = db.builder("q2")
-        lo, hi = q.param("lo"), q.param("hi")
-        q.scan("t")
-        q.filter_range("t", "v", lo=lo, hi=hi)
-        q.filter_range("t", "w", lo=0.0)  # child semijoin+select chain
-        q.select_scalar("n", q.agg_scalar("count"))
-        db.register_template(q.build())
-        db.run_template("q2", {"lo": 10.0, "hi": 90.0})
-        db.insert("t", {"v": [50.0], "w": [1.0]})
-        r = db.run_template("q2", {"lo": 10.0, "hi": 90.0})
-        t = db.catalog.table("t")
-        v, w = t.column_array("v"), t.column_array("w")
-        assert r.value.scalar() == int(
-            ((v >= 10.0) & (v <= 90.0) & (w >= 0.0)).sum()
-        )
+    monkeypatch.setattr(db_mod, "synchronize", counted)
+    db = make_db()
+    count_template(db)
+    writes = [
+        lambda: db.insert("t", {"v": [5.0], "w": [0.0]}),
+        lambda: db.delete_oids("t", [3]),
+        lambda: db.update_column("t", "v", [1], [2.5]),
+        lambda: db.drop_table("t"),
+    ]
+    for write in writes:
+        db.run_template("q", {"lo": 0.0, "hi": 50.0})
+        calls = len(dropped)
+        write()
+        assert len(dropped) == calls + 1
+        assert dropped[-1] > 0
+    assert sum(dropped) == db.recycler.totals.invalidations

@@ -113,12 +113,11 @@ def test_eviction_policies_preserve_results(batch, eviction):
         st.floats(min_value=0, max_value=120, allow_nan=False),
         min_size=1, max_size=5,
     ),
-    propagate=st.booleans(),
 )
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_updates_preserve_results(inserts, propagate):
-    recycled = build_db(propagate_selects=propagate)
+def test_updates_preserve_results(inserts):
+    recycled = build_db()
     naive = build_db(recycle=False)
     params = {"lo": 10.0, "hi": 60.0}
     for v in inserts:

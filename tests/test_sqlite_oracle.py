@@ -14,8 +14,8 @@ the engine, and each statement's answer is compared with sqlite's:
   must agree on whether there is any;
 * the inline random queries of :mod:`test_differential_random`.
 
-Each runs on four engines: naive, keepall, a bounded pool with a spill
-tier and select propagation.  TPC-H refresh blocks and random DML run
+Each runs on three engines: naive, keepall and a bounded pool with a
+spill tier.  TPC-H refresh blocks and random DML run
 between rounds of the same statements, and the sqlite copy is rebuilt
 after each, so a stale pooled intermediate shows as a mismatch.  Floats
 compare within a relative 1e-9; sqlite's NULL for an aggregate over no
@@ -126,12 +126,11 @@ SQLITE_TPCH: Dict[str, str] = {
     ),
 }
 
-#: The four engines every statement runs on.
+#: The three engines every statement runs on.
 ENGINES: Dict[str, Dict[str, Any]] = {
     "naive": dict(recycle=False),
     "keepall": dict(),
     "bounded": dict(max_bytes=300_000, spill_limit_bytes=8_000_000),
-    "propagate": dict(propagate_selects=True),
 }
 
 

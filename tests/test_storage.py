@@ -1,11 +1,10 @@
-"""Tests for tables, the catalogue, versions, FK indices, and deltas."""
+"""Tests for tables, the catalogue, versions and FK indices."""
 
 import numpy as np
 import pytest
 
 from repro.errors import CatalogError, StorageError, UpdateError
 from repro.storage.catalog import Catalog, ColumnDef, TableDef
-from repro.storage.deltas import TableDelta
 from repro.storage.table import Table
 
 
@@ -100,8 +99,7 @@ class TestTable:
 
     def test_delete_compacts_and_renumbers(self):
         cat = make_catalog()
-        delta = cat.delete_oids("t", [0, 2])
-        assert delta.renumbered
+        cat.delete_oids("t", [0, 2])
         t = cat.table("t")
         assert t.nrows == 8
         assert list(t.column_array("k")[:3]) == [1, 3, 4]
@@ -189,17 +187,3 @@ class TestJoinIndex:
         with pytest.raises(CatalogError):
             cat.bind_idx("pk", "x")
 
-
-class TestTableDelta:
-    def test_append_only_detection(self):
-        assert TableDelta("t", insert_start=0,
-                          inserted={"a": np.arange(1)}).append_only
-        assert not TableDelta(
-            "t", deleted_oids=np.array([1]), renumbered=True
-        ).append_only
-
-    def test_catalog_insert_returns_delta(self):
-        cat = make_catalog()
-        delta = cat.insert("t", {"k": [77], "v": [7.7]})
-        assert delta.table == "t" and delta.n_inserted == 1
-        assert delta.append_only
