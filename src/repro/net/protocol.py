@@ -36,13 +36,12 @@ returns.  Frames are tagged by the JSON encoder's ``default`` hook
 
 from __future__ import annotations
 
-import asyncio
 import base64
 import datetime
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 import numpy as np
 
@@ -229,7 +228,7 @@ def split_header(header: bytes, *,
 
 
 # ----------------------------------------------------------------------
-# Blocking socket I/O (client side and tests)
+# Blocking socket I/O
 # ----------------------------------------------------------------------
 def _recv_exactly(sock: socket.socket, n: int) -> bytes:
     chunks = []
@@ -257,38 +256,22 @@ def recv_message(sock: socket.socket, *,
     return decode_payload(payload[0], payload[1:])
 
 
-# ----------------------------------------------------------------------
-# asyncio stream I/O (server side)
-# ----------------------------------------------------------------------
-async def read_message(reader: asyncio.StreamReader, *,
-                       max_frame: int = MAX_FRAME_BYTES
-                       ) -> Optional[Dict[str, Any]]:
-    """Read one message; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(4)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None                     # clean close between frames
+def read_frame(rfile: BinaryIO, *,
+               max_frame: int = MAX_FRAME_BYTES) -> Optional[Dict[str, Any]]:
+    """Read one message from a buffered socket file (the server's side);
+    ``None`` on a clean EOF at a frame boundary."""
+    header = rfile.read(4)
+    if not header:
+        return None                         # clean close between frames
+    if len(header) < 4:
         raise ProtocolError(
-            f"connection closed inside a frame header "
-            f"({len(exc.partial)}/4 bytes)"
-        ) from exc
+            f"connection closed inside a frame header ({len(header)}/4 bytes)")
     length = split_header(header, max_frame=max_frame)
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
+    payload = rfile.read(length)
+    if len(payload) < length:
         raise ProtocolError(
-            f"connection closed mid-frame "
-            f"({len(exc.partial)}/{length} bytes)"
-        ) from exc
+            f"connection closed mid-frame ({len(payload)}/{length} bytes)")
     return decode_payload(payload[0], payload[1:])
-
-
-async def write_message(writer: asyncio.StreamWriter,
-                        message: Dict[str, Any], *,
-                        max_frame: int = MAX_FRAME_BYTES) -> None:
-    writer.write(encode_frame(message, max_frame=max_frame))
-    await writer.drain()
 
 
 # ----------------------------------------------------------------------

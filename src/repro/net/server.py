@@ -1,13 +1,12 @@
-"""The network front door: an asyncio wire server over the engine.
+"""The network front door: a wire server over the engine.
 
 One :class:`ReproServer` owns one :class:`~repro.db.Database` and
-bridges N socket connections onto it.  Each connection is one
-coroutine: read a frame, run it, write the reply, repeat.  Queries
-execute on a thread pool via ``run_in_executor`` through the
-connection's own :class:`~repro.server.session.Session`, so the
-three-level locking contract (database → table → pool) and the shared
-recycle pool behave exactly as they do for embedded multi-threaded
-clients.
+serves each accepted socket on a thread of its own, from HELLO to
+close: blocking frame read → dispatch → the statement through the
+connection's own :class:`~repro.server.session.Session` on that same
+thread → one ``sendall``.  The three-level locking contract (database
+→ table → pool) and the shared recycle pool behave exactly as for
+embedded multi-threaded clients, and a statement crosses no thread.
 
 Per connection the server keeps *named prepared statements*: PREPARE
 stores a :class:`~repro.db.PreparedStatement` under a client-chosen
@@ -16,31 +15,26 @@ into the statement's compiled plan — zero parse/plan work on repeats,
 one recycler lineage shared with every other client running the same
 template (the paper's multi-user traffic pattern, §3.3/§7.3).
 
-Backpressure needs no machinery: a connection runs one frame at a time
-and reads the next only after answering, so a flooding client throttles
-itself via TCP; ``max_inflight`` is the number of engine threads, the
-one cap on concurrently executing queries.  Replies come back in request
-order because there is nothing to reorder.
-
-The server holds no lock of its own: the open sessions, the connections
-and every per-connection table are touched only on the event loop
-(executor futures run their done-callbacks there too).
+A connection reads its next frame only after answering the last, so a
+flooding client throttles itself via TCP and replies keep request
+order.  ``max_inflight`` is a semaphore around statement execution.
+A connection's statements and result sets belong to its thread; the
+server lock guards only the live connections and the counters.
 
 Graceful drain (:meth:`ReproServer.shutdown`, or SIGTERM under
-:func:`serve_forever`): stop accepting, cancel every pending read, let
-every running query finish and its reply flush, close each session,
-then tear down the executor.  A client vanishing mid-EXECUTE takes the
-same path: the query completes on its thread (releasing table locks
-normally), the reply write fails, and the session closes.
+:func:`serve_forever`): stop accepting, shut every connection's read
+side (a thread waiting for a frame reads EOF), let running statements
+answer, join the threads; each closes its session on the way out, as
+it does when a client vanishes mid-EXECUTE.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import dataclasses
-import logging
+import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -52,18 +46,15 @@ from repro.errors import (
     ProgrammingError,
 )
 from repro.mal.operators.results import ResultSet
+from repro.net import protocol
 from repro.net.protocol import (
     DEFAULT_FETCH_BATCH,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     error_message,
-    read_message,
-    write_message,
 )
 from repro.server.session import Session
-
-log = logging.getLogger("repro.net")
 
 #: Upper bound on named prepared statements per connection.
 MAX_PREPARED_PER_CONN = 256
@@ -71,23 +62,24 @@ MAX_PREPARED_PER_CONN = 256
 #: Result sets kept fetchable per connection (oldest dropped first).
 MAX_PENDING_RESULTS = 8
 
+#: Every thread a server starts is named with this prefix.
+THREAD_PREFIX = "repro-net"
+
 
 class _Connection:
-    """Per-socket server state (event-loop confined)."""
+    """One accepted socket and its session's state (owned by its thread)."""
 
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter, conn_id: int):
-        self.reader = reader
-        self.writer = writer
+    def __init__(self, sock: socket.socket, conn_id: int):
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
         self.id = conn_id
-        self.task = asyncio.current_task()
         self.session: Optional[Session] = None      # opened after HELLO
         self.prepared: Dict[str, Any] = {}   # name -> PreparedStatement
         #: rid -> the unfinished result's columns and rows sent so far.
         self.results: Dict[int, Dict[str, Any]] = {}
         self._next_rid = 1
-        #: The pending frame read, which drain cancels.
-        self.read_task: Optional[asyncio.Task] = None
+        #: Set by the watchdog once it has answered a timed-out statement.
+        self.abandoned = False
 
     def new_result(self, columns: List[np.ndarray],
                    batch: int) -> Dict[str, Any]:
@@ -114,16 +106,83 @@ def _row_count(msg: Dict[str, Any], field: str) -> int:
     return n
 
 
+def _start_thread(target, name: str, *args) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args,
+                              name=f"{THREAD_PREFIX}-{name}", daemon=True)
+    thread.start()
+    return thread
+
+
+class _Watchdog:
+    """The one thread that enforces ``query_timeout``.
+
+    A connection is armed from before its wait for an execution slot
+    until its statement returns.  All budgets are equal, so deadlines
+    fall due in arming order.  On expiry the watchdog sends the typed
+    error and shuts the socket; the engine cannot be interrupted, so the
+    connection's thread finishes the statement, sends nothing, and
+    closes the session on its way out.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self._armed: Dict[_Connection, float] = {}
+        self._cond = threading.Condition()
+        self._stopping = False
+        self._thread = _start_thread(self._run, "watchdog")
+
+    def arm(self, conn: _Connection) -> None:
+        with self._cond:
+            self._armed[conn] = time.monotonic() + self.timeout
+            if len(self._armed) == 1:         # the watchdog may be idle
+                self._cond.notify()
+
+    def disarm(self, conn: _Connection) -> None:
+        with self._cond:
+            self._armed.pop(conn, None)
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopping = True
+            self._cond.notify()
+        self._thread.join()
+
+    def _run(self) -> None:
+        with self._cond:
+            while not self._stopping:
+                if not self._armed:
+                    self._cond.wait()
+                    continue
+                conn, deadline = next(iter(self._armed.items()))
+                left = deadline - time.monotonic()
+                if left > 0:
+                    self._cond.wait(left)
+                    continue
+                # Under the lock: the statement's thread cannot disarm,
+                # finish and close the socket mid-send.  The send never
+                # blocks, so a client that stopped reading cannot stall
+                # the watchdog; it then gets a cut frame, then EOF.
+                del self._armed[conn]
+                conn.abandoned = True
+                frame = protocol.encode_frame(error_message(OperationalError(
+                    f"query exceeded the {self.timeout}s server limit; "
+                    "connection closed")))
+                with contextlib.suppress(OSError):  # a full buffer, a reset
+                    conn.sock.send(frame, socket.MSG_DONTWAIT)
+                with contextlib.suppress(OSError):
+                    conn.sock.shutdown(socket.SHUT_RDWR)
+
+
 class ReproServer:
-    """An asyncio TCP server speaking the repro wire protocol.
+    """A threaded TCP server speaking the repro wire protocol.
 
     Args:
         db: the engine to serve (the server does not own it unless
             ``owns_db=True`` — then :meth:`shutdown` closes it too).
         host/port: bind address; port 0 asks the OS for a free port
             (read the result from :attr:`port` after :meth:`start`).
-        max_inflight: engine threads, i.e. the cap on concurrently
-            *executing* queries across all connections.
+        max_inflight: the cap on concurrently *executing* statements
+            across all connections (a semaphore around execution).
         idle_timeout: seconds a connection may sit between frames
             before the server closes it (None = forever).
         query_timeout: seconds one query may execute before the client
@@ -150,187 +209,185 @@ class ReproServer:
         self.auth_token = auth_token
         self.max_frame = max_frame
         self.owns_db = owns_db
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(1, max_inflight),
-            thread_name_prefix="repro-net")
-        self._server: Optional[asyncio.base_events.Server] = None
+        self._slots = threading.BoundedSemaphore(max(1, max_inflight))
+        self._lock = threading.Lock()
         self._conns: set = set()
-        self._sessions: set = set()
+        #: Connection threads; the accept thread prunes the finished ones.
+        self._threads: List[threading.Thread] = []
+        self._listener = self._accept_thread = None
+        self._watchdog: Optional[_Watchdog] = None
         self._draining = False
-        self._stopped: Optional[asyncio.Event] = None
-        self._conn_ids = iter(range(1, 1 << 62))
         self.connections_served = 0
         self.queries_served = 0
 
     @property
     def session_count(self) -> int:
         """Open sessions, including ones a timed-out query still holds."""
-        return len(self._sessions)
-
-    def _close_session(self, session: Session) -> None:
-        self._sessions.discard(session)
-        session.close()
+        with self._lock:
+            return sum(conn.session is not None for conn in self._conns)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self) -> "ReproServer":
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        log.info("listening on %s:%d", self.host, self.port)
+    def start(self) -> "ReproServer":
+        """Bind, then accept on a thread of its own."""
+        family, _, _, _, address = socket.getaddrinfo(
+            self.host, self.port, type=socket.SOCK_STREAM)[0]
+        self._listener = socket.create_server(address, family=family,
+                                              backlog=100)
+        self.port = self._listener.getsockname()[1]
+        if self.query_timeout is not None:
+            self._watchdog = _Watchdog(self.query_timeout)
+        self._accept_thread = _start_thread(self._accept, "accept")
         return self
 
-    async def shutdown(self) -> None:
+    def shutdown(self) -> None:
         """Graceful drain: stop accepting, finish in-flight, close all."""
-        if self._draining:
-            await self._stopped.wait()
+        with self._lock:
+            self._draining = True
+        if self._listener is None:
             return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-        # Kick every connection out of its wait for a client before
-        # waiting on anything; a running query is not cancelled — its
-        # connection answers it, then sees the drain and ends.
-        for conn in self._conns:
-            if conn.read_task is not None:
-                conn.read_task.cancel()
-        await asyncio.gather(*[conn.task for conn in self._conns],
-                             return_exceptions=True)
-        if self._server is not None:
-            await self._server.wait_closed()
-        self._executor.shutdown(wait=True)
-        # Sessions of timed-out queries whose threads just finished.
-        for session in list(self._sessions):
-            self._close_session(session)
+        with contextlib.suppress(OSError):
+            # Wakes the blocked accept() (it fails with EINVAL).
+            self._listener.shutdown(socket.SHUT_RDWR)
+        self._accept_thread.join()
+        self._listener.close()
+        # Every connection waiting for a frame reads EOF now; a running
+        # statement is not interrupted — its thread answers it, then
+        # reads EOF and ends.
+        with self._lock:
+            for conn in self._conns:
+                with contextlib.suppress(OSError):
+                    conn.sock.shutdown(socket.SHUT_RD)
+        for thread in self._threads:
+            thread.join()
+        if self._watchdog is not None:
+            self._watchdog.stop()
         if self.owns_db:
             self.db.close()
-        self._stopped.set()
 
-    async def wait_shutdown(self) -> None:
-        await self._stopped.wait()
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return                        # drain shut the listener
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                if self._draining:
+                    sock.close()
+                    return
+                self.connections_served += 1
+                conn = _Connection(sock, self.connections_served)
+                self._conns.add(conn)
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(
+                _start_thread(self._serve, f"conn-{conn.id}", conn))
 
     # ------------------------------------------------------------------
     # One connection: handshake, then read → dispatch → write
     # ------------------------------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(reader, writer, next(self._conn_ids))
-        self._conns.add(conn)
-        self.connections_served += 1
+    def _serve(self, conn: _Connection) -> None:
+        """Answer frames one at a time until EOF, goodbye, drain or a
+        timed-out statement."""
         try:
-            if await self._handshake(conn):
-                await self._serve(conn)
-        except Exception:                     # pragma: no cover - guard
-            log.exception("connection %d handler failed", conn.id)
+            if not self._handshake(conn):
+                return
+            while True:
+                msg = self._read(conn, self.idle_timeout)
+                if msg is None:
+                    return
+                if msg["type"] == "goodbye":
+                    self._write(conn, {"type": "bye"})
+                    return
+                reply = self._dispatch(conn, msg)
+                if conn.abandoned or not self._write(conn, reply):
+                    return
         finally:
             if conn.session is not None:
-                self._close_session(conn.session)
-            self._conns.discard(conn)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                conn.session.close()
+            with self._lock:
+                self._conns.discard(conn)
+                conn.rfile.close()
+                conn.sock.close()
 
-    async def _handshake(self, conn: _Connection) -> bool:
+    def _handshake(self, conn: _Connection) -> bool:
         """HELLO/WELCOME exchange: version check, optional auth."""
-        msg = await self._read(conn, self.idle_timeout or 30.0)
+        msg = self._read(conn, self.idle_timeout or 30.0)
         if msg is None:
             return False
-        if msg["type"] != "hello":
-            error = ProtocolError("expected a hello frame first")
-        elif msg.get("version") != PROTOCOL_VERSION:
-            error = InterfaceError(
-                f"protocol version {msg.get('version')!r} unsupported "
-                f"(server speaks {PROTOCOL_VERSION})")
-        elif self.auth_token is not None and \
-                msg.get("token") != self.auth_token:
-            error = OperationalError("authentication failed")
-        else:
+        try:
+            if msg["type"] != "hello":
+                raise ProtocolError("expected a hello frame first")
+            if msg.get("version") != PROTOCOL_VERSION:
+                raise InterfaceError(
+                    f"protocol version {msg.get('version')!r} unsupported "
+                    f"(server speaks {PROTOCOL_VERSION})")
+            if self.auth_token is not None and \
+                    msg.get("token") != self.auth_token:
+                raise OperationalError("authentication failed")
             conn.session = self.db.session(
                 f"net-{conn.id}-{msg.get('client', 'client')}")
-            self._sessions.add(conn.session)
-            return await self._write(conn, {
-                "type": "welcome", "version": PROTOCOL_VERSION,
-                "session": conn.session.name,
-            })
-        await self._write(conn, error_message(error))
-        return False
+        except Exception as exc:              # a closed engine, too
+            self._write(conn, error_message(exc))
+            return False
+        return self._write(conn, {
+            "type": "welcome", "version": PROTOCOL_VERSION,
+            "session": conn.session.name,
+        })
 
-    async def _serve(self, conn: _Connection) -> None:
-        """Answer frames one at a time until EOF, goodbye, drain or a
-        timed-out query (which takes ``conn.session`` away)."""
-        while conn.session is not None:
-            msg = await self._read(conn, self.idle_timeout)
-            if msg is None:
-                return
-            if msg["type"] == "goodbye":
-                await self._write(conn, {"type": "bye"})
-                return
-            if not await self._write(conn, await self._dispatch(conn, msg)):
-                return
-
-    async def _read(self, conn: _Connection,
-                    timeout: Optional[float]) -> Optional[Dict[str, Any]]:
+    def _read(self, conn: _Connection,
+              timeout: Optional[float]) -> Optional[Dict[str, Any]]:
         """The next frame, or None when the connection should end.
 
         None covers EOF, a reset, a drain, a timeout and a bad frame;
-        the last two are answered with a typed error first.  The pending
-        read is registered as ``conn.read_task`` so drain can cancel it.
+        the last two are answered with a typed error first.  The timeout
+        runs only here, while the server waits for the client.
         """
         if self._draining:
             return None
-        read = conn.read_task = asyncio.ensure_future(
-            read_message(conn.reader, max_frame=self.max_frame))
+        if timeout is not None:
+            conn.sock.settimeout(timeout)
         try:
-            done, _ = await asyncio.wait((read,), timeout=timeout)
-        finally:
-            conn.read_task = None
-            read.cancel()                     # no-op once the read is done
-        if read.cancelled():                  # drain kicked us out
-            return None
-        if not done:
-            error: Exception = OperationalError(
+            return protocol.read_frame(conn.rfile, max_frame=self.max_frame)
+        except ProtocolError as exc:
+            error: Exception = exc
+        except TimeoutError:
+            error = OperationalError(
                 f"idle timeout ({timeout}s) — closing connection")
-        else:
-            try:
-                return read.result()
-            except ProtocolError as exc:
-                error = exc
-            except ConnectionError:           # reset by the client
-                return None
-        await self._write(conn, error_message(error))
+        except OSError:                       # reset by the client
+            return None
+        finally:
+            if timeout is not None:
+                conn.sock.settimeout(None)
+        self._write(conn, error_message(error))
         return None
 
-    async def _write(self, conn: _Connection,
-                     message: Dict[str, Any]) -> bool:
+    def _write(self, conn: _Connection, message: Dict[str, Any]) -> bool:
         """Send one reply; False once the socket is gone."""
         try:
             try:
-                await write_message(conn.writer, message,
-                                    max_frame=self.max_frame)
+                frame = protocol.encode_frame(message,
+                                              max_frame=self.max_frame)
             except ProtocolError as exc:
                 # The reply itself cannot be framed (e.g. a result batch
                 # bigger than max_frame): degrade to a typed error so
                 # the client is told instead of hung.
-                await write_message(conn.writer, error_message(exc))
-        except (ConnectionError, OSError):
+                frame = protocol.encode_frame(error_message(exc))
+            conn.sock.sendall(frame)
+        except OSError:
             return False
         return True
 
-    # ------------------------------------------------------------------
-    # Message dispatch (never raises)
-    # ------------------------------------------------------------------
-    async def _dispatch(self, conn: _Connection,
-                        msg: Dict[str, Any]) -> Dict[str, Any]:
+    def _dispatch(self, conn: _Connection,
+                  msg: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to one frame (never raises)."""
         try:
             mtype = msg["type"]
             if mtype == "prepare":
                 return self._on_prepare(conn, msg)
             if mtype == "execute":
-                return await self._on_execute(conn, msg)
+                return self._on_execute(conn, msg)
             if mtype == "fetch":
                 return self._on_fetch(conn, msg)
             if mtype == "close_stmt":
@@ -364,8 +421,9 @@ class ReproServer:
             "paramstyle": stmt.paramstyle,
         }
 
-    async def _on_execute(self, conn: _Connection,
-                          msg: Dict[str, Any]) -> Dict[str, Any]:
+    def _on_execute(self, conn: _Connection,
+                    msg: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The RESULT frame; None once the watchdog has answered."""
         params = msg.get("params")
         batch = _row_count(msg, "fetch")
         name = msg.get("name")
@@ -382,41 +440,26 @@ class ReproServer:
                     "execute needs either a prepared-statement name "
                     "or sql text")
             stmt = self.db.prepare(sql)
-        session = conn.session
-
-        def work():
-            result = session.run_statement(stmt, params)
-            value = result.value
-            if isinstance(value, ResultSet):
-                return value.columns, value.description, result.stats
-            return None, None, result.stats
-
-        fut = asyncio.get_running_loop().run_in_executor(
-            self._executor, work)
+        watchdog = self._watchdog
+        if watchdog is not None:              # the deadline includes the
+            watchdog.arm(conn)                # wait for a slot
         try:
-            columns, description, stats = await asyncio.wait_for(
-                asyncio.shield(fut), self.query_timeout)
-        except asyncio.TimeoutError:
-            # The engine thread cannot be interrupted: end the
-            # connection and reap the session when the straggler
-            # finishes (it holds table locks until then, releasing
-            # normally).
-            conn.session = None
-            fut.add_done_callback(lambda _f: self._close_session(session))
-            raise OperationalError(
-                f"query exceeded the {self.query_timeout}s "
-                "server limit; connection closed") from None
-        self.queries_served += 1
-        response: Dict[str, Any] = {
-            "type": "result",
-            "stats": stats.as_dict(),
-            "description": description,
-        }
-        if columns is None:
-            response.update(rowcount=-1, result_id=0, columns=[],
-                            complete=True)
-        else:
-            response.update(conn.new_result(columns, batch))
+            with self._slots:
+                if conn.abandoned:            # expired waiting for a slot
+                    return None
+                result = conn.session.run_statement(stmt, params)
+        finally:
+            if watchdog is not None:
+                watchdog.disarm(conn)
+        with self._lock:
+            self.queries_served += 1
+        value = result.value
+        response = {"type": "result", "stats": result.stats.as_dict(),
+                    "description": None, "result_id": 0, "rowcount": -1,
+                    "columns": [], "complete": True}
+        if isinstance(value, ResultSet):
+            response["description"] = value.description
+            response.update(conn.new_result(value.columns, batch))
         return response
 
     def _on_fetch(self, conn: _Connection,
@@ -438,8 +481,7 @@ class ReproServer:
 
     def _on_stats(self) -> Dict[str, Any]:
         """Engine + server counters for the STATS wire message."""
-        db = self.db
-        compile_stats = db.compile_cache_stats
+        compile_stats = self.db.compile_cache_stats
         payload: Dict[str, Any] = {
             "type": "stats_result",
             "server": {
@@ -456,7 +498,7 @@ class ReproServer:
             "pool": None,
             "recycler": None,
         }
-        recycler = db.recycler
+        recycler = self.db.recycler
         if recycler is not None:
             pool = recycler.pool
             payload["pool"] = {
@@ -473,20 +515,21 @@ class ReproServer:
 
 
 # ----------------------------------------------------------------------
-# Entry points: foreground (signal-driven) and background thread
+# Entry points: foreground (signal-driven) and background
 # ----------------------------------------------------------------------
 async def serve_forever(db: Database, host: str = "127.0.0.1",
                         port: int = 0, *, ready=None,
                         **server_kwargs) -> None:
     """Run a server until SIGTERM/SIGINT, then drain gracefully.
 
+    A coroutine only so that its event loop owns the signal handlers.
     *ready*, when given, is called with the started :class:`ReproServer`
     once the socket is bound (the bench driver prints the port from it).
     """
+    import asyncio
     import signal
 
-    server = ReproServer(db, host, port, **server_kwargs)
-    await server.start()
+    server = ReproServer(db, host, port, **server_kwargs).start()
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -497,44 +540,21 @@ async def serve_forever(db: Database, host: str = "127.0.0.1",
     if ready is not None:
         ready(server)
     await stop.wait()
-    await server.shutdown()
+    server.shutdown()
 
 
 class ServerHandle:
-    """A server running on a background thread (tests, embedding).
+    """A started server from :func:`serve_in_thread`: its bound address
+    and a :meth:`shutdown` that drains it; a context manager."""
 
-    Obtained from :func:`serve_in_thread`; exposes the bound address
-    and a thread-safe :meth:`shutdown`.
-    """
+    def __init__(self, server: ReproServer):
+        self.server = server
+        self.host, self.port = server.host, server.port
+        self.url = f"repro://{self.host}:{self.port}"
 
-    def __init__(self):
-        self.server: Optional[ReproServer] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
-        self.thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def url(self) -> str:
-        return f"repro://{self.host}:{self.port}"
-
-    def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain the server and join its thread (idempotent)."""
-        if self.loop is None or self.thread is None:
-            return
-        if self.thread.is_alive():
-            fut = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(), self.loop)
-            fut.result(timeout=timeout)
-        self.thread.join(timeout=timeout)
+    def shutdown(self) -> None:
+        """Drain the server and join its threads (idempotent)."""
+        self.server.shutdown()
 
     def __enter__(self) -> "ServerHandle":
         return self
@@ -545,34 +565,6 @@ class ServerHandle:
 
 def serve_in_thread(db: Database, host: str = "127.0.0.1", port: int = 0,
                     **server_kwargs) -> ServerHandle:
-    """Start a :class:`ReproServer` on a daemon thread and wait for bind."""
-    handle = ServerHandle()
-
-    async def _amain():
-        try:
-            server = ReproServer(db, host, port, **server_kwargs)
-            await server.start()
-            handle.server = server
-            handle.loop = asyncio.get_running_loop()
-            handle._ready.set()
-            await server.wait_shutdown()
-        except BaseException as exc:
-            handle._error = exc
-            handle._ready.set()
-            raise
-
-    def _run():
-        try:
-            asyncio.run(_amain())
-        except Exception:
-            pass                              # surfaced via handle._error
-
-    handle.thread = threading.Thread(
-        target=_run, name="repro-net-server", daemon=True)
-    handle.thread.start()
-    if not handle._ready.wait(timeout=30.0):
-        raise OperationalError("server failed to start within 30s")
-    if handle._error is not None:
-        raise OperationalError(
-            f"server failed to start: {handle._error}")
-    return handle
+    """Start a :class:`ReproServer` in the background (its accept and
+    connection threads) and return once the socket is bound."""
+    return ServerHandle(ReproServer(db, host, port, **server_kwargs).start())

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -17,7 +18,21 @@ from repro.net.protocol import (
     recv_message,
     send_message,
 )
-from repro.net.server import serve_in_thread
+from repro.net.server import THREAD_PREFIX, serve_in_thread
+
+
+def server_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(THREAD_PREFIX)]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_thread_outlives_the_server():
+    """Once the module's server is shut down, none of its threads (accept
+    or connection, however the abuse ended) is still alive."""
+    assert server_threads() == []
+    yield
+    assert server_threads() == []
 
 
 @pytest.fixture(scope="module")

@@ -25,14 +25,34 @@ from repro.errors import (
     ProgrammingError,
 )
 from repro.net.client import NetConnection, NetCursor
+from repro.net import protocol
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
     recv_message,
     send_message,
 )
-from repro.net.server import MAX_PENDING_RESULTS, serve_in_thread
+from repro.net.server import (
+    MAX_PENDING_RESULTS,
+    THREAD_PREFIX,
+    serve_in_thread,
+)
 from repro.server.session import Session
+
+
+def server_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith(THREAD_PREFIX)]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_server():
+    """Every server a test starts is shut down by its end, and shutdown
+    joins all its threads: accept, connections (stragglers of timed-out
+    statements included) and the watchdog."""
+    assert server_threads() == []
+    yield
+    assert server_threads() == []
 
 
 @pytest.fixture
@@ -568,6 +588,103 @@ class TestTimeoutsAndBackpressure:
                 assert other.cursor().execute(
                     "select count(*) from t").fetchone() == (2000,)
 
+    def test_query_timeout_error_is_the_last_frame(self, small_db,
+                                                   monkeypatch):
+        """After the timeout's error frame the socket reads EOF, and still
+        EOF once the straggler has finished: its RESULT is never sent."""
+        slow_first_statement(monkeypatch, 1.0)
+        with serve_in_thread(small_db, query_timeout=0.3) as handle:
+            sock = raw_hello(handle)
+            try:
+                send_message(sock, {"type": "execute",
+                                    "sql": "select count(*) from t"})
+                reply = recv_message(sock)
+                assert reply["type"] == "error", reply
+                assert "server limit" in reply["message"]
+                assert sock.recv(1) == b""
+                assert handle.server.session_count == 1  # the straggler's
+                assert wait_until(lambda: handle.server.session_count == 0)
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+
+    def test_query_timeout_counts_the_wait_for_a_slot(self, small_db,
+                                                      monkeypatch):
+        """With the one slot held past the deadline, a queued statement
+        gets its error at its own deadline and never runs."""
+        original, ran, running = Session.run_statement, [], threading.Event()
+
+        def run_statement(self, stmt, params=None):
+            ran.append(self.name)
+            running.set()
+            time.sleep(1.5)
+            return original(self, stmt, params)
+
+        monkeypatch.setattr(Session, "run_statement", run_statement)
+        execute = {"type": "execute", "sql": "select count(*) from t"}
+        with serve_in_thread(small_db, max_inflight=1,
+                             query_timeout=0.5) as handle:
+            first, second = raw_hello(handle), raw_hello(handle)
+            try:
+                send_message(first, execute)
+                assert running.wait(5)
+                t0 = time.monotonic()
+                send_message(second, execute)
+                reply = recv_message(second)
+                assert time.monotonic() - t0 < 1.2   # not after the slot
+                assert reply["type"] == "error", reply
+                assert "server limit" in reply["message"]
+                assert recv_message(first)["type"] == "error"
+                assert wait_until(lambda: handle.server.session_count == 0)
+            finally:
+                first.close()
+                second.close()
+        assert len(ran) == 1
+
+    @pytest.mark.parametrize("max_inflight", [1, 16])
+    def test_max_inflight_caps_executing_statements(
+            self, small_db, monkeypatch, max_inflight):
+        """Four clients at once: a peak of one executing statement under
+        ``max_inflight=1``; the same counter sees overlap without it."""
+        original, lock = Session.run_statement, threading.Lock()
+        inflight, peak = [0], [0]
+
+        def run_statement(self, stmt, params=None):
+            with lock:
+                inflight[0] += 1
+                peak[0] = max(peak[0], inflight[0])
+            try:
+                time.sleep(0.01)
+                return original(self, stmt, params)
+            finally:
+                with lock:
+                    inflight[0] -= 1
+
+        monkeypatch.setattr(Session, "run_statement", run_statement)
+        start = threading.Barrier(4)
+        answers = []
+
+        def client(url):
+            with repro.connect(url=url) as conn:
+                cur = conn.cursor()
+                start.wait(timeout=10)
+                for i in range(8):
+                    cur.execute("select count(*) from t where x >= ?", (i,))
+                    answers.append(cur.fetchone()[0])
+
+        with serve_in_thread(small_db, max_inflight=max_inflight) as handle:
+            threads = [threading.Thread(target=client, args=(handle.url,))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert len(answers) == 32
+        if max_inflight == 1:
+            assert peak[0] == 1
+        else:
+            assert peak[0] > 1
+
     def test_back_to_back_frames_are_answered_in_order(self, served):
         sock = raw_hello(served)
         try:
@@ -599,6 +716,29 @@ class TestTimeoutsAndBackpressure:
             for t in threads:
                 t.join()
             assert len(results) == 32
+
+
+def test_server_threads_never_read_through_recv_exactly(served,
+                                                       monkeypatch):
+    """``protocol._recv_exactly`` is the client's blocking read, which a
+    tracer books as waiting for the server; the server reads frames
+    through its own buffered reader."""
+    original, readers = protocol._recv_exactly, []
+
+    def recv_exactly(sock, n):
+        readers.append(threading.current_thread().name)
+        return original(sock, n)
+
+    monkeypatch.setattr(protocol, "_recv_exactly", recv_exactly)
+    sock = raw_hello(served)
+    try:
+        send_message(sock, {"type": "execute",
+                            "sql": "select count(*) from t"})
+        assert recv_message(sock)["columns"] == [[2000]]
+    finally:
+        sock.close()
+    assert readers
+    assert [n for n in readers if n.startswith(THREAD_PREFIX)] == []
 
 
 class TestDisconnectHygiene:
