@@ -271,18 +271,20 @@ class ReproServer:
             try:
                 sock, _ = self._listener.accept()
             except OSError:
-                return                        # drain shut the listener
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
                 if self._draining:
-                    sock.close()
-                    return
-                self.connections_served += 1
-                conn = _Connection(sock, self.connections_served)
-                self._conns.add(conn)
+                    return                    # drain shut the listener
+                time.sleep(0.1)               # e.g. out of descriptors
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self.connections_served += 1      # written by this thread only
+            conn = _Connection(sock, self.connections_served)
             self._threads = [t for t in self._threads if t.is_alive()]
-            self._threads.append(
-                _start_thread(self._serve, f"conn-{conn.id}", conn))
+            try:
+                self._threads.append(
+                    _start_thread(self._serve, f"conn-{conn.id}", conn))
+            except RuntimeError:              # out of threads: turn it away
+                conn.rfile.close()
+                sock.close()
 
     # ------------------------------------------------------------------
     # One connection: handshake, then read → dispatch → write
@@ -290,6 +292,10 @@ class ReproServer:
     def _serve(self, conn: _Connection) -> None:
         """Answer frames one at a time until EOF, goodbye, drain or a
         timed-out statement."""
+        with self._lock:
+            # Registered before its first read: drain either shuts this
+            # socket's read side or is seen by that read.
+            self._conns.add(conn)
         try:
             if not self._handshake(conn):
                 return

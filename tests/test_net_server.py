@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import errno
 import gc
 import itertools
 import socket
@@ -26,6 +27,7 @@ from repro.errors import (
 )
 from repro.net.client import NetConnection, NetCursor
 from repro.net import protocol
+from repro.net import server as server_module
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
@@ -873,6 +875,53 @@ class TestGracefulDrain:
         handle = serve_in_thread(small_db)
         handle.shutdown()
         handle.shutdown()
+
+
+def count_rows(handle) -> int:
+    conn = NetConnection(handle.host, handle.port, connect_timeout=5)
+    try:
+        return conn.cursor().execute("select count(*) from t").fetchone()[0]
+    finally:
+        conn.close()
+
+
+class TestAcceptLoop:
+    def test_a_failed_accept_does_not_stop_the_server(self, small_db,
+                                                      monkeypatch):
+        """accept() fails with EMFILE while the process is out of file
+        descriptors; the server accepts again instead of going deaf."""
+        original, failures = socket.socket.accept, []
+
+        def accept(self):
+            if not failures:
+                failures.append(1)
+                raise OSError(errno.EMFILE, "Too many open files")
+            return original(self)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with serve_in_thread(small_db) as handle:
+            assert count_rows(handle) == 2000
+        assert failures == [1]
+
+    def test_a_thread_that_cannot_start_costs_one_connection(
+            self, small_db, monkeypatch):
+        """Out of threads, the server closes that one connection and
+        serves the next."""
+        original, refused = server_module._start_thread, []
+
+        def start_thread(target, name, *args):
+            if name.startswith("conn") and not refused:
+                refused.append(name)
+                raise RuntimeError("can't start new thread")
+            return original(target, name, *args)
+
+        monkeypatch.setattr(server_module, "_start_thread", start_thread)
+        with serve_in_thread(small_db) as handle:
+            with pytest.raises(OSError):
+                count_rows(handle)
+            assert count_rows(handle) == 2000
+            assert wait_until(lambda: handle.server.session_count == 0)
+        assert refused == ["conn-1"]
 
 
 class TestConnectUrlFrontDoor:
